@@ -18,26 +18,48 @@ strictly in the opposite direction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DistributionError, ModelError
-from .tables import ci_deviation
+from .tables import PROB_SUM_TOL, ci_deviation
 
 RELATIONS = ("r1", "r2", "r3", "r4")
 
-PROB_SUM_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 
 
 def _check_levels(levels: Sequence[float], name: str) -> tuple[float, ...]:
-    arr = tuple(float(v) for v in levels)
+    try:
+        arr = tuple(float(v) for v in levels)
+    except (TypeError, ValueError) as exc:
+        raise DistributionError(f"{name} support points must be numbers: {exc}") from exc
+    if not all(math.isfinite(v) for v in arr):
+        raise DistributionError(f"{name} support points must be finite")
     if len(arr) < 2:
         raise DistributionError(f"{name} needs at least 2 support points")
     if any(b <= a for a, b in zip(arr, arr[1:])):
         raise DistributionError(f"{name} support points must be strictly increasing")
+    return arr
+
+
+def _check_joint(p: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only float copy of ``p``: finite, strictly positive, summing to 1."""
+    arr = np.array(p, dtype=float)
+    if arr.shape != shape:
+        raise DistributionError(
+            f"probability array shape {arr.shape} does not match supports {shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise DistributionError("probabilities must be finite")
+    if np.any(arr <= 0.0):
+        raise DistributionError("probabilities must be strictly positive")
+    if abs(float(arr.sum()) - 1.0) > PROB_SUM_TOL:
+        raise DistributionError("probabilities must sum to 1")
+    arr.flags.writeable = False
     return arr
 
 
@@ -52,15 +74,8 @@ class BivariateJoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "y_levels", _check_levels(self.y_levels, "Y"))
         object.__setattr__(self, "x_levels", _check_levels(self.x_levels, "X"))
-        arr = np.array(self.p, dtype=float)
-        if arr.shape != (len(self.y_levels), len(self.x_levels)):
-            raise DistributionError("probability array shape does not match supports")
-        if np.any(arr <= 0.0):
-            raise DistributionError("probabilities must be strictly positive")
-        if abs(float(arr.sum()) - 1.0) > PROB_SUM_TOL:
-            raise DistributionError("probabilities must sum to 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "p", arr)
+        shape = (len(self.y_levels), len(self.x_levels))
+        object.__setattr__(self, "p", _check_joint(self.p, shape))
 
     def swapped(self) -> "BivariateJoint":
         return BivariateJoint(self.x_levels, self.y_levels, self.p.T)
@@ -79,18 +94,8 @@ class FiniteJoint:
         object.__setattr__(self, "y_levels", _check_levels(self.y_levels, "Y"))
         object.__setattr__(self, "x_levels", _check_levels(self.x_levels, "X"))
         object.__setattr__(self, "w_levels", _check_levels(self.w_levels, "W"))
-        arr = np.array(self.p, dtype=float)
         shape = (len(self.y_levels), len(self.x_levels), len(self.w_levels))
-        if arr.shape != shape:
-            raise DistributionError(
-                f"probability array shape {arr.shape} does not match supports {shape}"
-            )
-        if np.any(arr <= 0.0):
-            raise DistributionError("probabilities must be strictly positive")
-        if abs(float(arr.sum()) - 1.0) > PROB_SUM_TOL:
-            raise DistributionError("probabilities must sum to 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "p", arr)
+        object.__setattr__(self, "p", _check_joint(self.p, shape))
 
     def marginal_yx(self) -> BivariateJoint:
         return BivariateJoint(self.y_levels, self.x_levels, self.p.sum(axis=2))

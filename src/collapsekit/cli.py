@@ -489,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except CollapsekitError as exc:
+    except (CollapsekitError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(
             dumps_report(
                 {"error": {"kind": type(exc).__name__, "message": str(exc)}}

@@ -5,10 +5,14 @@ to tau_A (A inside B) when the A-interaction of the full table equals the
 A-interaction of the marginal table over B.  Two equivalent verdict routes
 are always computed and compared:
 
-* direct: decompose both tables, compare tau_A (full) with eta_A (marginal);
+* direct: compare tau_A of the full table with eta_A of the marginal table;
 * residual: form d(i_B) = ln p_B(i_B) - ltilde_B(i_B), average d over
   B-minus-Z for each Z inside A, and Möbius-invert; collapsibility is the
   vanishing of the resulting alternating sum.
+
+Both routes are ``loglinear.mobius`` applied to ln p, to ln p_B and to d,
+asked only for the interactions a verdict compares or reports; neither
+table is decomposed in full.
 
 Strict collapsibility additionally requires every interaction linking A to
 the collapsed variables to vanish, which holds exactly when X_A is
@@ -24,8 +28,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import RouteDisagreementError, SchemeError
-from .loglinear import DEFAULT_TAU_TOL, decompose
-from .subsets import axes_of, mask_of, popcount, submasks
+from .loglinear import DEFAULT_TAU_TOL, log_cells, mobius, mobius_at, squeeze_mask
+from .subsets import axes_of, mask_of, submasks
 from .tables import DEFAULT_CI_TOL, CiVerdict, ContingencyTable, SubsetSpec
 
 
@@ -58,42 +62,13 @@ class CollapseVerdict:
     ci: CiVerdict | None = None
 
 
-def _collapse_core(
-    table: ContingencyTable, a_axes: tuple[int, ...], b_axes: tuple[int, ...]
-) -> tuple[dict, dict, np.ndarray]:
-    """Decompositions of full and marginal table plus the d residual array."""
-    full = decompose(table)
-    marg_table = table.marginalize(b_axes)
-    marg = decompose(marg_table)
-    # d over the margin's axes: log marginal cells minus averaged full logs
-    ltilde_b = np.log(table.cells).mean(
-        axis=tuple(x for x in range(table.scheme.n) if x not in b_axes)
-    )
-    d = np.log(marg_table.cells) - ltilde_b
-    return full, marg, d
-
-
-def _residual_route(
-    d: np.ndarray, a_pos: tuple[int, ...]
-) -> tuple[float, np.ndarray]:
-    """Alternating sum over subsets of A of the averaged d residuals."""
-    s = d.ndim
-    a_mask = mask_of(a_pos)
-    means: dict[int, np.ndarray] = {}
-    for sub in submasks(a_mask):
-        comp = tuple(x for x in range(s) if not sub & (1 << x))
-        means[sub] = d.mean(axis=comp, keepdims=True) if comp else d
-    out: np.ndarray | None = None
-    size = popcount(a_mask)
-    for sub in submasks(a_mask):
-        term = means[sub] if (size - popcount(sub)) % 2 == 0 else -means[sub]
-        out = term if out is None else out + term
-    assert out is not None
-    residual = np.squeeze(
-        np.broadcast_to(out, tuple(d.shape[x] if a_mask & (1 << x) else 1 for x in range(s))),
-        axis=tuple(x for x in range(s) if not a_mask & (1 << x)),
-    )
-    return float(np.max(np.abs(residual))), np.asarray(residual)
+def _log_margin(
+    logp: np.ndarray, table: ContingencyTable, b_axes: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal log cells over B and the residual d = ln p_B - ltilde_B."""
+    log_marg = np.log(table.marginalize(b_axes).cells)
+    ltilde_b = logp.mean(axis=tuple(x for x in range(logp.ndim) if x not in b_axes))
+    return log_marg, log_marg - ltilde_b
 
 
 def check_collapsibility(
@@ -119,13 +94,14 @@ def check_collapsibility(
     if not a_axes:
         raise SchemeError("target must be nonempty")
 
-    full, marg, d = _collapse_core(table, a_axes, b_axes)
-    # positions of the target axes inside the (sorted) margin
-    a_pos = tuple(b_axes.index(x) for x in a_axes)
-    max_residual, _ = _residual_route(d, a_pos)
+    logp = log_cells(table)
+    log_marg, d = _log_margin(logp, table, b_axes)
+    # the target's mask over the (sorted) margin's axes
+    a_pos = mask_of(b_axes.index(x) for x in a_axes)
+    max_residual = float(np.max(np.abs(mobius_at(d, a_pos))))
 
-    tau_full = full.tau(a_axes)
-    eta_marginal = marg.tau(a_pos)
+    tau_full = mobius_at(logp, mask_of(a_axes))
+    eta_marginal = mobius_at(log_marg, a_pos)
     direct_gap = float(np.max(np.abs(tau_full - eta_marginal)))
 
     by_residual = max_residual <= tol
@@ -179,29 +155,31 @@ def check_strict_collapsibility(
         raise SchemeError("target and collapsed must be nonempty")
 
     margin_axes = tuple(sorted(set(a_axes) | set(b_axes)))
-    full, marg, d = _collapse_core(table, a_axes, margin_axes)
-
+    logp = log_cells(table)
+    log_marg, d = _log_margin(logp, table, margin_axes)
     a_mask = mask_of(a_axes)
     c_mask = mask_of(c_axes)
-    margin_mask = mask_of(margin_axes)
 
-    # per-parameter gaps over C_L = {L inside the margin : L meets target}
+    def in_margin(mask: int) -> int:
+        return mask_of(margin_axes.index(x) for x in axes_of(mask))
+
+    # the parameter set C_L = {L inside the margin : L meets target}, and the
+    # condition-(ii) interactions meeting both the target and the collapsed set
+    set_masks = [m for m in submasks(mask_of(margin_axes)) if m & a_mask]
+    zero_masks = [m for m in range(1 << n) if m & a_mask and m & c_mask]
+    tau = mobius(logp, set_masks + zero_masks)
+    eta = mobius(log_marg, [in_margin(m) for m in set_masks])
+
     set_gaps: dict[tuple[str, ...], float] = {}
     worst_gap = 0.0
-    for l_mask in submasks(margin_mask):
-        if not l_mask & a_mask:
-            continue
-        l_axes = axes_of(l_mask)
-        l_pos = tuple(margin_axes.index(x) for x in l_axes)
-        gap = float(np.max(np.abs(full.tau(l_axes) - marg.tau(l_pos))))
-        set_gaps[table.scheme.subset_names(l_axes)] = gap
+    for l_mask in set_masks:
+        l_pos = in_margin(l_mask)
+        gap = squeeze_mask(tau[l_mask], l_mask) - squeeze_mask(eta[l_pos], l_pos)
+        gap = float(np.max(np.abs(gap)))
+        set_gaps[table.scheme.subset_names(axes_of(l_mask))] = gap
         worst_gap = max(worst_gap, gap)
 
-    # condition (ii): interactions meeting both the target and the collapsed set
-    zero_set_max = 0.0
-    for mask in range(1 << n):
-        if mask & a_mask and mask & c_mask:
-            zero_set_max = max(zero_set_max, full.max_abs(axes_of(mask)))
+    zero_set_max = max(float(np.max(np.abs(tau[m]))) for m in zero_masks)
     interaction_zero_ok = zero_set_max <= tol
 
     strict_by_tau = worst_gap <= tol and interaction_zero_ok
@@ -212,10 +190,10 @@ def check_strict_collapsibility(
             f"CI route (deviation {ci.max_deviation!r}) disagree"
         )
 
-    a_pos = tuple(margin_axes.index(x) for x in a_axes)
-    max_residual, _ = _residual_route(d, a_pos)
-    tau_full = full.tau(a_axes)
-    eta_marginal = marg.tau(a_pos)
+    a_pos = in_margin(a_mask)
+    max_residual = float(np.max(np.abs(mobius_at(d, a_pos))))
+    tau_full = squeeze_mask(tau[a_mask], a_mask)
+    eta_marginal = squeeze_mask(eta[a_pos], a_pos)
     return CollapseVerdict(
         target=table.scheme.subset_names(a_axes),
         margin=table.scheme.subset_names(margin_axes),

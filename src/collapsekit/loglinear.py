@@ -11,16 +11,22 @@ log-margins:
     ltilde_A(i_A) = mean over the complement coordinates of ln p(i),
     tau_A(i_A)    = sum over Z subset of A of (-1)^(|A|-|Z|) ltilde_Z(i_Z).
 
-Internally every subset-indexed array keeps full rank with singleton axes on
-the averaged-out variables, so the alternating sums are plain broadcasts.
-Public accessors return squeezed arrays shaped over the subset's variables
-in scheme order.
+``mobius`` is the one lattice transform of the package: ``decompose`` asks
+it for every subset, ``interaction`` for one, and the collapse routes apply
+it to ln p, to the marginal log cells and to their residual, asking only for
+the subsets they compare.  Internally every subset-indexed array keeps full
+rank with singleton axes on the averaged-out variables, so the alternating
+sums are plain broadcasts.  Public accessors return squeezed arrays shaped
+over the subset's variables in scheme order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from functools import reduce
+from operator import or_
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -29,41 +35,62 @@ from .subsets import axes_of, mask_of, masks_by_size, popcount, submasks
 from .tables import CategoricalScheme, ContingencyTable, SubsetSpec
 
 DEFAULT_TAU_TOL = 1e-8
-MAX_VARS = 20
+LATTICE_BUDGET = 2**24  # floats held by the subset means of one transform
 
 
-def _require_probability(table: ContingencyTable) -> np.ndarray:
+def log_cells(table: ContingencyTable) -> np.ndarray:
+    """ln p of a probability table (counts tables are rejected)."""
     if table.form != "probability":
         raise TableError("log-linear operations need a probability table")
     return np.log(table.cells)
 
 
-def log_subset_means(logp: np.ndarray) -> dict[int, np.ndarray]:
-    """ltilde for every subset mask, as keepdims arrays over the full shape."""
-    n = logp.ndim
-    if n > MAX_VARS:
-        raise SchemeError(f"subset lattice over {n} variables exceeds the {MAX_VARS}-variable guard")
+def mobius(x: np.ndarray, masks: Collection[int]) -> dict[int, np.ndarray]:
+    """Möbius inverse of the subset means of ``x`` at each requested mask.
+
+    Each submask Z of a requested mask gets its mean xtilde_Z (``x``
+    averaged over the axes outside Z, keepdims) computed once; each mask A
+    then gets sum over Z inside A of (-1)^(|A|-|Z|) xtilde_Z, accumulated in
+    ``submasks`` order; that order fixes the last bits of every reported
+    float.  Returns keepdims arrays in request order.
+
+    The means of the lattice spanned by the requested masks hold
+    prod(m_a + 1) floats over the spanned axes; past ``LATTICE_BUDGET`` this
+    raises SchemeError before any mean is taken.
+    """
+    n = x.ndim
+    span = reduce(or_, masks, 0)
+    size = math.prod(m + 1 for a, m in enumerate(x.shape) if span & (1 << a))
+    if size > LATTICE_BUDGET:
+        raise SchemeError(
+            f"subset lattice over shape {x.shape} needs {size} floats, "
+            f"over the budget of {LATTICE_BUDGET}"
+        )
     means: dict[int, np.ndarray] = {}
-    for mask in range(1 << n):
-        comp = tuple(a for a in range(n) if not mask & (1 << a))
-        means[mask] = logp.mean(axis=comp, keepdims=True) if comp else logp
-    return means
-
-
-def mobius_inverse(means: Mapping[int, np.ndarray], mask: int) -> np.ndarray:
-    """Alternating subset sum sum_{Z<=mask} (-1)^(|mask|-|Z|) means[Z]."""
-    size = popcount(mask)
-    out: np.ndarray | None = None
-    for sub in submasks(mask):
-        term = means[sub] if (size - popcount(sub)) % 2 == 0 else -means[sub]
-        out = term if out is None else out + term
-    assert out is not None
+    out: dict[int, np.ndarray] = {}
+    for mask in masks:
+        order = popcount(mask)
+        acc: np.ndarray | None = None
+        for sub in submasks(mask):
+            if sub not in means:
+                comp = tuple(a for a in range(n) if not sub & (1 << a))
+                means[sub] = x.mean(axis=comp, keepdims=True) if comp else x
+            term = means[sub] if (order - popcount(sub)) % 2 == 0 else -means[sub]
+            acc = term if acc is None else acc + term
+        assert acc is not None
+        out[mask] = acc
     return out
 
 
-def _squeeze(arr: np.ndarray, mask: int, n: int) -> np.ndarray:
-    drop = tuple(a for a in range(n) if not mask & (1 << a))
+def squeeze_mask(arr: np.ndarray, mask: int) -> np.ndarray:
+    """Copy of a keepdims array with the axes outside ``mask`` dropped."""
+    drop = tuple(a for a in range(arr.ndim) if not mask & (1 << a))
     return np.squeeze(arr, axis=drop).copy() if drop else arr.copy()
+
+
+def mobius_at(x: np.ndarray, mask: int) -> np.ndarray:
+    """Single Möbius inverse at ``mask``, shaped over the mask's axes."""
+    return squeeze_mask(mobius(x, (mask,))[mask], mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +110,7 @@ class InteractionDecomposition:
 
     def tau(self, subset: SubsetSpec) -> np.ndarray:
         mask = mask_of(self.scheme.resolve_subset(subset))
-        return _squeeze(self._tau[mask], mask, self.scheme.n)
+        return squeeze_mask(self._tau[mask], mask)
 
     def max_abs(self, subset: SubsetSpec) -> float:
         mask = mask_of(self.scheme.resolve_subset(subset))
@@ -96,7 +123,7 @@ class InteractionDecomposition:
         for sub in submasks(mask):
             out = self._tau[sub] if out is None else out + self._tau[sub]
         assert out is not None
-        return _squeeze(np.broadcast_to(out, _mask_shape(self.scheme.shape, mask)).copy(), mask, self.scheme.n)
+        return squeeze_mask(out, mask)
 
     def reconstruct_log(self) -> np.ndarray:
         """Sum of every interaction array, cell by cell: should equal ln p."""
@@ -117,17 +144,13 @@ class InteractionDecomposition:
         }
 
 
-def _mask_shape(shape: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    return tuple(m if mask & (1 << a) else 1 for a, m in enumerate(shape))
-
-
 def tilde_l(table: ContingencyTable, subset: SubsetSpec) -> np.ndarray:
     """Mean of ln p over the complement coordinates, at each fixed i_A.
 
     The empty subset gives the grand mean of the log cells (0-d array); the
     full set gives ln p itself.
     """
-    logp = _require_probability(table)
+    logp = log_cells(table)
     axes = table.scheme.resolve_subset(subset)
     comp = tuple(a for a in range(table.scheme.n) if a not in axes)
     out = logp.mean(axis=comp) if comp else logp.copy()
@@ -135,24 +158,13 @@ def tilde_l(table: ContingencyTable, subset: SubsetSpec) -> np.ndarray:
 
 
 def interaction(table: ContingencyTable, subset: SubsetSpec) -> np.ndarray:
-    """Single interaction array tau_A by alternating subset sum."""
-    logp = _require_probability(table)
-    mask = mask_of(table.scheme.resolve_subset(subset))
-    means = log_subset_means(logp)  # small n; recomputing all is cheap
-    return _squeeze(
-        np.broadcast_to(
-            mobius_inverse(means, mask), _mask_shape(table.scheme.shape, mask)
-        ).copy(),
-        mask,
-        table.scheme.n,
-    )
+    """Single interaction array tau_A, from the means of A's subsets only."""
+    return mobius_at(log_cells(table), mask_of(table.scheme.resolve_subset(subset)))
 
 
 def decompose(table: ContingencyTable) -> InteractionDecomposition:
     """Full saturated decomposition: tau_A for all 2^n subsets A."""
-    logp = _require_probability(table)
-    means = log_subset_means(logp)
-    tau = {mask: mobius_inverse(means, mask) for mask in range(1 << table.scheme.n)}
+    tau = mobius(log_cells(table), range(1 << table.scheme.n))
     return InteractionDecomposition(table.scheme, tau)
 
 

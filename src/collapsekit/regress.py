@@ -25,9 +25,8 @@ import numpy as np
 
 from .assoc import FiniteJoint
 from .errors import DistributionError, RouteDisagreementError
-from .tables import ci_deviation
+from .tables import PROB_SUM_TOL, ci_deviation
 
-PROB_SUM_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 
 

@@ -96,6 +96,21 @@ class TestValidation:
         with pytest.raises(DistributionError):
             FiniteJoint((0, 1), (0, 1), (0, 1), np.full((2, 2, 2), 0.2))
 
+    def test_non_finite_cells(self):
+        # NaN passes both "<= 0" and "|sum - 1| > tol" comparisons
+        for bad in (np.nan, np.inf):
+            p = np.full((2, 2), 0.25)
+            p[0, 0] = bad
+            with pytest.raises(DistributionError, match="finite"):
+                BivariateJoint((0.0, 1.0), (0.0, 1.0), p)
+            with pytest.raises(DistributionError, match="finite"):
+                FiniteJoint((0, 1), (0, 1), (0, 1), np.stack([p, p], axis=2) / 2)
+
+    def test_non_numeric_or_non_finite_levels(self):
+        for levels in (("a", 1.0), (None, 1.0), (0.0, float("nan")), (0.0, float("inf"))):
+            with pytest.raises(DistributionError):
+                BivariateJoint(levels, (0.0, 1.0), np.full((2, 2), 0.25))
+
     def test_json_roundtrip(self):
         j = covariance_flip_witness()
         back = FiniteJoint.from_json(j.to_json())

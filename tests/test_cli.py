@@ -195,6 +195,45 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "TableError"
 
+    @pytest.mark.parametrize("verb", ["decompose", "dep-check", "survival-check"])
+    @pytest.mark.parametrize(
+        "raw, kind",
+        [(b'{"variables": [', "JSONDecodeError"), (b"\xff\xfe{}", "UnicodeDecodeError")],
+    )
+    def test_undecodable_input_is_structured(self, tmp_path, capsys, verb, raw, kind):
+        p = tmp_path / "bad.json"
+        p.write_bytes(raw)
+        assert main([verb, str(p)]) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == kind
+
+    @pytest.mark.parametrize(
+        "levels, p",
+        [
+            # JSON allows the NaN literal; it used to pass every joint check
+            ({"y": [0, 1], "x": [0, 1], "w": [0, 1]}, "[NaN" + ", 0.125" * 6 + ", 0.25]"),
+            ({"y": ["lo", "hi"], "x": [0, 1], "w": [0, 1]}, "[" + ", ".join(["0.125"] * 8) + "]"),
+        ],
+    )
+    def test_bad_joint_is_structured(self, tmp_path, capsys, levels, p):
+        path = tmp_path / "joint.json"
+        path.write_text(f'{{"levels": {json.dumps(levels)}, "p": {p}}}')
+        assert main(["assoc-check", str(path)]) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "DistributionError"
+
+    def test_lattice_over_budget_is_structured(self, tmp_path, capsys):
+        # 16 binary variables: 2^16 cells load fine, but the subset means
+        # would hold 3^16 floats; the budget check fires before the walk
+        n = 16
+        payload = {
+            "variables": [{"name": f"v{j}", "levels": ["0", "1"]} for j in range(n)],
+            "form": "counts",
+            "cells": [1] * (1 << n),
+        }
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(payload))
+        assert main(["decompose", str(p)]) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "SchemeError"
+
     def test_missing_file(self, capsys):
         assert main(["decompose", "/nonexistent/nope.json"]) == EXIT_ERROR
 

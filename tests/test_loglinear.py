@@ -9,8 +9,7 @@ from collapsekit.loglinear import (
     decompose,
     interaction,
     is_hierarchical,
-    log_subset_means,
-    mobius_inverse,
+    mobius,
     tilde_l,
 )
 from collapsekit.subsets import axes_of, masks_by_size
@@ -118,22 +117,26 @@ class TestDecompose:
         assert dec.max_abs(["x1", "x3"]) <= 1e-10
 
     def test_guard_on_too_many_variables(self):
+        # 16 binary axes span 3^16 subset-mean floats, over the budget; the
+        # guard fires before any mean is taken
         with pytest.raises(SchemeError):
-            log_subset_means(np.zeros((2,) * 21))
+            mobius(np.zeros((2,) * 16), [(1 << 16) - 1])
+        # the budget counts only the axes the requested masks span
+        assert set(mobius(np.zeros((2,) * 16), [0b11])) == {0b11}
 
 
 class TestUnnormalizedArrays:
     def test_scaling_shifts_only_the_constant(self):
-        # the subset-mean machinery applies to any positive array's logs:
+        # the lattice transform applies to any positive array's logs:
         # scaling every cell by c moves the empty-set term by ln c only
         rng = np.random.default_rng(4)
         arr = rng.uniform(0.5, 3.0, (2, 3, 2))
         c = 7.5
-        means1 = log_subset_means(np.log(arr))
-        means2 = log_subset_means(np.log(c * arr))
+        tau1 = mobius(np.log(arr), masks_by_size(3))
+        tau2 = mobius(np.log(c * arr), masks_by_size(3))
         for mask in masks_by_size(3):
-            t1 = mobius_inverse(means1, mask)
-            t2 = mobius_inverse(means2, mask)
+            t1 = tau1[mask]
+            t2 = tau2[mask]
             if mask == 0:
                 assert np.allclose(t2 - t1, math.log(c), atol=1e-12)
             else:
