@@ -5,7 +5,18 @@ association survives marginalization: contingency tables and their
 log-linear interactions, event-level reversal reports, directional
 association relations, stratified regression summaries, distribution
 dependence functions, and the linear transformation survival model.
+
+The dependence-function names (``DependenceModel``, ``DepVerdict``,
+``GaussianLinearInteraction``, ``UniformQuadratic``,
+``check_avg_collapsibility``, ``check_homogeneity``, ``dep_fn``,
+``model_from_json``) and the survival names (``SurvivalSpec``,
+``SurvivalVerdict``, ``check_condition``, ``verify_numeric``) load their
+module on first use.  Those modules import scipy, which takes several
+times longer than numpy to import, so table, association and regression
+work never pays for it.
 """
+
+import importlib
 
 from .assoc import (
     AssocReversalReport,
@@ -20,16 +31,6 @@ from .assoc import (
     linear_r4_reversal,
 )
 from .collapse import CollapseVerdict, check_collapsibility, check_strict_collapsibility
-from .depfun import (
-    DependenceModel,
-    DepVerdict,
-    GaussianLinearInteraction,
-    UniformQuadratic,
-    check_avg_collapsibility,
-    check_homogeneity,
-    dep_fn,
-    model_from_json,
-)
 from .errors import (
     CollapsekitError,
     DistributionError,
@@ -64,10 +65,44 @@ from .regress import (
     marginal_beta,
     summary_from_records,
 )
-from .survival import SurvivalSpec, SurvivalVerdict, check_condition, verify_numeric
 from .tables import CategoricalScheme, CiVerdict, ContingencyTable, build_table
 
 __version__ = "0.1.0"
+
+# public name -> submodule imported on first access (PEP 562).  The value is
+# looked up on the module at every access, never cached here, so a caller
+# that swaps a module attribute sees the swap through the package too.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "DependenceModel",
+            "DepVerdict",
+            "GaussianLinearInteraction",
+            "UniformQuadratic",
+            "check_avg_collapsibility",
+            "check_homogeneity",
+            "dep_fn",
+            "model_from_json",
+        ),
+        "depfun",
+    ),
+    **dict.fromkeys(
+        ("SurvivalSpec", "SurvivalVerdict", "check_condition", "verify_numeric"),
+        "survival",
+    ),
+}
+
+
+def __getattr__(name):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "AssocReversalReport",

@@ -7,6 +7,9 @@ reversal / non-collapsibility, so shell pipelines can branch on it.
 Reports are deterministic: keys are emitted sorted and floats with 17
 significant digits, so identical inputs and options produce byte-identical
 output.
+
+``dep-check`` and ``survival-check`` import their modules inside the verb:
+those modules load scipy, which the other verbs never need.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 from . import __version__
 from .assoc import FiniteJoint, detect_assoc_reversal, double_linkage, holds_relation
 from .collapse import check_collapsibility, check_strict_collapsibility
-from .depfun import check_avg_collapsibility, check_homogeneity, model_from_json
 from .errors import CollapsekitError, SchemeError, TableError
 from .loglinear import decompose, is_hierarchical
 from .paradox import cornfield, detect_reversal, scan_strata
@@ -34,7 +36,6 @@ from .regress import (
     check_parallel_collapsibility,
     summary_from_records,
 )
-from .survival import SurvivalSpec, check_condition, verify_numeric
 from .tables import CategoricalScheme, ContingencyTable, build_table
 
 MAX_CSV_VARIABLES = 20
@@ -382,6 +383,8 @@ def _cmd_regress_audit(args) -> int:
 
 
 def _cmd_dep_check(args) -> int:
+    from .depfun import check_avg_collapsibility, check_homogeneity, model_from_json
+
     model = model_from_json(_read_bytes(args.input).decode("utf-8"))
     v = check_avg_collapsibility(model, tol=args.tol)
     h = check_homogeneity(model, tol=args.tol)
@@ -398,6 +401,8 @@ def _cmd_dep_check(args) -> int:
 
 
 def _cmd_survival_check(args) -> int:
+    from .survival import SurvivalSpec, check_condition, verify_numeric
+
     spec = SurvivalSpec.from_json(_read_bytes(args.input).decode("utf-8"))
     v = verify_numeric(spec) if args.numeric else check_condition(spec)
     _emit(_report("survival-check", args.input, v.to_json_dict()), args.format)

@@ -157,13 +157,17 @@ class GaussianLinearInteraction(DependenceModel):
     family = "gaussian-linear-interaction"
 
     def __init__(self, alpha1: float, alpha2: float, alpha3: float, sigma: float, rho: float = 0.0):
-        if sigma <= 0.0:
-            raise ModelError("sigma must be positive")
         self.alpha1 = float(alpha1)
         self.alpha2 = float(alpha2)
         self.alpha3 = float(alpha3)
         self.sigma = float(sigma)
         self.rho = float(rho)
+        if not all(
+            math.isfinite(v) for v in (self.alpha1, self.alpha2, self.alpha3, self.sigma, self.rho)
+        ):
+            raise ModelError("alpha, sigma and rho (the w_law mean_slope) must be finite")
+        if self.sigma <= 0.0:
+            raise ModelError("sigma must be positive")
 
     def _m(self, x: float, w: float) -> float:
         return self.alpha1 * x + self.alpha2 * w + self.alpha3 * x * w
@@ -317,7 +321,7 @@ def model_from_json_dict(payload: Mapping) -> DependenceModel:
         raise ModelError(f"malformed model payload: {exc}") from exc
     if family == GaussianLinearInteraction.family:
         try:
-            a1, a2, a3 = payload["alpha"]
+            a1, a2, a3 = map(float, payload["alpha"])
             sigma = float(payload["sigma"])
             w_law = payload.get("w_law", {"type": "normal", "mean_slope": 0.0})
             if w_law.get("type") != "normal":

@@ -18,6 +18,7 @@ are computed by two algebraically equivalent routes that must agree.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -62,6 +63,12 @@ class StratifiedRegressionSummary:
         object.__setattr__(self, "strata", strata)
         if not strata:
             raise DistributionError("summary needs at least one stratum")
+        # NaN passes every sign and tolerance test below, so reject it first
+        for s in strata:
+            if not all(
+                math.isfinite(v) for v in (s.pi, s.alpha, s.beta, s.mu_x, s.s_xx, s.s_yy)
+            ):
+                raise DistributionError("stratum moments must be finite")
         pis = np.array([s.pi for s in strata])
         if np.any(pis <= 0.0):
             raise DistributionError("stratum weights must be positive")
@@ -376,6 +383,8 @@ def summary_from_records(
     la = list(a)
     if not (len(ya) == len(xa) == len(la)) or len(ya) == 0:
         raise DistributionError("records must be nonempty and aligned")
+    if not (np.isfinite(ya).all() and np.isfinite(xa).all()):
+        raise DistributionError("records must have finite y and x")
     order: list = []
     for lbl in la:
         if lbl not in order:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import integrate, interpolate
 from scipy.special import log_ndtr, ndtr
 
 from .errors import ModelError
@@ -96,10 +95,12 @@ class SurvivalSpec:
                 b <= a for a, b in zip(ks, ks[1:])
             ):
                 raise ModelError("k_transform must be strictly increasing")
+            # scipy.interpolate is imported here, not at module level, so
+            # specs with the identity K never load it
+            from scipy.interpolate import PchipInterpolator
+
             object.__setattr__(self, "k_transform", (ts, ks))
-            object.__setattr__(
-                self, "_k_interp", interpolate.PchipInterpolator(ts, ks)
-            )
+            object.__setattr__(self, "_k_interp", PchipInterpolator(ts, ks))
 
     def k(self, t: float) -> float:
         if self._k_interp is None:
@@ -170,6 +171,10 @@ def conditional_ratio(
 
 def marginal_survival(spec: SurvivalSpec, t: float, x: float) -> float:
     """P(T > t | X = x), integrating out Y ~ N(eta(x), 1)."""
+    # imported on use: only the numeric verification integrates, and
+    # scipy.integrate dominates the import time of a condition check
+    from scipy.integrate import quad
+
     center = spec.eta(x)
     kt = spec.k(t)
 
@@ -179,7 +184,7 @@ def marginal_survival(spec: SurvivalSpec, t: float, x: float) -> float:
             -0.5 * z * z
         )
 
-    val, _ = integrate.quad(f, center - 10.0, center + 10.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+    val, _ = quad(f, center - 10.0, center + 10.0, epsabs=1e-12, epsrel=1e-12, limit=200)
     return val / math.sqrt(2.0 * math.pi)
 
 

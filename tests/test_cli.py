@@ -220,6 +220,38 @@ class TestExitCodes:
         assert main(["assoc-check", str(path)]) == EXIT_ERROR
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "DistributionError"
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            # JSON allows the NaN literal; it used to reach the report emitter
+            (
+                "summary.json",
+                '{"levels": [{"pi": 0.5, "alpha": NaN, "beta": 0.5, "mu_x": 0.0,'
+                ' "s_xx": 1.0, "s_yy": 1.0}, {"pi": 0.5, "alpha": 0.0, "beta": 0.5,'
+                ' "mu_x": 1.0, "s_xx": 1.0, "s_yy": 1.0}]}',
+            ),
+            ("records.csv", "y,x,a\n1,0,u\nnan,1,u\n0,0,v\n1,1,v\n"),
+            ("records.csv", "y,x,a\n1,0,u\ninf,1,u\n0,0,v\n1,1,v\n"),
+        ],
+    )
+    def test_non_finite_regression_input_is_structured(self, tmp_path, capsys, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        assert main(["regress-audit", str(p)]) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "DistributionError"
+
+    @pytest.mark.parametrize(
+        "alpha, mean_slope", [("[1.0,0.5,0.8]", "NaN"), ('["x",0.5,0.8]', "0.0"), ("[null,0.5,0.8]", "0.0")]
+    )
+    def test_bad_dep_parameter_is_structured(self, tmp_path, capsys, alpha, mean_slope):
+        p = tmp_path / "gauss.json"
+        p.write_text(
+            f'{{"family":"gaussian-linear-interaction","alpha":{alpha},'
+            f'"sigma":1.0,"w_law":{{"type":"normal","mean_slope":{mean_slope}}}}}'
+        )
+        assert main(["dep-check", str(p)]) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ModelError"
+
     def test_lattice_over_budget_is_structured(self, tmp_path, capsys):
         # 16 binary variables: 2^16 cells load fine, but the subset means
         # would hold 3^16 floats; the budget check fires before the walk

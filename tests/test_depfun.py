@@ -216,3 +216,11 @@ class TestModelJson:
     def test_bad_sigma(self):
         with pytest.raises(ModelError):
             GaussianLinearInteraction(1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("field", range(5))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters(self, field, bad):
+        params = [1.0, 0.5, 0.8, 1.0, 0.3]  # alpha1, alpha2, alpha3, sigma, rho
+        params[field] = bad
+        with pytest.raises(ModelError, match="finite"):
+            GaussianLinearInteraction(*params)

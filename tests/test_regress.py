@@ -81,6 +81,15 @@ class TestValidation:
         with pytest.raises(DistributionError):
             StratifiedRegressionSummary((S(1.0, 0, 2, 0, 1.0, 1.0),))
 
+    @pytest.mark.parametrize("field", range(6))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_moments(self, field, bad):
+        # NaN passes every sign and tolerance test, so it needs its own check
+        moments = [1.0, 0.0, 1.0, 0.0, 1.0, 2.0]
+        moments[field] = bad
+        with pytest.raises(DistributionError, match="finite"):
+            StratifiedRegressionSummary((S(*moments),))
+
     def test_derived_fields(self):
         s = S(1.0, 2.0, 3.0, 0.5, 1.0, 10.0)
         assert s.mu_y == 2.0 + 3.0 * 0.5
@@ -296,6 +305,13 @@ class TestRecordsIngestion:
     def test_misaligned_rejected(self):
         with pytest.raises(DistributionError):
             summary_from_records([1.0], [1.0, 2.0], ["g", "g"])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_records_rejected(self, bad):
+        with pytest.raises(DistributionError, match="finite"):
+            summary_from_records([1.0, bad, 0.0], [0.0, 1.0, 2.0], ["g", "g", "g"])
+        with pytest.raises(DistributionError, match="finite"):
+            summary_from_records([1.0, 0.0, 0.0], [0.0, bad, 2.0], ["g", "g", "g"])
 
     def test_roundtrip_through_audit(self):
         rng = np.random.default_rng(10)
