@@ -229,17 +229,6 @@ class LinkageProfile:
             or self.w_indep_x_given_y
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "w_indep_y": self.w_indep_y,
-            "w_indep_x": self.w_indep_x,
-            "w_indep_y_given_x": self.w_indep_y_given_x,
-            "w_indep_x_given_y": self.w_indep_x_given_y,
-            "doubly_linked": self.doubly_linked,
-            "deviations": list(self.deviations),
-            "tol": self.tol,
-        }
-
 
 def double_linkage(dist: FiniteJoint, tol: float = DEFAULT_TOL) -> LinkageProfile:
     """Evaluate W ⊥ Y, W ⊥ X, W ⊥ Y | X, W ⊥ X | Y by exact factorization."""
@@ -271,18 +260,6 @@ class AssocReversalReport:
     per_w: tuple[tuple[bool, bool], ...]  # (holds up, holds down) at each w
     reversal: bool
     tol: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "conditional_up": self.conditional_up,
-            "conditional_down": self.conditional_down,
-            "marginal_up_strict": self.marginal_up_strict,
-            "marginal_down_strict": self.marginal_down_strict,
-            "per_w": [list(t) for t in self.per_w],
-            "reversal": self.reversal,
-            "tol": self.tol,
-        }
 
 
 def detect_assoc_reversal(
@@ -335,18 +312,6 @@ class LinearReversalReport:
     var_y: float
     reversal: bool
     boundary: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "cov_xw": self.cov_xw,
-            "eta": self.eta,
-            "cov_yx": self.cov_yx,
-            "var_y": self.var_y,
-            "reversal": self.reversal,
-            "boundary": self.boundary,
-        }
 
 
 def linear_r4_reversal(

@@ -6,7 +6,8 @@ reversal / non-collapsibility, so shell pipelines can branch on it.
 
 Reports are deterministic: keys are emitted sorted and floats with 17
 significant digits, so identical inputs and options produce byte-identical
-output.
+output.  Each verb returns its verdict; ``main`` alone wraps it in the
+report envelope, emits it and maps it to an exit code.
 
 ``dep-check`` and ``survival-check`` import their modules inside the verb:
 those modules load scipy, which the other verbs never need.
@@ -16,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from .assoc import FiniteJoint, detect_assoc_reversal, double_linkage, holds_rel
 from .collapse import check_collapsibility, check_strict_collapsibility
 from .errors import CollapsekitError, SchemeError, TableError
 from .loglinear import decompose, is_hierarchical
-from .paradox import cornfield, detect_reversal, scan_strata
+from .paradox import StratumScan, cornfield, detect_reversal, scan_strata
 from .regress import (
     StratifiedRegressionSummary,
     check_a_collapsibility,
@@ -46,6 +49,29 @@ EXIT_DETECTED = 2
 
 
 # -- deterministic JSON -------------------------------------------------------
+
+
+def as_report(obj):
+    """The report form of a verdict.
+
+    An object with its own ``to_json_dict`` (the input formats,
+    ``ParadoxReport``, ``InteractionDecomposition``) reports through it.  A
+    dataclass becomes ``{name: as_report(value)}`` over its fields and its
+    properties, tuples and lists become lists, and anything else passes
+    through: a dict is taken to be a report already, so a verb that builds
+    one converts its verdict values itself and a decompose report's 3^n
+    floats are never walked twice.
+    """
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        cls = type(obj)
+        names = [f.name for f in dataclasses.fields(obj)]
+        names += [n for n in dir(cls) if isinstance(getattr(cls, n), property)]
+        return {n: as_report(getattr(obj, n)) for n in names}
+    if isinstance(obj, (list, tuple)):
+        return [as_report(v) for v in obj]
+    return obj
 
 
 def _fmt_float(x: float) -> str:
@@ -194,19 +220,6 @@ def _load_table(path: str, variables: str | None = None) -> ContingencyTable:
     return ContingencyTable.from_json(_read_bytes(path).decode("utf-8"))
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(_read_bytes(path)).hexdigest()
-
-
-def _report(verb: str, path: str, verdict: dict) -> dict:
-    return {
-        "verb": verb,
-        "input_sha256": _digest(path),
-        "tool_version": __version__,
-        "verdict": verdict,
-    }
-
-
 def _parse_event(text: str) -> tuple[str, str]:
     if "=" not in text:
         raise SchemeError(f"expected VAR=LEVEL, got {text!r}")
@@ -223,47 +236,34 @@ def _parse_subset(text: str) -> tuple["str | int", ...]:
 
 
 # -- verbs ---------------------------------------------------------------------
+#
+# Each verb returns (verdict, detected, markdown body or None).
 
 
-def _cmd_ingest(args) -> int:
-    table = ingest_csv(args.input, scheme=_load_scheme(args.variables))
-    _emit(_report("ingest", args.input, table.to_json_dict()), args.format)
-    return EXIT_OK
+def _cmd_ingest(args):
+    return ingest_csv(args.input, scheme=_load_scheme(args.variables)), False, None
 
 
-def _cmd_scan_paradox(args) -> int:
+def _cmd_scan_paradox(args):
     table = _load_table(args.input, variables=args.variables)
     response = _parse_event(args.response)
     exposure = _parse_event(args.exposure)
     if args.covariate:
-        reports = [detect_reversal(table, response, exposure, args.covariate)]
-        entries = [
-            {"covariate": args.covariate, "report": reports[0].to_json_dict(), "error": None}
-        ]
-        md = reports[0].to_markdown()
+        report = detect_reversal(table, response, exposure, args.covariate)
+        scans = (StratumScan(args.covariate, report, None),)
     else:
         scans = scan_strata(table, response, exposure)
-        reports = [s.report for s in scans if s.report is not None]
-        entries = [
-            {
-                "covariate": s.covariate,
-                "report": s.report.to_json_dict() if s.report else None,
-                "error": s.error,
-            }
-            for s in scans
-        ]
-        md = "\n\n".join(r.to_markdown() for r in reports)
+    reports = [s.report for s in scans if s.report is not None]
     detected = any(r.reversal for r in reports)
-    verdict = {"candidates": entries, "reversal_detected": detected}
+    verdict = {"candidates": as_report(scans), "reversal_detected": detected}
     if args.cornfield:
-        verdict["cornfield"] = cornfield(
-            table, response, exposure, _parse_event(args.cornfield)
-        ).to_json_dict()
-    _emit(_report("scan-paradox", args.input, verdict), args.format, markdown_body=md)
-    return EXIT_DETECTED if detected else EXIT_OK
+        verdict["cornfield"] = as_report(
+            cornfield(table, response, exposure, _parse_event(args.cornfield))
+        )
+    return verdict, detected, "\n\n".join(r.to_markdown() for r in reports)
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     table = _load_table(args.input)
     if table.form == "counts":
         table = table.normalize(smoothing=args.smoothing)
@@ -274,11 +274,10 @@ def _cmd_decompose(args) -> int:
     verdict["hierarchy_violations"] = [
         {"superset": list(b), "vanished_subset": list(a)} for b, a in hier.violations
     ]
-    _emit(_report("decompose", args.input, verdict), args.format)
-    return EXIT_OK
+    return verdict, False, None
 
 
-def _cmd_collapse_check(args) -> int:
+def _cmd_collapse_check(args):
     table = _load_table(args.input)
     if table.form == "counts":
         table = table.normalize(smoothing=args.smoothing)
@@ -312,44 +311,38 @@ def _cmd_collapse_check(args) -> int:
             "ci_max_deviation": v.ci.max_deviation if v.ci else None,
             "tol": v.tol,
         }
-        detected = not v.strict
-    else:
-        if not args.margin:
-            raise SchemeError("--margin is required without --strict")
-        v = check_collapsibility(
-            table, target, _parse_subset(args.margin), tol=args.tol
-        )
-        verdict = {
-            "target": list(v.target),
-            "margin": list(v.margin),
-            "collapsible": v.collapsible,
-            "strict": None,
-            "max_residual": v.max_residual,
-            "direct_gap": v.direct_gap,
-            "tau_full": [float(x) for x in v.tau_full.reshape(-1)],
-            "eta_marginal": [float(x) for x in v.eta_marginal.reshape(-1)],
-            "tol": v.tol,
-        }
-        detected = not v.collapsible
-    _emit(_report("collapse-check", args.input, verdict), args.format)
-    return EXIT_DETECTED if detected else EXIT_OK
+        return verdict, not v.strict, None
+    if not args.margin:
+        raise SchemeError("--margin is required without --strict")
+    v = check_collapsibility(table, target, _parse_subset(args.margin), tol=args.tol)
+    verdict = {
+        "target": list(v.target),
+        "margin": list(v.margin),
+        "collapsible": v.collapsible,
+        "strict": None,
+        "max_residual": v.max_residual,
+        "direct_gap": v.direct_gap,
+        "tau_full": v.tau_full.reshape(-1).tolist(),
+        "eta_marginal": v.eta_marginal.reshape(-1).tolist(),
+        "tol": v.tol,
+    }
+    return verdict, not v.collapsible, None
 
 
-def _cmd_assoc_check(args) -> int:
+def _cmd_assoc_check(args):
     joint = FiniteJoint.from_json(_read_bytes(args.input).decode("utf-8"))
     rep = detect_assoc_reversal(joint, args.relation, tol=args.tol)
     verdict = {
         "relation": args.relation,
         "holds_up": holds_relation(joint, args.relation, "up", tol=args.tol),
         "holds_down": holds_relation(joint, args.relation, "down", tol=args.tol),
-        "reversal": rep.to_json_dict(),
-        "linkage": double_linkage(joint, tol=args.tol).to_json_dict(),
+        "reversal": as_report(rep),
+        "linkage": as_report(double_linkage(joint, tol=args.tol)),
     }
-    _emit(_report("assoc-check", args.input, verdict), args.format)
-    return EXIT_DETECTED if rep.reversal else EXIT_OK
+    return verdict, rep.reversal, None
 
 
-def _cmd_regress_audit(args) -> int:
+def _cmd_regress_audit(args):
     if args.input.endswith(".csv"):
         text = _read_bytes(args.input).decode("utf-8")
         rows = [r for r in csv.reader(text.splitlines()) if r]
@@ -376,37 +369,32 @@ def _cmd_regress_audit(args) -> int:
     else:
         v = check_a_collapsibility(summary, tol=args.tol)
         detected = not v.a_collapsible
-    verdict = v.to_json_dict()
-    verdict["summary"] = summary.to_json_dict()
-    _emit(_report("regress-audit", args.input, verdict), args.format)
-    return EXIT_DETECTED if detected else EXIT_OK
+    return dict(as_report(v), summary=as_report(summary)), detected, None
 
 
-def _cmd_dep_check(args) -> int:
+def _cmd_dep_check(args):
     from .depfun import check_avg_collapsibility, check_homogeneity, model_from_json
 
     model = model_from_json(_read_bytes(args.input).decode("utf-8"))
     v = check_avg_collapsibility(model, tol=args.tol)
     h = check_homogeneity(model, tol=args.tol)
     verdict = {
-        "model": model.to_json_dict(),
-        "avg_collapsibility": v.to_json_dict(),
+        "model": as_report(model),
+        "avg_collapsibility": as_report(v),
         "homogeneous": h.homogeneous,
         "homogeneity_gap": h.max_gap,
         "x_w_independent": model.x_w_independent,
         "y_w_cond_independent": model.y_w_cond_independent,
     }
-    _emit(_report("dep-check", args.input, verdict), args.format)
-    return EXIT_DETECTED if not v.avg_collapsible else EXIT_OK
+    return verdict, not v.avg_collapsible, None
 
 
-def _cmd_survival_check(args) -> int:
+def _cmd_survival_check(args):
     from .survival import SurvivalSpec, check_condition, verify_numeric
 
     spec = SurvivalSpec.from_json(_read_bytes(args.input).decode("utf-8"))
     v = verify_numeric(spec) if args.numeric else check_condition(spec)
-    _emit(_report("survival-check", args.input, v.to_json_dict()), args.format)
-    return EXIT_DETECTED if v.condition else EXIT_OK
+    return v, v.condition, None
 
 
 # -- parser --------------------------------------------------------------------
@@ -492,15 +480,28 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; remap to the input-error code
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
+    fmt, markdown_body = args.format, None
     try:
-        return args.fn(args)
+        verdict, detected, markdown_body = args.fn(args)
+        report = {
+            "verb": args.verb,
+            "input_sha256": hashlib.sha256(_read_bytes(args.input)).hexdigest(),
+            "tool_version": __version__,
+            "verdict": as_report(verdict),
+        }
+        code = EXIT_DETECTED if detected else EXIT_OK
     except (CollapsekitError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(
-            dumps_report(
-                {"error": {"kind": type(exc).__name__, "message": str(exc)}}
-            )
-        )
-        return EXIT_ERROR
+        # the error object is JSON whatever the requested format
+        report = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
+        fmt, code = "json", EXIT_ERROR
+    try:
+        _emit(report, fmt, markdown_body)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``| head``); send the unflushed rest to devnull
+        # so the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ class DependenceModel:
 
     Subclasses provide the conditional distribution function, its
     x-derivative (the dependence function), the mixing law of W given x,
-    and optionally a closed-form marginal dependence function.
+    and a closed-form marginal dependence function.
     """
 
     family: str = ""
@@ -106,10 +106,6 @@ class DependenceModel:
         raise NotImplementedError
 
     # marginal pieces ---------------------------------------------------------
-    @property
-    def has_closed_marginal(self) -> bool:
-        return False
-
     def marginal_cdf(self, y: float, x: float) -> float:
         val, _ = _integrate(
             lambda w: self.cdf(y, x, w) * self.w_density(w, x),
@@ -121,17 +117,16 @@ class DependenceModel:
     def numerical_marginal_dep(self, y: float, x: float, h: float = 1e-2) -> float:
         """Richardson-extrapolated central differencing of the marginal CDF.
 
-        Accurate at points where the marginal CDF is smooth in x; families
-        whose CDF has support kinks should override marginal_dep with a
-        closed form instead.
+        A reference for the closed forms, accurate where the marginal CDF
+        is smooth in x; no verdict uses it.
         """
         d1 = (self.marginal_cdf(y, x + h) - self.marginal_cdf(y, x - h)) / (2.0 * h)
         d2 = (self.marginal_cdf(y, x + h / 2.0) - self.marginal_cdf(y, x - h / 2.0)) / h
         return (4.0 * d2 - d1) / 3.0
 
     def marginal_dep(self, y: float, x: float) -> float:
-        """Closed form when the family provides one, else numerical differencing."""
-        return self.numerical_marginal_dep(y, x)
+        """Closed-form x-derivative of the marginal CDF F(y | x)."""
+        raise NotImplementedError
 
     def grid_domain(self, ys: Iterable[float], xs: Iterable[float]) -> list[tuple[float, float]]:
         """Filter a candidate (y, x) grid to the family's domain."""
@@ -198,10 +193,6 @@ class GaussianLinearInteraction(DependenceModel):
     @property
     def y_w_cond_independent(self) -> bool:
         return self.alpha2 == 0.0 and self.alpha3 == 0.0
-
-    @property
-    def has_closed_marginal(self) -> bool:
-        return True
 
     def _marginal_params(self, x: float) -> tuple[float, float, float, float]:
         """mean, d(mean)/dx, sd, d(sd)/dx of (Y | x)."""
@@ -291,10 +282,6 @@ class UniformQuadratic(DependenceModel):
     def y_w_cond_independent(self) -> bool:
         return False
 
-    @property
-    def has_closed_marginal(self) -> bool:
-        return True
-
     def marginal_dep(self, y: float, x: float) -> float:
         # F(y | x) = E[min(1, y (x^2 + U^2))] with U ~ N(0, 1), so the
         # x-derivative is 2 x y P(U^2 < 1/y - x^2); zero once y x^2 >= 1,
@@ -383,29 +370,18 @@ class DepVerdict:
     """Average-collapsibility verdict over a (y, x) grid.
 
     ``max_residual`` is the worst |E_{W|x}[dF/dx] - dF(y|x)/dx|;
-    ``integral_residual`` the worst |∫ F(y|x,w) df(w|x)/dx dw|.  The
-    marginal route records whether the marginal dependence function came
-    from a closed form or from numerical differentiation.
+    ``integral_residual`` the worst |∫ F(y|x,w) df(w|x)/dx dw|.  Every
+    registered family has a closed-form marginal dependence function, so
+    ``marginal_route`` is always "closed-form".
     """
 
     avg_collapsible: bool
     max_residual: float
     integral_residual: float
     worst_point: tuple[float, float] | None
-    marginal_route: str  # "closed-form" | "numerical"
+    marginal_route: str
     quadrature_ok: bool
     tol: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "avg_collapsible": self.avg_collapsible,
-            "max_residual": self.max_residual,
-            "integral_residual": self.integral_residual,
-            "worst_point": list(self.worst_point) if self.worst_point else None,
-            "marginal_route": self.marginal_route,
-            "quadrature_ok": self.quadrature_ok,
-            "tol": self.tol,
-        }
 
 
 def expected_dep(model: DependenceModel, y: float, x: float) -> tuple[float, bool]:
@@ -455,7 +431,7 @@ def check_avg_collapsibility(
         max_residual=max_residual,
         integral_residual=integral_residual,
         worst_point=worst,
-        marginal_route="closed-form" if model.has_closed_marginal else "numerical",
+        marginal_route="closed-form",
         quadrature_ok=quad_ok,
         tol=tol,
     )

@@ -162,16 +162,6 @@ class CornfieldDiagnostics:
     riskdiff_rhs: float
     riskdiff_condition: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ratio_lhs": self.ratio_lhs,
-            "ratio_rhs": self.ratio_rhs,
-            "ratio_condition": self.ratio_condition,
-            "riskdiff_lhs": self.riskdiff_lhs,
-            "riskdiff_rhs": self.riskdiff_rhs,
-            "riskdiff_condition": self.riskdiff_condition,
-        }
-
 
 def detect_reversal(
     table: ContingencyTable,

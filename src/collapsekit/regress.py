@@ -146,14 +146,19 @@ def _wcov(pi: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     return _wmean(pi, u * v) - _wmean(pi, u) * _wmean(pi, v)
 
 
+def _marginal_var_x(a: dict[str, np.ndarray]) -> float:
+    """Var(X) = E[s_xx] + Var(mu_x), the denominator of the marginal slope."""
+    den = _wmean(a["pi"], a["s_xx"]) + _wcov(a["pi"], a["mu_x"], a["mu_x"])
+    if den <= 0.0:
+        raise DistributionError("marginal variance of X is not positive")
+    return den
+
+
 def marginal_beta(summary: StratifiedRegressionSummary) -> float:
     """Marginal least-squares slope implied by the per-stratum moments."""
     a = summary.arrays()
     num = _wmean(a["pi"], a["s_yx"]) + _wcov(a["pi"], a["mu_y"], a["mu_x"])
-    den = _wmean(a["pi"], a["s_xx"]) + _wcov(a["pi"], a["mu_x"], a["mu_x"])
-    if den <= 0.0:
-        raise DistributionError("marginal variance of X is not positive")
-    return num / den
+    return num / _marginal_var_x(a)
 
 
 def marginal_alpha(summary: StratifiedRegressionSummary) -> float:
@@ -170,7 +175,9 @@ class RegressVerdict:
     intercept/mean covariance against zero in the parallel case; the
     slope-mean times Var(mu_x) against the two covariances in the
     random-coefficient case).  ``beta_gap`` is the direct route
-    |beta_marg - reference|.
+    |beta_marg - reference|.  Both routes decide on the slope scale: the
+    identity gap divided by the marginal Var(X) equals the beta gap, and
+    that quotient is compared with ``tol``.
     """
 
     mode: str  # "parallel" | "average"
@@ -185,21 +192,6 @@ class RegressVerdict:
     beta_gap: float
     tol: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "beta_marginal": self.beta_marginal,
-            "alpha_marginal": self.alpha_marginal,
-            "beta_reference": self.beta_reference,
-            "collapsible": self.collapsible,
-            "a_collapsible": self.a_collapsible,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "identity_gap": self.identity_gap,
-            "beta_gap": self.beta_gap,
-            "tol": self.tol,
-        }
-
 
 def check_parallel_collapsibility(
     summary: StratifiedRegressionSummary, tol: float = DEFAULT_TOL
@@ -207,8 +199,8 @@ def check_parallel_collapsibility(
     """Collapsibility of the common slope of a parallel summary.
 
     All strata must share one slope.  Route one tests
-    Cov(alpha, mu_x) = 0 over the strata; route two compares the marginal
-    slope with the common slope directly.  A disagreement raises
+    Cov(alpha, mu_x) / Var(X) = 0 over the strata; route two compares the
+    marginal slope with the common slope directly.  A disagreement raises
     RouteDisagreementError.
     """
     a = summary.arrays()
@@ -218,11 +210,13 @@ def check_parallel_collapsibility(
 
     lhs = _wcov(a["pi"], a["alpha"], a["mu_x"])
     beta_marg = marginal_beta(summary)
-    by_identity = abs(lhs) <= tol
+    scaled = abs(lhs) / _marginal_var_x(a)
+    by_identity = scaled <= tol
     by_direct = abs(beta_marg - beta) <= tol
     if by_identity != by_direct:
         raise RouteDisagreementError(
-            f"Cov(alpha, mu_x)={lhs!r} and beta gap={beta_marg - beta!r} disagree at tol {tol!r}"
+            f"|Cov(alpha, mu_x)| / Var(X)={scaled!r} and beta gap={beta_marg - beta!r} "
+            f"disagree at tol {tol!r}"
         )
     return RegressVerdict(
         mode="parallel",
@@ -245,19 +239,22 @@ def check_a_collapsibility(
     """Average collapsibility of a (possibly non-parallel) summary.
 
     Route one tests the identity
-    E[beta] Var(mu_x) = Cov(beta, s_xx) + Cov(mu_y, mu_x); route two
-    compares the marginal slope against E[beta] directly.
+    E[beta] Var(mu_x) = Cov(beta, s_xx) + Cov(mu_y, mu_x), its gap divided
+    by Var(X); route two compares the marginal slope against E[beta]
+    directly.
     """
     a = summary.arrays()
     e_beta = _wmean(a["pi"], a["beta"])
     lhs = e_beta * _wcov(a["pi"], a["mu_x"], a["mu_x"])
     rhs = _wcov(a["pi"], a["beta"], a["s_xx"]) + _wcov(a["pi"], a["mu_y"], a["mu_x"])
     beta_marg = marginal_beta(summary)
-    by_identity = abs(lhs - rhs) <= tol
+    scaled = abs(lhs - rhs) / _marginal_var_x(a)
+    by_identity = scaled <= tol
     by_direct = abs(beta_marg - e_beta) <= tol
     if by_identity != by_direct:
         raise RouteDisagreementError(
-            f"identity gap {lhs - rhs!r} and beta gap {beta_marg - e_beta!r} disagree at tol {tol!r}"
+            f"identity gap / Var(X) {scaled!r} and beta gap {beta_marg - e_beta!r} "
+            f"disagree at tol {tol!r}"
         )
     return RegressVerdict(
         mode="average",
@@ -299,21 +296,6 @@ class SufficientConditionFlags:
     logistic_both_implied: bool
     logistic_beta_implied: bool
     tol: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "y_indep_a_given_x": self.y_indep_a_given_x,
-            "x_indep_a_given_y": self.x_indep_a_given_y,
-            "variance_identity": self.variance_identity,
-            "variance_identity_gap": self.variance_identity_gap,
-            "mean_independent": self.mean_independent,
-            "mean_independence_gap": self.mean_independence_gap,
-            "collapsible_implied": self.collapsible_implied,
-            "a_collapsible_implied": self.a_collapsible_implied,
-            "logistic_both_implied": self.logistic_both_implied,
-            "logistic_beta_implied": self.logistic_beta_implied,
-            "tol": self.tol,
-        }
 
 
 def check_sufficient_conditions(

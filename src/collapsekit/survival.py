@@ -60,7 +60,9 @@ class SurvivalSpec:
     """Linear transformation survival model with a linear covariate link.
 
     ``k_transform`` is None for the identity, or a strictly increasing
-    tabulation ((t_0, ..., t_m), (k_0, ..., k_m)) interpolated monotonically.
+    tabulation ((t_0, ..., t_m), (k_0, ..., k_m)) interpolated monotonically
+    (PCHIP) between the knots and continued linearly outside them with the
+    end segment's secant slope, so K stays strictly increasing everywhere.
     Only the standard normal second-covariate law is supported; the
     baseline W law may also be the Gumbel-type exp(-e^z) or the logistic
     1/(1+e^z) survival.
@@ -105,6 +107,11 @@ class SurvivalSpec:
     def k(self, t: float) -> float:
         if self._k_interp is None:
             return t
+        ts, ks = self.k_transform
+        if t < ts[0]:
+            return ks[0] + (t - ts[0]) * (ks[1] - ks[0]) / (ts[1] - ts[0])
+        if t > ts[-1]:
+            return ks[-1] + (t - ts[-1]) * (ks[-1] - ks[-2]) / (ts[-1] - ts[-2])
         return float(self._k_interp(t))
 
     def eta(self, x: float) -> float:
@@ -251,24 +258,6 @@ class SurvivalVerdict:
         if self.reversal_on_grid is None:
             return None
         return self.condition == self.reversal_on_grid
-
-    def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "gaussian_equiv": self.gaussian_equiv,
-            "reversal_on_grid": self.reversal_on_grid,
-            "matches_prediction": self.matches_prediction,
-            "probes": [
-                {
-                    "t": p.t,
-                    "s": p.s,
-                    "conditional_direction": p.conditional_direction,
-                    "marginal_direction": p.marginal_direction,
-                    "reversal": p.reversal,
-                }
-                for p in self.probes
-            ],
-        }
 
 
 def check_condition(spec: SurvivalSpec) -> SurvivalVerdict:

@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,9 @@ from collapsekit.cli import (
 from collapsekit.errors import TableError
 from collapsekit.tables import CategoricalScheme
 
-from conftest import ci_constructed_table
+from conftest import ci_constructed_table, random_positive_table
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 EX1_ROWS = ["A,X,D"] + [
@@ -326,6 +332,44 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"]["mode"] == "average"
         assert code in (EXIT_OK, EXIT_DETECTED)
+
+
+    def test_regress_routes_on_one_scale(self, tmp_path, capsys):
+        # Cov(alpha, mu_x) = 1e-8 exceeds tol, the slope gap 1e-8 / 100.25 does not
+        levels = [
+            {"pi": 0.5, "alpha": a, "beta": 0.5, "mu_x": m, "s_xx": 100, "s_yy": 30}
+            for a, m in ((2e-8, 0.5), (-2e-8, -0.5))
+        ]
+        p = tmp_path / "summary.json"
+        p.write_text(json.dumps({"levels": levels}))
+        code = main(["regress-audit", str(p)])
+        assert code == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["collapsible"] is True
+        assert verdict["identity_gap"] == pytest.approx(1e-8)
+
+
+class TestBrokenPipe:
+    def test_closed_reader_exits_quietly(self, tmp_path):
+        rng = np.random.default_rng(0)
+        table = random_positive_table(rng, n=10, max_levels=2)
+        p = tmp_path / "big.json"
+        p.write_text(table.to_json())
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "collapsekit.cli", "decompose", str(p)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        # the report is about 1.5 MB, far past a pipe buffer
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_OK
+        assert head.startswith(b"{")
+        assert err == b""
 
 
 class TestDeterminism:

@@ -166,6 +166,31 @@ class TestParallelCollapsibility:
             assert v.collapsible == (v.beta_gap <= v.tol)
 
 
+def shifted_intercepts(s_xx):
+    """Parallel strata whose Cov(alpha, mu_x) is 1e-8; the slope moves by 1e-8 / Var(X)."""
+    return StratifiedRegressionSummary(
+        (S(0.5, 2e-8, 0.5, 0.5, s_xx, 30.0 + s_xx), S(0.5, -2e-8, 0.5, -0.5, s_xx, 30.0 + s_xx))
+    )
+
+
+class TestRoutesOnTheSlopeScale:
+    def test_large_x_spread_is_collapsible(self):
+        summ = shifted_intercepts(100.0)
+        v = check_parallel_collapsibility(summ)
+        assert v.collapsible and v.a_collapsible
+        # reported fields keep their own scales
+        assert v.identity_gap == pytest.approx(1e-8)
+        assert v.beta_gap == pytest.approx(1e-8 / 100.25)
+        assert check_a_collapsibility(summ).a_collapsible
+
+    @pytest.mark.parametrize("s_xx", [1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3, 1e4])
+    def test_sweep_never_raises(self, s_xx):
+        summ = shifted_intercepts(s_xx)
+        v = check_parallel_collapsibility(summ)
+        assert v.collapsible == (v.beta_gap <= v.tol)
+        assert check_a_collapsibility(summ).a_collapsible == v.collapsible
+
+
 class TestACollapsibility:
     def test_parallel_collapsible_implies_a_collapsible(self):
         summ = StratifiedRegressionSummary(

@@ -205,6 +205,15 @@ class TestKTransform:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+    def test_extrapolation_is_linear_and_increasing(self):
+        # PCHIP's end derivative is 0 here; the secant slopes are 1.8 and 0.2
+        spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, k_transform=((0.0, 0.5, 1.0), (0.0, 0.9, 1.0)))
+        assert spec.k(3.0) == pytest.approx(1.4, abs=1e-15)
+        assert spec.k(-1.0) == pytest.approx(-1.8, abs=1e-15)
+        vals = np.array([spec.k(t) for t in np.linspace(-2.0, 6.0, 801)])
+        assert np.all(np.diff(vals) > 0.0)
+
+
 class TestJson:
     def test_roundtrip(self):
         spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, eta_mu=0.1, eta_rho=0.8)
