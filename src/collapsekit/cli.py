@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -93,9 +94,7 @@ def dumps_report(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        return encode_basestring(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -162,7 +161,7 @@ def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> Contingenc
     with one, the header must match the scheme's variables and every value
     must be a declared level (unfilled cells stay zero).
     """
-    text = _read_bytes(path).decode("utf-8")
+    text = _read_bytes(path).decode("utf-8-sig")
     rows = list(csv.reader(text.splitlines()))
     rows = [r for r in rows if r]
     if not rows:
@@ -344,7 +343,7 @@ def _cmd_assoc_check(args):
 
 def _cmd_regress_audit(args):
     if args.input.endswith(".csv"):
-        text = _read_bytes(args.input).decode("utf-8")
+        text = _read_bytes(args.input).decode("utf-8-sig")
         rows = [r for r in csv.reader(text.splitlines()) if r]
         if not rows or [h.strip().lower() for h in rows[0]] != ["y", "x", "a"]:
             raise TableError("records CSV must have header y,x,a")

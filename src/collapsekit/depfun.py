@@ -67,6 +67,11 @@ def _integrate(f, lo: float, hi: float, points: Sequence[float] = ()) -> tuple[f
     return float(integrate.simpson(vals, x=grid)), False
 
 
+def _integrate_w(model: "DependenceModel", y: float, x: float, f) -> tuple[float, bool]:
+    """``_integrate`` of f(w) over W's support given x, split at the model's breakpoints."""
+    return _integrate(f, *model.w_interval(x), points=model.w_breakpoints(y, x))
+
+
 class DependenceModel:
     """Base class for registered parametric families.
 
@@ -107,12 +112,7 @@ class DependenceModel:
 
     # marginal pieces ---------------------------------------------------------
     def marginal_cdf(self, y: float, x: float) -> float:
-        val, _ = _integrate(
-            lambda w: self.cdf(y, x, w) * self.w_density(w, x),
-            *self.w_interval(x),
-            points=self.w_breakpoints(y, x),
-        )
-        return val
+        return _integrate_w(self, y, x, lambda w: self.cdf(y, x, w) * self.w_density(w, x))[0]
 
     def numerical_marginal_dep(self, y: float, x: float, h: float = 1e-2) -> float:
         """Richardson-extrapolated central differencing of the marginal CDF.
@@ -386,20 +386,12 @@ class DepVerdict:
 
 def expected_dep(model: DependenceModel, y: float, x: float) -> tuple[float, bool]:
     """Quadrature of the conditional dependence function against f(w | x)."""
-    return _integrate(
-        lambda w: model.dep(y, x, w) * model.w_density(w, x),
-        *model.w_interval(x),
-        points=model.w_breakpoints(y, x),
-    )
+    return _integrate_w(model, y, x, lambda w: model.dep(y, x, w) * model.w_density(w, x))
 
 
 def mixing_correction(model: DependenceModel, y: float, x: float) -> tuple[float, bool]:
     """Quadrature of F(y | x, w) against the x-derivative of f(w | x)."""
-    return _integrate(
-        lambda w: model.cdf(y, x, w) * model.w_density_dx(w, x),
-        *model.w_interval(x),
-        points=model.w_breakpoints(y, x),
-    )
+    return _integrate_w(model, y, x, lambda w: model.cdf(y, x, w) * model.w_density_dx(w, x))
 
 
 def check_avg_collapsibility(

@@ -6,15 +6,17 @@ level.  A reversal requires every stratum comparison to go strictly in one
 common direction while the marginal comparison goes strictly the other
 way; any tie breaks the verdict to False.
 
-Probabilities are plain float ratios of cell sums, so tables whose cells
-are small integer counts reproduce textbook fractions exactly.  The raw
-fraction-reversal fact is checked in exact integer arithmetic.
+Each call reduces the table once to an exact event array of integers (the
+float cell sums on one power-of-two scale; a counts table's own counts).
+Signs, the reversal verdict and the Cornfield conditions compare exact
+ratios; each reported probability is the nearest float of its exact ratio.
+The raw fraction-reversal fact is checked in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,59 +26,53 @@ from .tables import ContingencyTable
 Event = tuple[str, str]  # (variable, designated level)
 
 
-def _sign(a: float, b: float) -> int:
-    if a > b:
-        return 1
-    if a < b:
-        return -1
-    return 0
+def _sign(a, b) -> int:
+    return (a > b) - (a < b)
 
 
-class _EventFrame:
-    """Resolved axes/levels for (response, exposure[, covariate]) on one table."""
+_ratio = np.frompyfunc(Fraction, 2, 1)  # elementwise exact ratio of int arrays
 
-    def __init__(
-        self,
-        table: ContingencyTable,
-        response: Event,
-        exposure: Event,
-        covariate: "str | int | None" = None,
-    ):
-        scheme = table.scheme
-        self.cells = table.cells
-        self.r_ax = scheme.axis(response[0])
-        self.r_ix = scheme.level_index(response[0], response[1])
-        self.e_ax = scheme.axis(exposure[0])
-        self.e_ix = scheme.level_index(exposure[0], exposure[1])
-        used = {self.r_ax, self.e_ax}
-        self.c_ax: int | None = None
-        if covariate is not None:
-            self.c_ax = scheme.axis(covariate)
-            used.add(self.c_ax)
-        if len(used) != (2 if covariate is None else 3):
-            raise SchemeError("response, exposure, covariate must be distinct variables")
 
-    def mass(self, sels: dict[int, tuple[str, int]]) -> float:
-        """Total mass of the event described by per-axis selectors.
+def _event_axes(scheme, events) -> list[tuple[int, int | None]]:
+    """(axis, designated level index or None) of distinct (variable, level) pairs."""
+    out = [
+        (scheme.axis(var), None if lv is None else scheme.level_index(var, lv))
+        for var, lv in events
+    ]
+    if len({ax for ax, _ in out}) != len(out):
+        raise SchemeError("response, exposure, covariate must be distinct variables")
+    return out
 
-        Selector kinds: ("eq", i) keeps level i; ("ne", i) aggregates the
-        complement of level i.
-        """
-        arr = self.cells
-        for ax in sorted(sels, reverse=True):
-            kind, ix = sels[ax]
-            taken = np.take(arr, ix, axis=ax)
-            arr = taken if kind == "eq" else arr.sum(axis=ax) - taken
-        return float(arr.sum())
 
-    def cond_prob(self, sels: dict[int, tuple[str, int]]) -> float:
-        """P(response event | the event described by sels)."""
-        given = self.mass(sels)
-        if given <= 0.0:
-            raise TableError("conditioning event has zero mass")
-        joint = dict(sels)
-        joint[self.r_ax] = ("eq", self.r_ix)
-        return self.mass(joint) / given
+def _events(
+    table: ContingencyTable,
+    response: Event,
+    exposure: Event,
+    covariate: "str | int",
+    level: str | None = None,
+) -> np.ndarray:
+    """The table reduced to an exact event array ``n[r][e][k]``.
+
+    ``r`` and ``e`` are (designated level, rest) of the response and the
+    exposure; ``k`` runs over the covariate's levels, or over (``level``,
+    rest) when a level is given.  Entries are Python ints: the float cell
+    sums scaled by one common power of two, so every ratio of them is exact
+    and a counts table reduces to its own integers.
+    """
+    split = _event_axes(table.scheme, (response, exposure, (covariate, level)))
+    sums = np.moveaxis(table.cells, [ax for ax, _ in split], (0, 1, 2))
+    sums = sums.sum(axis=tuple(range(3, sums.ndim)))
+    if not np.isfinite(sums).all():
+        raise TableError("cell sums overflow a float")
+    ratios = [v.as_integer_ratio() for v in sums.ravel().tolist()]
+    scale = max(den for _, den in ratios)
+    n = np.array([num * (scale // den) for num, den in ratios], dtype=object)
+    n = n.reshape(sums.shape)
+    for ax, (_, ix) in enumerate(split):
+        if ix is not None:
+            first = n.take(ix, axis=ax)
+            n = np.stack([first, n.sum(axis=ax) - first], axis=ax)
+    return n
 
 
 @dataclass(frozen=True)
@@ -174,46 +170,34 @@ def detect_reversal(
     Every conditioning event (exposure/non-exposure crossed with each
     covariate level, and alone) must have positive mass.
     """
-    fr = _EventFrame(table, response, exposure, covariate)
-    assert fr.c_ax is not None
-    levels = table.scheme.levels(covariate)
-
-    pairs: list[tuple[float, float]] = []
-    w_exp: list[float] = []
-    w_unexp: list[float] = []
-    signs: list[int] = []
-    mass_b = fr.mass({fr.e_ax: ("eq", fr.e_ix)})
-    mass_bc = fr.mass({fr.e_ax: ("ne", fr.e_ix)})
-    if mass_b <= 0.0 or mass_bc <= 0.0:
+    n = _events(table, response, exposure, covariate)
+    given = n.sum(axis=0)  # [e][k]
+    mass = given.sum(axis=1)
+    if not (mass > 0).all():
         raise TableError("exposure event or its complement has zero mass")
-    for ci in range(len(levels)):
-        pe = fr.cond_prob({fr.e_ax: ("eq", fr.e_ix), fr.c_ax: ("eq", ci)})
-        pu = fr.cond_prob({fr.e_ax: ("ne", fr.e_ix), fr.c_ax: ("eq", ci)})
-        pairs.append((pe, pu))
-        signs.append(_sign(pe, pu))
-        w_exp.append(fr.mass({fr.e_ax: ("eq", fr.e_ix), fr.c_ax: ("eq", ci)}) / mass_b)
-        w_unexp.append(fr.mass({fr.e_ax: ("ne", fr.e_ix), fr.c_ax: ("eq", ci)}) / mass_bc)
-
-    marg = (
-        fr.cond_prob({fr.e_ax: ("eq", fr.e_ix)}),
-        fr.cond_prob({fr.e_ax: ("ne", fr.e_ix)}),
-    )
-    marg_sign = _sign(*marg)
+    if not (given > 0).all():
+        raise TableError("conditioning event has zero mass")
+    cond = _ratio(n[0], given).T  # [k][e]: P(response | exposure or not, stratum k)
+    pairs = [(float(pe), float(pu)) for pe, pu in cond]
+    signs = [_sign(pe, pu) for pe, pu in cond]
+    w_exp, w_unexp = ([float(w) for w in row] for row in given / mass[:, None])
+    marg_exact = _ratio(n[0].sum(axis=1), mass)
+    marg = (float(marg_exact[0]), float(marg_exact[1]))
+    marg_sign = _sign(*marg_exact)
 
     mixture_gap = max(
         abs(sum(pe * w for (pe, _), w in zip(pairs, w_exp)) - marg[0]),
         abs(sum(pu * w for (_, pu), w in zip(pairs, w_unexp)) - marg[1]),
     )
 
-    common = signs[0]
-    uniform_strict = common != 0 and all(s == common for s in signs)
-    reversal = uniform_strict and marg_sign == -common
+    # a strict marginal comparison with every stratum strictly the other way
+    reversal = marg_sign != 0 and set(signs) == {-marg_sign}
 
     return ParadoxReport(
         response=response,
         exposure=exposure,
-        covariate=table.scheme.names[fr.c_ax],
-        covariate_levels=levels,
+        covariate=table.scheme.names[table.scheme.axis(covariate)],
+        covariate_levels=table.scheme.levels(covariate),
         conditional_pairs=tuple(pairs),
         marginal_pair=marg,
         weights_exposed=tuple(w_exp),
@@ -247,39 +231,27 @@ def cornfield(
     covariate: Event,
 ) -> CornfieldDiagnostics:
     """Evaluate the minimum effect-size inequalities for a binary confounder."""
-    fr = _EventFrame(table, response, exposure, covariate[0])
-    assert fr.c_ax is not None
-    c_ix = table.scheme.level_index(covariate[0], covariate[1])
+    n = _events(table, response, exposure, covariate[0], covariate[1])
+    mass_e, mass_c = n.sum(axis=(0, 2)), n.sum(axis=(0, 1))
+    if not ((mass_e > 0).all() and (mass_c > 0).all()):
+        raise TableError("conditioning event has zero mass")
+    p_a_b, p_a_bc = _ratio(n[0].sum(axis=1), mass_e)
+    p_c_b, p_c_bc = _ratio(n[:, :, 0].sum(axis=0), mass_e)
+    p_a_c, p_a_cc = _ratio(n[0].sum(axis=0), mass_c)
 
-    p_a_b = fr.cond_prob({fr.e_ax: ("eq", fr.e_ix)})
-    p_a_bc = fr.cond_prob({fr.e_ax: ("ne", fr.e_ix)})
-    p_c_b = fr.mass({fr.e_ax: ("eq", fr.e_ix), fr.c_ax: ("eq", c_ix)}) / fr.mass(
-        {fr.e_ax: ("eq", fr.e_ix)}
+    f_c_bc, f_a_bc = float(p_c_bc), float(p_a_bc)
+    ratio_lhs = float(p_c_b) / f_c_bc if f_c_bc > 0.0 else None
+    ratio_rhs = float(p_a_b) / f_a_bc if f_a_bc > 0.0 else None
+    ratio_condition = (
+        None if ratio_lhs is None or ratio_rhs is None else p_c_b / p_c_bc > p_a_b / p_a_bc
     )
-    p_c_bc = fr.mass({fr.e_ax: ("ne", fr.e_ix), fr.c_ax: ("eq", c_ix)}) / fr.mass(
-        {fr.e_ax: ("ne", fr.e_ix)}
-    )
-    p_a_c = fr.cond_prob({fr.c_ax: ("eq", c_ix)})
-    p_a_cc = fr.cond_prob({fr.c_ax: ("ne", c_ix)})
-
-    if p_c_bc > 0.0 and p_a_bc > 0.0:
-        ratio_lhs: float | None = p_c_b / p_c_bc
-        ratio_rhs: float | None = p_a_b / p_a_bc
-        ratio_condition: bool | None = ratio_lhs > ratio_rhs
-    else:
-        ratio_lhs = p_c_b / p_c_bc if p_c_bc > 0.0 else None
-        ratio_rhs = p_a_b / p_a_bc if p_a_bc > 0.0 else None
-        ratio_condition = None
-
-    riskdiff_lhs = p_a_c - p_a_cc
-    riskdiff_rhs = p_a_b - p_a_bc
     return CornfieldDiagnostics(
         ratio_lhs=ratio_lhs,
         ratio_rhs=ratio_rhs,
         ratio_condition=ratio_condition,
-        riskdiff_lhs=riskdiff_lhs,
-        riskdiff_rhs=riskdiff_rhs,
-        riskdiff_condition=riskdiff_lhs >= riskdiff_rhs,
+        riskdiff_lhs=float(p_a_c) - float(p_a_cc),
+        riskdiff_rhs=float(p_a_b) - float(p_a_bc),
+        riskdiff_condition=p_a_c - p_a_cc >= p_a_b - p_a_bc,
     )
 
 
@@ -325,10 +297,10 @@ def scan_strata(
     """
     if table.scheme.n < 3:
         raise SchemeError("scan needs at least 3 variables")
-    fr = _EventFrame(table, response, exposure)
+    (r_ax, _), (e_ax, _) = _event_axes(table.scheme, (response, exposure))
     out = []
     for ax, name in enumerate(table.scheme.names):
-        if ax in (fr.r_ax, fr.e_ax):
+        if ax in (r_ax, e_ax):
             continue
         try:
             out.append(StratumScan(name, detect_reversal(table, response, exposure, name), None))

@@ -52,6 +52,15 @@ class RegressionStratum:
         return self.beta * self.s_xx
 
 
+def _label(value) -> str | None:
+    """A stratum label read from JSON: absent, or a string that is valid Unicode."""
+    if value is not None:
+        if not isinstance(value, str):
+            raise TypeError(f"label must be a string, not {type(value).__name__}")
+        value.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class StratifiedRegressionSummary:
     """Validated tuple of strata; weights sum to one, variances positive."""
@@ -125,7 +134,7 @@ class StratifiedRegressionSummary:
                     mu_x=float(lv["mu_x"]),
                     s_xx=float(lv["s_xx"]),
                     s_yy=float(lv["s_yy"]),
-                    label=lv.get("label"),
+                    label=_label(lv.get("label")),
                 )
                 for lv in payload["levels"]
             )
@@ -193,6 +202,43 @@ class RegressVerdict:
     tol: float
 
 
+def _decide(
+    mode: str,
+    summary: StratifiedRegressionSummary,
+    lhs: float,
+    rhs: float,
+    reference: float,
+    tol: float,
+) -> RegressVerdict:
+    """Decide both routes on the slope scale and build the verdict.
+
+    Route one divides the identity gap |lhs - rhs| by the marginal Var(X);
+    route two compares the marginal slope with ``reference`` directly.  A
+    disagreement raises RouteDisagreementError.
+    """
+    beta_marg = marginal_beta(summary)
+    scaled = abs(lhs - rhs) / _marginal_var_x(summary.arrays())
+    by_identity = scaled <= tol
+    if by_identity != (abs(beta_marg - reference) <= tol):
+        raise RouteDisagreementError(
+            f"identity gap / Var(X) {scaled!r} and beta gap {beta_marg - reference!r} "
+            f"disagree at tol {tol!r}"
+        )
+    return RegressVerdict(
+        mode=mode,
+        beta_marginal=beta_marg,
+        alpha_marginal=marginal_alpha(summary),
+        beta_reference=reference,
+        collapsible=by_identity if mode == "parallel" else None,
+        a_collapsible=by_identity,
+        lhs=lhs,
+        rhs=rhs,
+        identity_gap=abs(lhs - rhs),
+        beta_gap=abs(beta_marg - reference),
+        tol=tol,
+    )
+
+
 def check_parallel_collapsibility(
     summary: StratifiedRegressionSummary, tol: float = DEFAULT_TOL
 ) -> RegressVerdict:
@@ -200,37 +246,13 @@ def check_parallel_collapsibility(
 
     All strata must share one slope.  Route one tests
     Cov(alpha, mu_x) / Var(X) = 0 over the strata; route two compares the
-    marginal slope with the common slope directly.  A disagreement raises
-    RouteDisagreementError.
+    marginal slope with the common slope directly.
     """
     a = summary.arrays()
     beta = float(a["beta"][0])
     if np.max(np.abs(a["beta"] - beta)) > 1e-12:
         raise DistributionError("strata have different slopes; not a parallel summary")
-
-    lhs = _wcov(a["pi"], a["alpha"], a["mu_x"])
-    beta_marg = marginal_beta(summary)
-    scaled = abs(lhs) / _marginal_var_x(a)
-    by_identity = scaled <= tol
-    by_direct = abs(beta_marg - beta) <= tol
-    if by_identity != by_direct:
-        raise RouteDisagreementError(
-            f"|Cov(alpha, mu_x)| / Var(X)={scaled!r} and beta gap={beta_marg - beta!r} "
-            f"disagree at tol {tol!r}"
-        )
-    return RegressVerdict(
-        mode="parallel",
-        beta_marginal=beta_marg,
-        alpha_marginal=marginal_alpha(summary),
-        beta_reference=beta,
-        collapsible=by_identity,
-        a_collapsible=by_identity,
-        lhs=lhs,
-        rhs=0.0,
-        identity_gap=abs(lhs),
-        beta_gap=abs(beta_marg - beta),
-        tol=tol,
-    )
+    return _decide("parallel", summary, _wcov(a["pi"], a["alpha"], a["mu_x"]), 0.0, beta, tol)
 
 
 def check_a_collapsibility(
@@ -247,28 +269,7 @@ def check_a_collapsibility(
     e_beta = _wmean(a["pi"], a["beta"])
     lhs = e_beta * _wcov(a["pi"], a["mu_x"], a["mu_x"])
     rhs = _wcov(a["pi"], a["beta"], a["s_xx"]) + _wcov(a["pi"], a["mu_y"], a["mu_x"])
-    beta_marg = marginal_beta(summary)
-    scaled = abs(lhs - rhs) / _marginal_var_x(a)
-    by_identity = scaled <= tol
-    by_direct = abs(beta_marg - e_beta) <= tol
-    if by_identity != by_direct:
-        raise RouteDisagreementError(
-            f"identity gap / Var(X) {scaled!r} and beta gap {beta_marg - e_beta!r} "
-            f"disagree at tol {tol!r}"
-        )
-    return RegressVerdict(
-        mode="average",
-        beta_marginal=beta_marg,
-        alpha_marginal=marginal_alpha(summary),
-        beta_reference=e_beta,
-        collapsible=None,
-        a_collapsible=by_identity,
-        lhs=lhs,
-        rhs=rhs,
-        identity_gap=abs(lhs - rhs),
-        beta_gap=abs(beta_marg - e_beta),
-        tol=tol,
-    )
+    return _decide("average", summary, lhs, rhs, e_beta, tol)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,10 @@ class CategoricalScheme:
                 raise SchemeError(f"variable {name!r} needs at least 2 levels")
             if len(set(levels)) != len(levels):
                 raise SchemeError(f"duplicate level labels for variable {name!r}")
+            try:
+                "".join((name, *levels)).encode("utf-8")
+            except UnicodeEncodeError:
+                raise SchemeError(f"variable {name!r}: name or level is not valid Unicode") from None
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -283,14 +287,6 @@ class ContingencyTable:
         a_axes = self.scheme.resolve_subset(a)
         c_axes = self.scheme.resolve_subset(c)
         b_axes = self.scheme.resolve_subset(b)
-        if not a_axes or not c_axes:
-            raise SchemeError("A and C must be nonempty")
-        if (
-            set(a_axes) & set(c_axes)
-            or set(a_axes) & set(b_axes)
-            or set(c_axes) & set(b_axes)
-        ):
-            raise SchemeError("A, C, B must be pairwise disjoint")
         union = tuple(sorted(set(a_axes) | set(c_axes) | set(b_axes)))
         reduced = self.marginalize(union)
         remap = {orig: new for new, orig in enumerate(union)}

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -347,6 +348,74 @@ class TestExitCodes:
         verdict = json.loads(capsys.readouterr().out)["verdict"]
         assert verdict["collapsible"] is True
         assert verdict["identity_gap"] == pytest.approx(1e-8)
+
+
+class TestReportsAreValidJson:
+    def test_control_character_in_name_is_escaped(self, tmp_path, capsys):
+        p = tmp_path / "table.json"
+        table = {
+            "variables": [
+                {"name": "A", "levels": ["0", "1"]},
+                {"name": "B\b", "levels": ["0", "1"]},
+            ],
+            "form": "counts",
+            "cells": [1, 2, 3, 4],
+        }
+        p.write_text(json.dumps(table))
+        assert main(["decompose", str(p)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "\\b" in out
+        subsets = json.loads(out)["verdict"]["subsets"]
+        assert ["B\b"] in [s["vars"] for s in subsets]
+
+    @pytest.mark.parametrize(
+        "verb, text, kind",
+        [
+            (
+                "decompose",
+                '{"variables": [{"name": "\\ud800", "levels": ["0", "1"]}],'
+                ' "form": "counts", "cells": [1, 2]}',
+                "SchemeError",
+            ),
+            (
+                "regress-audit",
+                '{"levels": [{"pi": 1.0, "alpha": 0.0, "beta": 0.5, "mu_x": 0.0,'
+                ' "s_xx": 1.0, "s_yy": 1.0, "label": "\\ud800"}]}',
+                "DistributionError",
+            ),
+            (
+                "regress-audit",
+                '{"levels": [{"pi": 1.0, "alpha": 0.0, "beta": 0.5, "mu_x": 0.0,'
+                ' "s_xx": 1.0, "s_yy": 1.0, "label": {"a": [1]}}]}',
+                "DistributionError",
+            ),
+        ],
+        ids=["surrogate-name", "surrogate-label", "non-string-label"],
+    )
+    def test_invalid_name_or_label_is_structured(self, tmp_path, capsys, verb, text, kind):
+        p = tmp_path / "input.json"
+        p.write_text(text)
+        assert main([verb, str(p)]) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == kind
+
+
+class TestByteOrderMark:
+    def test_observations_csv(self, tmp_path, capsys):
+        p = tmp_path / "berkeley.csv"
+        raw = b"\xef\xbb\xbf" + ("\n".join(EX1_ROWS) + "\n").encode()
+        p.write_bytes(raw)
+        code = main(["scan-paradox", "--response", "A=Y", "--exposure", "X=M", str(p)])
+        assert code == EXIT_DETECTED
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["input_sha256"] == hashlib.sha256(raw).hexdigest()
+        assert payload["verdict"]["reversal_detected"] is True
+
+    def test_records_csv(self, tmp_path, capsys):
+        p = tmp_path / "records.csv"
+        p.write_bytes(b"\xef\xbb\xbfy,x,a\n1,0,u\n2,1,u\n0,0,v\n3,1,v\n")
+        assert main(["regress-audit", str(p)]) in (EXIT_OK, EXIT_DETECTED)
+        levels = json.loads(capsys.readouterr().out)["verdict"]["summary"]["levels"]
+        assert [lv["label"] for lv in levels] == ["u", "v"]
 
 
 class TestBrokenPipe:

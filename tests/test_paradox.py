@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -279,3 +280,146 @@ class TestEventValidation:
         p_exposed = m.cells[0, 0] / m.cells[:, 0].sum()
         p_unexposed = m.cells[0, 1] / m.cells[:, 1].sum()
         assert rep.marginal_pair == (p_exposed, p_unexposed)
+
+
+def _abd_table(cells):
+    """2x2xK counts over A=(Y,N), X=(M,F), D=(0,1,..) from row-major cells."""
+    k = len(cells) // 4
+    scheme = CategoricalScheme(
+        (("A", ("Y", "N")), ("X", ("M", "F")), ("D", tuple(str(i) for i in range(k))))
+    )
+    return build_table(scheme, cells, "counts")
+
+
+class TestExactDecisions:
+    # 333333331/1000000007 and 71428571/214285716 are one float but not one fraction
+    NEAR_TIE = [333333331, 0, 71428571, 1, 666666676, 1, 142857145, 9999999999]
+
+    def test_float_tied_stratum_reverses(self):
+        rep = detect_reversal(_abd_table(self.NEAR_TIE), ("A", "Y"), ("X", "M"), "D")
+        assert rep.conditional_pairs == (
+            (333333331 / 1000000007, 71428571 / 214285716),
+            (0.0, 1 / 10000000000),
+        )
+        assert rep.conditional_pairs[0][0] == rep.conditional_pairs[0][1]
+        assert rep.stratum_signs == (-1, -1)
+        assert rep.marginal_sign == 1
+        assert rep.reversal
+
+    def test_cornfield_riskdiff_follows_exact_order(self):
+        # P(A|C) = P(A|B) as floats, P(A|C^c) = P(A|B^c) exactly, and the
+        # exact risk difference on C is the smaller one
+        scheme = CategoricalScheme(
+            (("A", ("Y", "N")), ("B", ("1", "0")), ("C", ("1", "0")))
+        )
+        cells = [0, 71428571, 333333331, 190476189, 0, 142857145, 666666676, 380952386]
+        d = cornfield(build_table(scheme, cells, "counts"), ("A", "Y"), ("B", "1"), ("C", "1"))
+        assert d.riskdiff_lhs == d.riskdiff_rhs
+        assert d.riskdiff_condition is False
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_cell_sums_are_an_input_error(self):
+        scheme = CategoricalScheme(tuple((v, ("0", "1")) for v in "abcd"))
+        t = build_table(scheme, [1e308] * 16, "counts")
+        with pytest.raises(TableError, match="overflow"):
+            detect_reversal(t, ("a", "0"), ("b", "0"), "c")
+
+    @pytest.mark.parametrize(
+        "response, exposure",
+        [(("A", "nope"), ("X", "M")), (("A", "Y"), ("nope", "M")), (("A", "Y"), ("A", "N"))],
+    )
+    def test_scan_rejects_bad_events_up_front(self, admission_table, response, exposure):
+        with pytest.raises(SchemeError):
+            scan_strata(admission_table, response, exposure)
+
+
+def _oracle(n):
+    """Exact reversal and Cornfield verdicts of integer counts n[r][e][k]."""
+    K = len(n[0][0])
+
+    def mass(r=(0, 1), e=(0, 1), k=None):
+        ks = range(K) if k is None else k
+        return sum(n[i][j][c] for i in r for j in e for c in ks)
+
+    def sign(a, b):
+        return (a > b) - (a < b)
+
+    pairs = [
+        (Fraction(n[0][0][k], mass(e=(0,), k=(k,))), Fraction(n[0][1][k], mass(e=(1,), k=(k,))))
+        for k in range(K)
+    ]
+    signs = tuple(sign(*p) for p in pairs)
+    marg = sign(
+        Fraction(mass(r=(0,), e=(0,)), mass(e=(0,))), Fraction(mass(r=(0,), e=(1,)), mass(e=(1,)))
+    )
+    reversal = signs[0] != 0 and len(set(signs)) == 1 and marg == -signs[0]
+    # Cornfield with C = (D = level 0), B = (X = M), A = (A = Y)
+    rest = range(1, K)
+    p_a_b = Fraction(mass(r=(0,), e=(0,)), mass(e=(0,)))
+    p_a_bc = Fraction(mass(r=(0,), e=(1,)), mass(e=(1,)))
+    p_c_b = Fraction(mass(e=(0,), k=(0,)), mass(e=(0,)))
+    p_c_bc = Fraction(mass(e=(1,), k=(0,)), mass(e=(1,)))
+    p_a_c = Fraction(mass(r=(0,), k=(0,)), mass(k=(0,)))
+    p_a_cc = Fraction(mass(r=(0,), k=rest), mass(k=rest))
+    ratio = p_c_b / p_c_bc > p_a_b / p_a_bc if p_c_bc and p_a_bc else None
+    return pairs, signs, reversal, ratio, p_a_c - p_a_cc >= p_a_b - p_a_bc
+
+
+@st.composite
+def _near_tie(draw):
+    """(p, q, p2, q2) with p2*q - p*q2 = 1: p/q and p2/q2 are 1/(q*q2) apart."""
+    q = draw(st.integers(2, 10**12))
+    p = draw(st.integers(1, q - 1).filter(lambda v: math.gcd(v, q) == 1))
+    q2 = (-pow(p, -1, q)) % q + q * draw(st.integers(0, 3))
+    return p, q, (1 + p * q2) // q, q2
+
+
+@st.composite
+def _counts_2x2xk(draw):
+    """Row-major counts n[r][e][k]; each stratum is random or a near tie."""
+    k = draw(st.integers(2, 3))
+    n = [[[0] * k for _ in range(2)] for _ in range(2)]
+    for c in range(k):
+        if draw(st.booleans()):
+            p, q, p2, q2 = draw(_near_tie())
+            (ye, ne), (yu, nu) = draw(st.permutations([(p, q - p), (p2, q2 - p2)]))
+        else:
+            ye, yu = (draw(st.integers(0, 10**12)) for _ in range(2))
+            ne, nu = (draw(st.integers(1, 10**12)) for _ in range(2))
+        n[0][0][c], n[1][0][c], n[0][1][c], n[1][1][c] = ye, ne, yu, nu
+    return n
+
+
+def _flat(n):
+    return [v for plane in n for row in plane for v in row]
+
+
+class TestExactOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(_counts_2x2xk())
+    def test_verdicts_match_fraction_oracle(self, n):
+        t = _abd_table(_flat(n))
+        pairs, signs, reversal, ratio, riskdiff = _oracle(n)
+        rep = detect_reversal(t, ("A", "Y"), ("X", "M"), "D")
+        assert rep.stratum_signs == signs
+        assert rep.reversal == reversal
+        assert rep.conditional_pairs == tuple((float(a), float(b)) for a, b in pairs)
+        d = cornfield(t, ("A", "Y"), ("X", "M"), ("D", "0"))
+        assert d.ratio_condition == ratio
+        assert d.riskdiff_condition == riskdiff
+
+    @settings(max_examples=40, deadline=None)
+    @given(_counts_2x2xk(), st.data())
+    def test_common_scaling_keeps_every_verdict(self, n, data):
+        # keep every scaled sum an exact float
+        c = data.draw(st.integers(1, max(1, 2**53 // sum(_flat(n)))))
+        base, scaled = _abd_table(_flat(n)), _abd_table([c * v for v in _flat(n)])
+        args = (("A", "Y"), ("X", "M"))
+        r0, r1 = detect_reversal(base, *args, "D"), detect_reversal(scaled, *args, "D")
+        assert (r1.stratum_signs, r1.marginal_sign, r1.reversal) == (
+            r0.stratum_signs, r0.marginal_sign, r0.reversal
+        )
+        d0, d1 = cornfield(base, *args, ("D", "0")), cornfield(scaled, *args, ("D", "0"))
+        assert (d1.ratio_condition, d1.riskdiff_condition) == (
+            d0.ratio_condition, d0.riskdiff_condition
+        )

@@ -257,6 +257,12 @@ class TestCheckCi:
         with pytest.raises(SchemeError):
             p.check_ci(["A"], ["A"], ["D"])
 
+    @pytest.mark.parametrize("a, c, b", [(["A"], ["X"], ["X"]), ([], ["X"], ["D"]), ([], [], [])])
+    def test_overlapping_or_empty_subsets(self, admission_table, a, c, b):
+        p = admission_table.normalize()
+        with pytest.raises(SchemeError):
+            p.check_ci(a, c, b)
+
     def test_counts_form_rejected(self, admission_table):
         with pytest.raises(TableError):
             admission_table.check_ci(["A"], ["X"])
