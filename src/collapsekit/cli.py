@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from . import __version__
 from .assoc import FiniteJoint, detect_assoc_reversal, double_linkage, holds_relation
 from .collapse import check_collapsibility, check_strict_collapsibility
 from .errors import CollapsekitError, SchemeError, TableError
-from .loglinear import decompose, is_hierarchical
+from .loglinear import LATTICE_BUDGET, decompose, is_hierarchical
 from .paradox import StratumScan, cornfield, detect_reversal, scan_strata
 from .regress import (
     StratifiedRegressionSummary,
@@ -152,53 +153,80 @@ def _read_bytes(path: str) -> bytes:
         raise TableError(f"cannot read {path}: {exc}") from exc
 
 
+def _csv_lines(path: str) -> list[str]:
+    return _read_bytes(path).decode("utf-8-sig").splitlines()
+
+
+def _ragged_line(lines: list[str], width: int) -> int:
+    """Physical line of the first non-blank row after the header whose field
+    count is not ``width``; a rescan, paid only on the error path."""
+    reader = csv.reader(lines)
+    next(row for row in reader if row)
+    return next(reader.line_num for row in reader if row and len(row) != width)
+
+
 def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> ContingencyTable:
     """Cross-tabulate a CSV of observations into a counts table.
 
     The header row names the categorical variables; each subsequent row is
-    one observation.  Without a declared ``scheme``, levels keep
-    first-appearance order and every column must show at least two levels;
-    with one, the header must match the scheme's variables and every value
-    must be a declared level (unfilled cells stay zero).
+    one observation, and blank lines are skipped.  Without a declared
+    ``scheme``, levels keep first-appearance order (after stripping) and
+    every column must show at least two levels; with one, the header must
+    match the scheme's variables and every value must be a declared level
+    (unfilled cells stay zero).  A table of more than ``LATTICE_BUDGET``
+    cells is an error.
+
+    Identical raw rows are tallied once, so Python work grows with the
+    number of distinct rows; rows that differ only in padding land in one
+    cell and are summed there.
     """
-    text = _read_bytes(path).decode("utf-8-sig")
-    rows = list(csv.reader(text.splitlines()))
-    rows = [r for r in rows if r]
-    if not rows:
+    lines = _csv_lines(path)
+    reader = csv.reader(lines)
+    header = next((row for row in reader if row), None)
+    if header is None:
         raise TableError("empty CSV file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in header]
     if len(header) > MAX_CSV_VARIABLES:
         raise TableError(f"more than {MAX_CSV_VARIABLES} variables")
-    if not rows[1:]:
+    # dict order is first appearance, so each level's first distinct row
+    # comes in the order of the level's first observation
+    tally = Counter(map(tuple, reader))
+    tally.pop((), None)  # blank lines
+    if not tally:
         raise TableError("CSV has a header but no observation rows")
-    records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise TableError(f"ragged row at line {lineno}")
-        records.append([v.strip() for v in row])
+    if any(len(row) != len(header) for row in tally):
+        raise TableError(f"ragged row at line {_ragged_line(lines, len(header))}")
+    columns = list(zip(*([v.strip() for v in row] for row in tally)))
     if scheme is None:
-        levels: list[list[str]] = [[] for _ in header]
-        for rec in records:
-            for j, val in enumerate(rec):
-                if val not in levels[j]:
-                    levels[j].append(val)
+        levels = [tuple(dict.fromkeys(col)) for col in columns]
         for name, lv in zip(header, levels):
             if len(lv) < 2:
                 # a single observed level cannot form a categorical axis by
                 # inference; pass a declared scheme for such files
                 raise TableError(f"column {name!r} has a single observed level")
-        scheme = CategoricalScheme(
-            tuple((n, tuple(lv)) for n, lv in zip(header, levels))
-        )
+        scheme = CategoricalScheme(tuple(zip(header, levels)))
     elif tuple(header) != scheme.names:
         raise TableError(
             f"CSV header {tuple(header)} does not match the declared variables {scheme.names}"
         )
-    cells = np.zeros(scheme.shape)
-    for rec in records:
-        idx = tuple(scheme.level_index(name, v) for name, v in zip(scheme.names, rec))
-        cells[idx] += 1.0
-    return ContingencyTable(scheme, cells, "counts")
+    if scheme.ncells > LATTICE_BUDGET:
+        raise TableError(
+            f"table of shape {scheme.shape} has {scheme.ncells} cells, "
+            f"over the budget of {LATTICE_BUDGET}"
+        )
+    codes = []
+    for (_, levels), col in zip(scheme.variables, columns):
+        pos = {label: i for i, label in enumerate(levels)}
+        if not pos.keys() >= set(col):
+            # name the first unknown value in row order, as a row scan would
+            for row in zip(*columns):
+                for var, label in zip(scheme.names, row):
+                    scheme.level_index(var, label)
+        codes.append([pos[label] for label in col])
+    flat = np.ravel_multi_index(codes, scheme.shape)
+    # np.bincount sums repeated cells; an indexed assignment would keep one
+    cells = np.bincount(flat, weights=list(tally.values()), minlength=scheme.ncells)
+    return ContingencyTable(scheme, cells.reshape(scheme.shape), "counts")
 
 
 def _load_scheme(path: str | None) -> CategoricalScheme | None:
@@ -343,17 +371,20 @@ def _cmd_assoc_check(args):
 
 def _cmd_regress_audit(args):
     if args.input.endswith(".csv"):
-        text = _read_bytes(args.input).decode("utf-8-sig")
-        rows = [r for r in csv.reader(text.splitlines()) if r]
-        if not rows or [h.strip().lower() for h in rows[0]] != ["y", "x", "a"]:
+        lines = _csv_lines(args.input)
+        reader = csv.reader(lines)
+        header = next((row for row in reader if row), [])
+        if [h.strip().lower() for h in header] != ["y", "x", "a"]:
             raise TableError("records CSV must have header y,x,a")
+        rows = list(filter(None, reader))  # blank lines parse to []
+        if set(map(len, rows)) - {3}:
+            raise TableError(f"ragged row at line {_ragged_line(lines, 3)}")
         try:
-            y = [float(r[0]) for r in rows[1:]]
-            x = [float(r[1]) for r in rows[1:]]
-            a = [r[2].strip() for r in rows[1:]]
-        except (ValueError, IndexError) as exc:
+            y = [float(r[0]) for r in rows]
+            x = [float(r[1]) for r in rows]
+        except ValueError as exc:
             raise TableError(f"malformed records CSV: {exc}") from exc
-        summary = summary_from_records(y, x, a)
+        summary = summary_from_records(y, x, [r[2].strip() for r in rows])
     else:
         summary = StratifiedRegressionSummary.from_json(
             _read_bytes(args.input).decode("utf-8")

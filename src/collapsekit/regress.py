@@ -357,9 +357,9 @@ def summary_from_records(
     """Per-stratum sample moments from raw (y, x, a) records.
 
     Uses the population-variance convention (divisor N) so the moments are
-    exactly those of the empirical distribution.  Stratum labels keep their
-    first-appearance order; each stratum needs at least two distinct x
-    values.
+    exactly those of the empirical distribution.  Stratum labels are
+    hashable and keep their first-appearance order; each stratum needs at
+    least two distinct x values.
     """
     ya = np.asarray(list(y), dtype=float)
     xa = np.asarray(list(x), dtype=float)
@@ -368,15 +368,21 @@ def summary_from_records(
         raise DistributionError("records must be nonempty and aligned")
     if not (np.isfinite(ya).all() and np.isfinite(xa).all()):
         raise DistributionError("records must have finite y and x")
-    order: list = []
-    for lbl in la:
-        if lbl not in order:
-            order.append(lbl)
+    # one stable sort groups the records: each stratum's slice holds its
+    # values in record order, as a boolean selection would, so the moments
+    # below are bit-identical to a per-stratum mask
+    codes = dict.fromkeys(la)
+    for i, lbl in enumerate(codes):
+        codes[lbl] = i
+    g = np.fromiter(map(codes.__getitem__, la), dtype=np.intp, count=len(la))
+    perm = np.argsort(g, kind="stable")
+    ends = np.cumsum(np.bincount(g, minlength=len(codes))).tolist()
+    ya, xa = ya[perm], xa[perm]
     strata = []
     n_total = len(ya)
-    for lbl in order:
-        sel = np.array([v == lbl for v in la])
-        ys, xs = ya[sel], xa[sel]
+    start = 0
+    for lbl, stop in zip(codes, ends):
+        ys, xs = ya[start:stop], xa[start:stop]
         s_xx = float(xs.var())
         if s_xx <= 0.0:
             raise DistributionError(
@@ -388,7 +394,7 @@ def summary_from_records(
         alpha = float(ys.mean()) - beta * mu_x
         strata.append(
             RegressionStratum(
-                pi=float(sel.sum()) / n_total,
+                pi=float(stop - start) / n_total,
                 alpha=alpha,
                 beta=beta,
                 mu_x=mu_x,
@@ -397,4 +403,5 @@ def summary_from_records(
                 label=str(lbl),
             )
         )
+        start = stop
     return StratifiedRegressionSummary(tuple(strata))

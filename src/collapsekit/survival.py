@@ -18,13 +18,13 @@ closed-form conditional ratios and quadrature marginals.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .errors import ModelError
 
@@ -38,10 +38,19 @@ DEFAULT_Y_PROBES = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _DIRECTION_EPS = 1e-11
 
 
+@functools.cache
+def _normal_tail():
+    """scipy.special's (ndtr, log_ndtr), imported on first use: the
+    condition check never evaluates a survival function, so it loads no scipy."""
+    from scipy.special import log_ndtr, ndtr
+
+    return ndtr, log_ndtr
+
+
 def _log_survival(z: float, law: str) -> float:
     """ln of the baseline survival function at z."""
     if law == "std-normal":
-        return float(log_ndtr(-z))
+        return float(_normal_tail()[1](-z))
     if law == "gumbel":  # S(z) = exp(-e^z); the extreme-value / hazard e^z case
         return -math.exp(z)
     if law == "logistic":  # S(z) = 1 / (1 + e^z)
@@ -51,7 +60,7 @@ def _log_survival(z: float, law: str) -> float:
 
 def _survival(z: float, law: str) -> float:
     if law == "std-normal":
-        return float(ndtr(-z))
+        return float(_normal_tail()[0](-z))
     return math.exp(_log_survival(z, law))
 
 

@@ -10,6 +10,7 @@ operation returns a new table.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -217,7 +218,12 @@ class ContingencyTable:
         """
         if self.form != "counts":
             raise TableError("normalize expects a counts table")
-        total = self.total
+        with np.errstate(over="ignore"):
+            total = self.total
+        if not math.isfinite(total):
+            raise TableError(
+                f"cell total overflows: {self.scheme.ncells} finite counts sum to {total}"
+            )
         if total <= 0.0:
             raise TableError("cannot normalize a table with zero total")
         if smoothing is None:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import itertools
 import json
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsekit.cli import (
     EXIT_DETECTED,
@@ -17,7 +20,8 @@ from collapsekit.cli import (
     ingest_csv,
     main,
 )
-from collapsekit.errors import TableError
+from collapsekit.errors import SchemeError, TableError
+from collapsekit.loglinear import LATTICE_BUDGET
 from collapsekit.tables import CategoricalScheme
 
 from conftest import ci_constructed_table, random_positive_table
@@ -121,6 +125,112 @@ class TestIngestCsv:
         p.write_text(",".join(cols) + "\n" + ",".join(["0"] * 21) + "\n")
         with pytest.raises(TableError, match="more than 20"):
             ingest_csv(str(p))
+
+    def test_ragged_row_reports_its_physical_line(self, tmp_path):
+        p = tmp_path / "ragged.csv"
+        p.write_text("A,B\na,b\n\nc,d\ne\n")
+        with pytest.raises(TableError, match="ragged row at line 5$"):
+            ingest_csv(str(p))
+
+    def test_first_unknown_level_in_row_order(self, tmp_path):
+        scheme = CategoricalScheme((("a", ("x", "y")), ("b", ("u", "v"))))
+        p = tmp_path / "unknown.csv"
+        p.write_text("a,b\nx,u\ny,w\nq,v\n")
+        with pytest.raises(SchemeError, match="unknown level 'w' for variable 'b'"):
+            ingest_csv(str(p), scheme=scheme)
+
+    def test_padded_duplicates_are_summed(self, tmp_path):
+        # distinct raw rows, one cell: the tallies must add, not overwrite
+        p = tmp_path / "padded.csv"
+        p.write_text('a,b\nx,u\n x ,u\n"x", u\ny,v\nx,u\n')
+        t = ingest_csv(str(p))
+        assert t.scheme.variables == (("a", ("x", "y")), ("b", ("u", "v")))
+        assert t.cells.tolist() == [[4.0, 0.0], [0.0, 1.0]]
+
+    def test_cell_budget_is_structured(self, tmp_path, capsys):
+        # 12 columns of 100 distinct values: 100 rows, 1e24 cells
+        p = tmp_path / "wide.csv"
+        header = ",".join(f"c{j}" for j in range(12))
+        rows = [",".join(f"v{i}" for _ in range(12)) for i in range(100)]
+        p.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["ingest", str(p)]) == EXIT_ERROR
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "TableError"
+        assert f"over the budget of {LATTICE_BUDGET}" in err["message"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_a_per_row_crosstab(self, tmp_path_factory, data):
+        text, scheme = data.draw(_observation_csvs())
+        p = tmp_path_factory.mktemp("ingest") / "obs.csv"
+        p.write_text(text)
+        names, levels, cells = _per_row_crosstab(text, scheme)
+        if min(map(len, levels)) < 2:
+            with pytest.raises(TableError, match="single observed level"):
+                ingest_csv(str(p), scheme=scheme)
+            return
+        t = ingest_csv(str(p), scheme=scheme)
+        assert t.scheme.variables == tuple(zip(names, levels))
+        assert t.cells.dtype == cells.dtype and np.array_equal(t.cells, cells)
+
+
+# labels with commas need quoting; padding goes inside the quotes, since
+# a quote after a space is an ordinary character
+_LABELS = st.text(alphabet="xy,", min_size=1, max_size=3)
+_PADS = st.sampled_from(["", " ", "  "])
+
+
+def _field(data, label: str) -> str:
+    padded = data.draw(_PADS) + label + data.draw(_PADS)
+    if "," in label or data.draw(st.booleans()):
+        return '"' + padded + '"'
+    return padded
+
+
+@st.composite
+def _observation_csvs(draw):
+    """CSV text of padded, sometimes quoted fields and blank lines, plus
+    None or a declared scheme that adds unfilled levels in a shuffled order."""
+    data = draw(st.data())
+    ncols = draw(st.integers(1, 3))
+    names = [f"c{j}" for j in range(ncols)]
+    levels = [draw(st.lists(_LABELS, min_size=1, max_size=3, unique=True)) for _ in names]
+    nrows = draw(st.integers(1, 25))
+    lines = [",".join(_field(data, n) for n in names)]
+    for _ in range(nrows):
+        row = [draw(st.sampled_from(lv)) for lv in levels]
+        lines.append(",".join(_field(data, v) for v in row))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    scheme = None
+    if draw(st.booleans()):
+        declared = []
+        for name, lv in zip(names, levels):
+            extra = draw(st.lists(st.sampled_from(["z", "zz", "x,z"]), max_size=2, unique=True))
+            declared.append((name, tuple(draw(st.permutations([*lv, *extra])))))
+        if all(len(lv) >= 2 for _, lv in declared):
+            scheme = CategoricalScheme(tuple(declared))
+    return "\n".join(lines) + "\n", scheme
+
+
+def _per_row_crosstab(text, scheme):
+    """Names, levels and counts of ``text``, one observation row at a time."""
+    rows = [r for r in csv.reader(text.splitlines()) if r]
+    names = [h.strip() for h in rows[0]]
+    records = [[v.strip() for v in r] for r in rows[1:]]
+    if scheme is None:
+        levels = [[] for _ in names]
+        for rec in records:
+            for lv, v in zip(levels, rec):
+                if v not in lv:
+                    lv.append(v)
+    else:
+        levels = [list(lv) for _, lv in scheme.variables]
+    levels = [tuple(lv) for lv in levels]
+    cells = np.zeros(tuple(map(len, levels)))
+    for rec in records:
+        cells[tuple(lv.index(v) for lv, v in zip(levels, rec))] += 1.0
+    return tuple(names), levels, cells
 
 
 class TestExitCodes:
@@ -272,6 +382,41 @@ class TestExitCodes:
         p.write_text(json.dumps(payload))
         assert main(["decompose", str(p)]) == EXIT_ERROR
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "SchemeError"
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose"],
+            ["collapse-check", "--target", "v0,v1", "--margin", "v0,v1,v2"],
+            ["collapse-check", "--strict", "--target", "v0", "--given", "v1"],
+        ],
+    )
+    def test_overflowing_total_is_structured(self, tmp_path, capsys, argv):
+        payload = {
+            "variables": [{"name": f"v{j}", "levels": ["0", "1"]} for j in range(4)],
+            "form": "counts",
+            "cells": [1e308] * 16,
+        }
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(payload))
+        assert main([*argv, str(p)]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["kind"] == "TableError"
+        assert error["message"] == "cell total overflows: 16 finite counts sum to inf"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("y,x,a\n1,0,g\n2,1,g,EXTRA\n", 3), ("y,x,a\n1,0,g\n\n2,1\n0,0,g\n", 4)],
+    )
+    def test_ragged_records_row(self, tmp_path, capsys, text, line):
+        p = tmp_path / "records.csv"
+        p.write_text(text)
+        assert main(["regress-audit", str(p)]) == EXIT_ERROR
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "TableError", "message": f"ragged row at line {line}"}
 
     def test_missing_file(self, capsys):
         assert main(["decompose", "/nonexistent/nope.json"]) == EXIT_ERROR

@@ -338,6 +338,22 @@ class TestRecordsIngestion:
         with pytest.raises(DistributionError, match="finite"):
             summary_from_records([1.0, 0.0, 0.0], [0.0, bad, 2.0], ["g", "g", "g"])
 
+    @pytest.mark.parametrize("seed, n, k", [(0, 7, 3), (1, 300, 5), (2, 5000, 50), (3, 2000, 2)])
+    def test_bit_identical_to_per_stratum_masks(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        labels = [f"s{i}" for i in rng.permutation(k)]
+        a = [labels[i] for i in rng.integers(0, k, n)]
+        a[: k] = labels  # every stratum shows up, interleaved with the rest
+        a[k : 2 * k] = labels[::-1]
+        x = (rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n)).tolist()
+        y = (rng.normal(size=n) * 1e3 + 0.5 * np.array(x)).tolist()
+        got = summary_from_records(y, x, a).strata
+        want = _masked_moments(y, x, a)
+        assert [s.label for s in got] == [w["label"] for w in want]
+        for s, w in zip(got, want):
+            for key in ("pi", "alpha", "beta", "mu_x", "s_xx", "s_yy"):
+                assert getattr(s, key) == w[key], key
+
     def test_roundtrip_through_audit(self):
         rng = np.random.default_rng(10)
         n = 60
@@ -355,3 +371,31 @@ class TestRecordsIngestion:
                 ddof=0,
             )
         ), rel=1e-6)
+
+
+def _masked_moments(y, x, a) -> list[dict]:
+    """Per-stratum moments by one boolean mask per first-appearance label."""
+    ya, xa = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    order: list = []
+    for lbl in a:
+        if lbl not in order:
+            order.append(lbl)
+    out = []
+    for lbl in order:
+        sel = np.array([v == lbl for v in a])
+        ys, xs = ya[sel], xa[sel]
+        s_xx = float(xs.var())
+        beta = float(((ys - ys.mean()) * (xs - xs.mean())).mean()) / s_xx
+        mu_x = float(xs.mean())
+        out.append(
+            {
+                "pi": float(sel.sum()) / len(ya),
+                "alpha": float(ys.mean()) - beta * mu_x,
+                "beta": beta,
+                "mu_x": mu_x,
+                "s_xx": s_xx,
+                "s_yy": float(ys.var()),
+                "label": str(lbl),
+            }
+        )
+    return out
