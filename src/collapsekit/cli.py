@@ -59,10 +59,12 @@ def as_report(obj):
     An object with its own ``to_json_dict`` (the input formats,
     ``ParadoxReport``, ``InteractionDecomposition``) reports through it.  A
     dataclass becomes ``{name: as_report(value)}`` over its fields and its
-    properties, tuples and lists become lists, and anything else passes
-    through: a dict is taken to be a report already, so a verb that builds
-    one converts its verdict values itself and a decompose report's 3^n
-    floats are never walked twice.
+    properties, tuples and lists become lists and arrays nested lists.  A
+    dict keyed by variable subsets (``set_gaps``) gets comma-joined keys,
+    ``"A,D"`` as in ``--target``.  Anything else passes through: any other
+    dict is taken to be a report already, so a verb that builds one
+    converts its verdict values itself and a decompose report's 3^n floats
+    are never walked twice.
     """
     if hasattr(obj, "to_json_dict"):
         return obj.to_json_dict()
@@ -73,6 +75,13 @@ def as_report(obj):
         return {n: as_report(getattr(obj, n)) for n in names}
     if isinstance(obj, (list, tuple)):
         return [as_report(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict) and any(isinstance(k, tuple) for k in obj):
+        return {
+            ",".join(k) if isinstance(k, tuple) else k: as_report(v)
+            for k, v in obj.items()
+        }
     return obj
 
 
@@ -83,7 +92,15 @@ def _fmt_float(x: float) -> str:
 
 
 def dumps_report(obj, indent: int = 0) -> str:
-    """JSON text with sorted keys and fixed float formatting."""
+    """JSON text with sorted keys and fixed float formatting.
+
+    A list or tuple whose items are all exactly ``float`` (a decompose
+    report's interaction arrays) is formatted by one ``%`` call over the
+    whole list and checked for NaN and infinity once, on the joined text.
+    Its bytes are identical to the per-item path, which every other list
+    takes, so bools and ints in a mixed list still print as ``true`` and
+    ``1``.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -99,13 +116,19 @@ def dumps_report(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(inner + dumps_report(v, indent + 1) for v in obj)
+        if set(map(type, obj)) == {float}:
+            items = inner + (",\n" + inner).join(["%.17g"] * len(obj)) % tuple(obj)
+            # a .17g float has the letter n only in "nan" and "inf"
+            if "n" in items:
+                raise ValueError("reports must not contain NaN or infinity")
+        else:
+            items = ",\n".join(inner + dumps_report(v, indent + 1) for v in obj)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ",\n".join(
-            f'{inner}"{k}": ' + dumps_report(obj[k], indent + 1)
+            inner + encode_basestring(str(k)) + ": " + dumps_report(obj[k], indent + 1)
             for k in sorted(obj, key=str)
         )
         return "{\n" + items + "\n" + pad + "}"
@@ -154,7 +177,8 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _csv_lines(path: str) -> list[str]:
-    return _read_bytes(path).decode("utf-8-sig").splitlines()
+    # line ends stay, so csv.reader keeps a quoted field's line breaks
+    return _read_bytes(path).decode("utf-8-sig").splitlines(keepends=True)
 
 
 def _ragged_line(lines: list[str], width: int) -> int:

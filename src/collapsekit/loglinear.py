@@ -31,7 +31,7 @@ from typing import Collection, Mapping
 import numpy as np
 
 from .errors import SchemeError, TableError
-from .subsets import axes_of, mask_of, masks_by_size, popcount, submasks
+from .subsets import axes_of, mask_of, masks_by_size, submasks
 from .tables import CategoricalScheme, ContingencyTable, SubsetSpec
 
 DEFAULT_TAU_TOL = 1e-8
@@ -52,7 +52,10 @@ def mobius(x: np.ndarray, masks: Collection[int]) -> dict[int, np.ndarray]:
     averaged over the axes outside Z, keepdims) computed once; each mask A
     then gets sum over Z inside A of (-1)^(|A|-|Z|) xtilde_Z, accumulated in
     ``submasks`` order; that order fixes the last bits of every reported
-    float.  Returns keepdims arrays in request order.
+    float.  The second term allocates the sum and every later term is added
+    or subtracted in place (a - b is a + (-b) bit for bit), so no negated
+    copy is made; a single-term mask returns its mean itself.  Returns
+    keepdims arrays in request order.
 
     The means of the lattice spanned by the requested masks hold
     prod(m_a + 1) floats over the spanned axes; past ``LATTICE_BUDGET`` this
@@ -69,14 +72,22 @@ def mobius(x: np.ndarray, masks: Collection[int]) -> dict[int, np.ndarray]:
     means: dict[int, np.ndarray] = {}
     out: dict[int, np.ndarray] = {}
     for mask in masks:
-        order = popcount(mask)
-        acc: np.ndarray | None = None
+        parity = mask.bit_count() & 1
+        first = acc = None
         for sub in submasks(mask):
-            if sub not in means:
+            mean = means.get(sub)
+            if mean is None:
                 comp = tuple(a for a in range(n) if not sub & (1 << a))
-                means[sub] = x.mean(axis=comp, keepdims=True) if comp else x
-            term = means[sub] if (order - popcount(sub)) % 2 == 0 else -means[sub]
-            acc = term if acc is None else acc + term
+                mean = means[sub] = x.mean(axis=comp, keepdims=True) if comp else x
+            plus = (sub.bit_count() & 1) == parity
+            if first is None:
+                first = acc = mean  # the mask's own mean, with a plus sign
+            elif acc is first:
+                acc = acc + mean if plus else acc - mean
+            elif plus:
+                acc += mean
+            else:
+                acc -= mean
         assert acc is not None
         out[mask] = acc
     return out
@@ -137,7 +148,7 @@ class InteractionDecomposition:
             "subsets": [
                 {
                     "vars": list(self.scheme.subset_names(axes_of(mask))),
-                    "tau": [float(x) for x in self._tau[mask].reshape(-1)],
+                    "tau": self._tau[mask].reshape(-1).tolist(),
                 }
                 for mask in masks_by_size(self.scheme.n)
             ]

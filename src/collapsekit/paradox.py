@@ -61,7 +61,8 @@ def _events(
     """
     split = _event_axes(table.scheme, (response, exposure, (covariate, level)))
     sums = np.moveaxis(table.cells, [ax for ax, _ in split], (0, 1, 2))
-    sums = sums.sum(axis=tuple(range(3, sums.ndim)))
+    with np.errstate(over="ignore"):  # the finiteness check below decides
+        sums = sums.sum(axis=tuple(range(3, sums.ndim)))
     if not np.isfinite(sums).all():
         raise TableError("cell sums overflow a float")
     ratios = [v.as_integer_ratio() for v in sums.ravel().tolist()]

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -129,6 +130,20 @@ class TestIngestCsv:
     def test_ragged_row_reports_its_physical_line(self, tmp_path):
         p = tmp_path / "ragged.csv"
         p.write_text("A,B\na,b\n\nc,d\ne\n")
+        with pytest.raises(TableError, match="ragged row at line 5$"):
+            ingest_csv(str(p))
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_quoted_field_keeps_its_line_break(self, tmp_path, eol):
+        p = tmp_path / "multiline.csv"
+        p.write_bytes(eol.join(["a,b", '"x' + eol + 'y",u', "z,v", '"x' + eol + 'y",v', ""]).encode())
+        t = ingest_csv(str(p))
+        assert t.scheme.variables == (("a", ("x" + eol + "y", "z")), ("b", ("u", "v")))
+        assert t.cells.tolist() == [[1.0, 1.0], [0.0, 1.0]]
+
+    def test_ragged_row_after_a_multiline_field(self, tmp_path):
+        p = tmp_path / "ragged.csv"
+        p.write_text('a,b\n"x\ny",u\nz,v\nw\n')
         with pytest.raises(TableError, match="ragged row at line 5$"):
             ingest_csv(str(p))
 
@@ -418,6 +433,33 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error == {"kind": "TableError", "message": f"ragged row at line {line}"}
 
+    def test_records_label_keeps_its_line_break(self, tmp_path, capsys):
+        p = tmp_path / "records.csv"
+        p.write_text('y,x,a\n1,0,"g\nh"\n2,1,"g\nh"\n0,0,k\n3,1,k\n1,1\n')
+        assert main(["regress-audit", str(p)]) == EXIT_ERROR
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "TableError", "message": "ragged row at line 8"}
+        p.write_text('y,x,a\n1,0,"g\nh"\n2,1,"g\nh"\n0,0,k\n3,1,k\n')
+        assert main(["regress-audit", str(p)]) in (EXIT_OK, EXIT_DETECTED)
+        levels = json.loads(capsys.readouterr().out)["verdict"]["summary"]["levels"]
+        assert [lv["label"] for lv in levels] == ["g\nh", "k"]
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    def test_scan_of_overflowing_sums_is_quiet(self, tmp_path, capsys):
+        payload = {
+            "variables": [{"name": f"v{j}", "levels": ["0", "1"]} for j in range(4)],
+            "form": "counts",
+            "cells": [1e308] * 16,
+        }
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(payload))
+        argv = ["scan-paradox", "--response", "v0=1", "--exposure", "v1=1", str(p)]
+        assert main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        candidates = json.loads(out)["verdict"]["candidates"]
+        assert [c["error"] for c in candidates] == ["cell sums overflow a float"] * 2
+
     def test_missing_file(self, capsys):
         assert main(["decompose", "/nonexistent/nope.json"]) == EXIT_ERROR
 
@@ -621,6 +663,73 @@ class TestDeterminism:
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"]["cornfield"]["riskdiff_condition"] in (True, False)
+
+
+def _per_item_dumps(obj, indent=0):
+    """Every value formatted on its own, as ``dumps_report`` did before its
+    float-list path."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            raise ValueError("reports must not contain NaN or infinity")
+        return format(obj, ".17g")
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = ",\n".join(inner + _per_item_dumps(v, indent + 1) for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    items = ",\n".join(f'{inner}"{k}": ' + _per_item_dumps(obj[k], indent + 1) for k in sorted(obj))
+    return "{\n" + items + "\n" + pad + "}"
+
+
+class TestFloatListPath:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [0.1],
+            [-0.0],
+            [5e-324],
+            [1e308],
+            [-0.0, 5e-324, 1e308, -1.7976931348623157e308, 2.2250738585072014e-308, 1 / 3],
+            [[0.5, -0.0], [5e-324], [[1e308, 1e-5]]],
+            {"a": [1.0, 2.5], "b": {"c": [[-0.0, 1e22]]}},
+            [True, 1, 1.0],
+            [1.0, True],
+            [1, 1.0, False, 0.0],
+            [1.0, [2.0], 3.0],
+            [np.float64(0.1), 0.2],
+            [],
+        ],
+    )
+    def test_same_bytes_as_per_item(self, value):
+        assert dumps_report(value) == _per_item_dumps(value)
+        assert dumps_report({"v": value}) == _per_item_dumps({"v": value})
+
+    def test_bools_and_ints_keep_their_spelling(self):
+        assert dumps_report([True, 1, 1.0]) == "[\n  true,\n  1,\n  1\n]"
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_finite_float_lists(self, floats):
+        assert dumps_report([floats, {"t": floats}]) == _per_item_dumps([floats, {"t": floats}])
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [float("nan")],
+            [1.0, float("inf")],
+            [-math.inf, 2.0],
+            [[0.5], [0.25, float("nan")]],
+            {"tau": [0.0, -math.inf]},
+        ],
+    )
+    def test_non_finite_raises(self, value):
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            dumps_report(value)
 
 
 class TestMarkdown:

@@ -18,6 +18,7 @@ from collapsekit.cli import main
 from collapsekit.collapse import check_collapsibility, check_strict_collapsibility
 from collapsekit.loglinear import decompose, interaction
 from collapsekit.subsets import axes_of, mask_of, popcount, submasks
+from collapsekit.tables import CategoricalScheme, ContingencyTable
 
 from conftest import random_positive_table
 
@@ -110,3 +111,23 @@ class TestBitwiseRoutes:
                 full.max_abs(axes_of(m)) for m in range(1 << n) if m & mask_of(a) and m & mask_of(c)
             )
             assert v.zero_set_max == zero
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2, 3, 2), (3, 2, 2, 3, 2, 3), (3, 3, 2, 2, 3, 2)])
+    def test_wide_tables_with_ternary_axes_match_reference(self, shape):
+        # five or six axes: masks of popcount 4 to 6 sum 16 to 64 subset
+        # means, most of them added or subtracted in place
+        rng = np.random.default_rng(sum(shape))
+        cells = rng.uniform(0.05, 1.0, shape)
+        scheme = CategoricalScheme(
+            tuple((f"x{j}", tuple(f"l{i}" for i in range(m))) for j, m in enumerate(shape))
+        )
+        t = ContingencyTable(scheme, cells / cells.sum(), "probability")
+        dec = decompose(t)
+        logp = np.log(t.cells)
+        wide = [s for s in dec.subsets() if len(s) >= 4]
+        assert len(wide) >= 6
+        for subset in dec.subsets():
+            ref = reference_tau(logp, mask_of(subset))
+            assert np.array_equal(dec.tau(subset), ref)
+        for subset in wide:
+            assert np.array_equal(interaction(t, subset), reference_tau(logp, mask_of(subset)))

@@ -1,12 +1,13 @@
 """``cli.as_report``: a verdict's report keys are its dataclass fields and properties."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from collapsekit.assoc import FiniteJoint, detect_assoc_reversal, double_linkage, linear_r4_reversal
-from collapsekit.cli import as_report
+from collapsekit.cli import as_report, dumps_report
 from collapsekit.collapse import check_collapsibility, check_strict_collapsibility
 from collapsekit.depfun import GaussianLinearInteraction, check_avg_collapsibility, check_homogeneity
 from collapsekit.loglinear import decompose, is_hierarchical
@@ -163,3 +164,24 @@ def test_nested_verdicts_and_own_shapes():
     assert as_report((1, (2.0, None))) == [1, [2.0, None]]
     report = {"a": (1, 2)}
     assert as_report(report) is report  # a dict is a report already
+
+
+def test_arrays_and_subset_keys_serialize():
+    plain = check_collapsibility(PROBS, ("A", "X"), ("A", "X"))
+    report = as_report(plain)
+    assert report["tau_full"] == plain.tau_full.tolist()
+    assert report["eta_marginal"] == plain.eta_marginal.tolist()
+    assert json.loads(dumps_report(report))["tau_full"] == plain.tau_full.tolist()
+    strict = check_strict_collapsibility(PROBS, ("A", "X"), (), ("D",))
+    report = as_report(strict)
+    assert report["set_gaps"] == {",".join(k): v for k, v in strict.set_gaps.items()}
+    assert set(report["set_gaps"]) == {"A", "X", "A,X"}
+    assert json.loads(dumps_report(report))["set_gaps"] == report["set_gaps"]
+    assert as_report(np.arange(4.0).reshape(2, 2)) == [[0.0, 1.0], [2.0, 3.0]]
+
+
+def test_subset_keys_with_quotes_stay_valid_json():
+    scheme = CategoricalScheme((('A"', ("Y", "N")), ("X\\", ("M", "F")), ("D", ("H", "G"))))
+    probs = build_table(scheme, [1, 6, 2, 4, 4, 2, 6, 1], "counts").normalize()
+    report = as_report(check_strict_collapsibility(probs, ('A"', "X\\"), (), ("D",)))
+    assert set(json.loads(dumps_report(report))["set_gaps"]) == {'A"', "X\\", 'A",X\\'}
