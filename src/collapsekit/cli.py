@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -176,9 +177,21 @@ def _read_bytes(path: str) -> bytes:
         raise TableError(f"cannot read {path}: {exc}") from exc
 
 
+# str.splitlines also ends a line at these; in a CSV they are field characters
+_SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _csv_lines(path: str) -> list[str]:
-    # line ends stay, so csv.reader keeps a quoted field's line breaks
-    return _read_bytes(path).decode("utf-8-sig").splitlines(keepends=True)
+    """The file's lines, split at LF, CR and CRLF only, each with its end.
+
+    Line ends stay, so csv.reader keeps a quoted field's line breaks.
+    ``str.splitlines`` is the fast split, used unless the text holds one of
+    the other characters it splits at (a memchr scan each).
+    """
+    text = _read_bytes(path).decode("utf-8-sig")
+    if any(c in text for c in _SPLITLINES_ONLY):
+        return io.StringIO(text, newline="").readlines()
+    return text.splitlines(keepends=True)
 
 
 def _ragged_line(lines: list[str], width: int) -> int:
@@ -454,6 +467,14 @@ def _cmd_survival_check(args):
 # -- parser --------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol``: a finite positive float."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collapsekit",
@@ -469,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if tol_default is not None:
             p.add_argument(
-                "--tol", type=float, default=tol_default, help=f"{tol_help} (default {tol_default})"
+                "--tol", type=_tolerance, default=tol_default, help=f"{tol_help} (default {tol_default})"
             )
 
     p = sub.add_parser("ingest", help="cross-tabulate a CSV of observations")

@@ -234,8 +234,8 @@ class ContingencyTable:
             probs = self.cells / total
         else:
             lam = float(smoothing)
-            if lam <= 0.0:
-                raise TableError("smoothing must be positive")
+            if not (math.isfinite(lam) and lam > 0.0):
+                raise TableError("smoothing must be finite and positive")
             probs = (self.cells + lam) / (total + lam * self.scheme.ncells)
         probs = probs / probs.sum()  # remove residual rounding drift
         return ContingencyTable(self.scheme, probs, "probability")

@@ -47,6 +47,9 @@ EX2_ROWS = ["A,V,D"] + [
 ]
 
 
+SPLITLINES_ONLY = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 @pytest.fixture
 def berkeley_csv(tmp_path):
     p = tmp_path / "berkeley.csv"
@@ -145,6 +148,20 @@ class TestIngestCsv:
         p = tmp_path / "ragged.csv"
         p.write_text('a,b\n"x\ny",u\nz,v\nw\n')
         with pytest.raises(TableError, match="ragged row at line 5$"):
+            ingest_csv(str(p))
+
+    # str.splitlines also breaks lines at these; in a CSV they are ordinary
+    # field characters, and only LF, CR and CRLF end a row
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("sep", SPLITLINES_ONLY)
+    def test_only_lf_cr_and_crlf_end_a_row(self, tmp_path, sep, eol):
+        p = tmp_path / "sep.csv"
+        p.write_bytes(eol.join(["a,b", f"x{sep}y,u", "z,v", f"x{sep}y,v", ""]).encode())
+        t = ingest_csv(str(p))
+        assert t.scheme.variables == (("a", (f"x{sep}y", "z")), ("b", ("u", "v")))
+        assert t.cells.tolist() == [[1.0, 1.0], [0.0, 1.0]]
+        p.write_bytes(eol.join(["a,b", f"x{sep}y,u", "z", ""]).encode())
+        with pytest.raises(TableError, match="ragged row at line 3$"):
             ingest_csv(str(p))
 
     def test_first_unknown_level_in_row_order(self, tmp_path):
@@ -444,6 +461,14 @@ class TestExitCodes:
         levels = json.loads(capsys.readouterr().out)["verdict"]["summary"]["levels"]
         assert [lv["label"] for lv in levels] == ["g\nh", "k"]
 
+    @pytest.mark.parametrize("sep", SPLITLINES_ONLY)
+    def test_records_label_keeps_a_splitlines_separator(self, tmp_path, capsys, sep):
+        p = tmp_path / "records.csv"
+        p.write_bytes(f"y,x,a\n1,0,g{sep}h\n2,1,g{sep}h\n0,0,k\n3,1,k\n".encode())
+        assert main(["regress-audit", str(p)]) in (EXIT_OK, EXIT_DETECTED)
+        levels = json.loads(capsys.readouterr().out)["verdict"]["summary"]["levels"]
+        assert [lv["label"] for lv in levels] == [f"g{sep}h", "k"]
+
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
     def test_scan_of_overflowing_sums_is_quiet(self, tmp_path, capsys):
         payload = {
@@ -535,6 +560,33 @@ class TestExitCodes:
         verdict = json.loads(capsys.readouterr().out)["verdict"]
         assert verdict["collapsible"] is True
         assert verdict["identity_gap"] == pytest.approx(1e-8)
+
+
+CORPUS = ROOT / "perfbench" / "corpus"
+TOL_VERBS = {
+    "decompose": ["decompose", "--smoothing", "0.5", str(CORPUS / "death_penalty.json")],
+    "collapse-check": ["collapse-check", "--target", "A,X", "--margin", "A,X", str(CORPUS / "admission.json")],
+    "collapse-check --strict": [
+        "collapse-check", "--strict", "--target", "A,D", "--smoothing", "0.5", str(CORPUS / "death_penalty.json"),
+    ],
+    "assoc-check": ["assoc-check", str(CORPUS / "joint.json")],
+    "regress-audit": ["regress-audit", str(CORPUS / "records.csv")],
+    "dep-check": ["dep-check", str(CORPUS / "gauss.json")],
+}
+
+
+class TestToleranceOption:
+    @pytest.mark.parametrize("verb", TOL_VERBS)
+    def test_only_a_finite_positive_tol_is_accepted(self, capsys, verb):
+        # a bad value is a usage error (exit 1, message on stderr), never a
+        # traceback from the report emitter, a RouteDisagreementError or a
+        # meaningless verdict
+        for tol in ("nan", "inf", "-inf", "-1", "0", "-0.0", "x"):
+            assert main([*TOL_VERBS[verb], f"--tol={tol}"]) == EXIT_ERROR, tol
+            out, err = capsys.readouterr()
+            assert out == "" and "argument --tol" in err, tol
+        assert main([*TOL_VERBS[verb], "--tol=1e-7"]) in (EXIT_OK, EXIT_DETECTED)
+        assert json.loads(capsys.readouterr().out)["verb"] == verb.split()[0]
 
 
 class TestReportsAreValidJson:

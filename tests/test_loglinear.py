@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collapsekit.errors import SchemeError, TableError
 from collapsekit.loglinear import (
     InteractionDecomposition,
+    _stack_classes,
     decompose,
     interaction,
     is_hierarchical,
     mobius,
     tilde_l,
 )
-from collapsekit.subsets import axes_of, masks_by_size
+from collapsekit.subsets import axes_of, masks_by_size, submasks
 from collapsekit.tables import CategoricalScheme, ContingencyTable, build_table
 
 from conftest import ci_constructed_table, random_positive_table
@@ -123,6 +126,82 @@ class TestDecompose:
             mobius(np.zeros((2,) * 16), [(1 << 16) - 1])
         # the budget counts only the axes the requested masks span
         assert set(mobius(np.zeros((2,) * 16), [0b11])) == {0b11}
+
+
+def per_pair_mobius(x, masks):
+    """Reference transform: one broadcast add or subtract per (mask, submask)."""
+    means, out = {}, {}
+    for mask in masks:
+        parity = mask.bit_count() & 1
+        first = acc = None
+        for sub in submasks(mask):
+            if sub not in means:
+                comp = tuple(a for a in range(x.ndim) if not sub & (1 << a))
+                means[sub] = x.mean(axis=comp, keepdims=True) if comp else x
+            mean = means[sub]
+            plus = (sub.bit_count() & 1) == parity
+            if first is None:
+                first = acc = mean
+            elif acc is first:
+                acc = acc + mean if plus else acc - mean
+            elif plus:
+                acc += mean
+            else:
+                acc -= mean
+        out[mask] = acc
+    return out
+
+
+def assert_bitwise_equal(got, ref):
+    assert list(got) == list(ref)
+    for mask, arr in ref.items():
+        assert got[mask].shape == arr.shape and got[mask].dtype == arr.dtype
+        assert np.array_equal(got[mask].view(np.uint64), arr.view(np.uint64)), axes_of(mask)
+
+
+@st.composite
+def _arrays_and_requests(draw):
+    # few distinct sizes over many axes make large shape classes, which are
+    # stacked from 7 axes on; size-1 axes are legal for the transform even
+    # though tables need two levels
+    n = draw(st.integers(1, 6) | st.integers(7, 8))
+    shape = tuple(draw(st.lists(st.sampled_from([1, 2, 2, 3]), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3])), shape)
+    everything = list(range(1 << n))
+    kind = draw(st.sampled_from(["all", "shuffled", "subset"]))
+    if kind == "all":
+        masks = everything
+    elif kind == "shuffled":
+        masks = draw(st.permutations(everything))
+    else:  # any order, duplicates allowed
+        masks = draw(st.lists(st.sampled_from(everything), min_size=1, max_size=3 << n))
+    return x, masks
+
+
+class TestStackedTransform:
+    @settings(max_examples=40, deadline=None)
+    @given(_arrays_and_requests())
+    def test_matches_the_per_pair_sum_bit_for_bit(self, case):
+        x, masks = case
+        assert_bitwise_equal(mobius(x, masks), per_pair_mobius(x, masks))
+
+    def test_strict_request_on_the_bulk_shape(self):
+        # 7 binary and 3 ternary variables, --target v0 --given v1,v2: the
+        # parameter set and the zero set of the strict collapse check
+        n = 10
+        x = np.log(np.random.default_rng(7).uniform(0.05, 1.0, (2,) * 7 + (3,) * 3))
+        target, collapsed = 0b1, ((1 << n) - 1) & ~0b111
+        masks = [m for m in submasks(0b111) if m & target]
+        masks += [m for m in range(1 << n) if m & target and m & collapsed]
+        # both paths run: large classes as stacks, small ones per mask
+        stacked = _stack_classes(x.shape, masks, (1 << n) - 1)
+        assert stacked and 0 < sum(map(len, stacked)) < len(masks)
+        assert_bitwise_equal(mobius(x, masks), per_pair_mobius(x, masks))
+
+    def test_mask_outside_the_array_is_rejected(self):
+        with pytest.raises(SchemeError, match="outside shape"):
+            mobius(np.zeros((2, 2)), [0b100])
 
 
 class TestUnnormalizedArrays:

@@ -98,6 +98,12 @@ class TestNormalize:
         expected = np.array([0.5, 1.5, 2.5, 3.5]) / total
         assert np.allclose(p.cells.reshape(-1), expected, atol=1e-15)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -0.5, 0.0])
+    def test_smoothing_must_be_finite_and_positive(self, lam):
+        t = build_table(scheme2x2(), [0, 1, 2, 3], "counts")
+        with pytest.raises(TableError, match="^smoothing must be finite and positive$"):
+            t.normalize(smoothing=lam)
+
     def test_zero_cell_no_smoothing(self):
         with pytest.raises(TableError, match="zero cell"):
             build_table(scheme2x2(), [0, 1, 2, 3], "counts").normalize()
