@@ -236,7 +236,13 @@ class ContingencyTable:
             lam = float(smoothing)
             if not (math.isfinite(lam) and lam > 0.0):
                 raise TableError("smoothing must be finite and positive")
-            probs = (self.cells + lam) / (total + lam * self.scheme.ncells)
+            smoothed = total + lam * self.scheme.ncells  # a Python float: inf, no warning
+            if not math.isfinite(smoothed):
+                raise TableError(
+                    f"smoothed total overflows: {self.scheme.ncells} cells with "
+                    f"smoothing {lam!r} sum to {smoothed}"
+                )
+            probs = (self.cells + lam) / smoothed
         probs = probs / probs.sum()  # remove residual rounding drift
         return ContingencyTable(self.scheme, probs, "probability")
 

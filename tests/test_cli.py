@@ -422,13 +422,19 @@ class TestExitCodes:
             ["decompose"],
             ["collapse-check", "--target", "v0,v1", "--margin", "v0,v1,v2"],
             ["collapse-check", "--strict", "--target", "v0", "--given", "v1"],
+            ["decompose", "--smoothing", "1e308"],
+            ["collapse-check", "--smoothing", "1e308", "--target", "v0,v1", "--margin", "v0,v1,v2"],
+            ["collapse-check", "--smoothing", "1e308", "--strict", "--target", "v0", "--given", "v1"],
         ],
     )
     def test_overflowing_total_is_structured(self, tmp_path, capsys, argv):
+        # huge counts overflow the cell total; ordinary counts overflow the
+        # smoothed total total + lambda * ncells
+        smoothed = "--smoothing" in argv
         payload = {
             "variables": [{"name": f"v{j}", "levels": ["0", "1"]} for j in range(4)],
             "form": "counts",
-            "cells": [1e308] * 16,
+            "cells": [3.0 if smoothed else 1e308] * 16,
         }
         p = tmp_path / "huge.json"
         p.write_text(json.dumps(payload))
@@ -437,7 +443,11 @@ class TestExitCodes:
         assert err == ""
         error = json.loads(out)["error"]
         assert error["kind"] == "TableError"
-        assert error["message"] == "cell total overflows: 16 finite counts sum to inf"
+        if smoothed:
+            message = "smoothed total overflows: 16 cells with smoothing 1e+308 sum to inf"
+        else:
+            message = "cell total overflows: 16 finite counts sum to inf"
+        assert error["message"] == message
 
     @pytest.mark.parametrize(
         "text, line",

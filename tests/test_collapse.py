@@ -3,7 +3,7 @@ import pytest
 
 from collapsekit.collapse import check_collapsibility, check_strict_collapsibility
 from collapsekit.errors import SchemeError
-from collapsekit.loglinear import decompose
+from collapsekit.loglinear import decompose, interaction
 from collapsekit.subsets import axes_of, mask_of, submasks
 from collapsekit.tables import CategoricalScheme, ContingencyTable
 
@@ -156,3 +156,67 @@ class TestStrictCollapsibility:
         assert dec.max_abs([0, 1, 2]) <= 1e-10
         assert dec.max_abs([0, 2]) <= 1e-10
         assert check_strict_collapsibility(t, ["x1"], ["x2"], ["x3"]).strict
+
+
+class TestWideTables:
+    """Seven or more variables: the checks against the full decompositions.
+
+    ``decompose`` of 7+ variables centers axis by axis while the checks ask
+    for fewer masks, so the two agree to rounding, not bit for bit.
+    """
+
+    BOUND = 1e-12
+
+    @pytest.fixture(scope="class")
+    def bulk(self):
+        # the bulk-desk shape: 7 binary and 3 ternary variables
+        shape = (2,) * 7 + (3,) * 3
+        cells = np.random.default_rng(21).uniform(0.05, 1.0, shape)
+        scheme = CategoricalScheme(
+            tuple((f"x{j}", tuple(f"l{i}" for i in range(m))) for j, m in enumerate(shape))
+        )
+        t = ContingencyTable(scheme, cells / cells.sum(), "probability")
+        return t, decompose(t)
+
+    def assert_close(self, got, ref):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= self.BOUND
+
+    @pytest.mark.parametrize(
+        "a, b", [((0, 7), (0, 1, 7, 8)), (tuple(range(7)), tuple(range(8)))]
+    )
+    def test_plain_collapse(self, bulk, a, b):
+        t, full = bulk
+        v = check_collapsibility(t, a, b)
+        self.assert_close(v.tau_full, full.tau(a))
+        marg = decompose(t.marginalize(b))
+        self.assert_close(v.eta_marginal, marg.tau(tuple(b.index(x) for x in a)))
+
+    @pytest.mark.parametrize(
+        "a, g, c", [((0,), (1, 2), tuple(range(3, 10))), ((0, 1, 2, 3), (4, 5, 6), (7, 8, 9))]
+    )
+    def test_strict_collapse(self, bulk, a, g, c):
+        t, full = bulk
+        v = check_strict_collapsibility(t, a, g, c)
+        margin = tuple(sorted(a + g))
+        marg = decompose(t.marginalize(margin))
+        self.assert_close(v.tau_full, full.tau(a))
+        self.assert_close(v.eta_marginal, marg.tau(tuple(margin.index(x) for x in a)))
+        assert len(v.set_gaps) == (1 << len(margin)) - (1 << len(g))
+        for l_mask in submasks(mask_of(margin)):
+            if l_mask & mask_of(a):
+                l_axes = axes_of(l_mask)
+                l_pos = tuple(margin.index(x) for x in l_axes)
+                gap = float(np.max(np.abs(full.tau(l_axes) - marg.tau(l_pos))))
+                assert abs(v.set_gaps[t.scheme.subset_names(l_axes)] - gap) <= self.BOUND
+        zero = max(
+            full.max_abs(axes_of(m))
+            for m in range(1 << t.scheme.n)
+            if m & mask_of(a) and m & mask_of(c)
+        )
+        assert abs(v.zero_set_max - zero) <= self.BOUND
+
+    def test_interaction_over_seven_variables(self, bulk):
+        t, full = bulk
+        a = (0, 2, 4, 6, 7, 8, 9)
+        self.assert_close(interaction(t, a), full.tau(a))

@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from hypothesis import strategies as st
 from collapsekit.errors import SchemeError, TableError
 from collapsekit.loglinear import (
     InteractionDecomposition,
-    _stack_classes,
     decompose,
     interaction,
     is_hierarchical,
@@ -159,11 +161,27 @@ def assert_bitwise_equal(got, ref):
         assert np.array_equal(got[mask].view(np.uint64), arr.view(np.uint64)), axes_of(mask)
 
 
+def assert_within(got, ref, bound):
+    assert list(got) == list(ref)
+    for mask, arr in ref.items():
+        assert got[mask].shape == arr.shape and got[mask].dtype == arr.dtype
+        assert np.max(np.abs(got[mask] - arr)) <= bound, axes_of(mask)
+
+
+def assert_matches_per_pair(x, masks):
+    """Bit equality below 7 spanned axes; from 7 on, the per-axis form's bound."""
+    ref = per_pair_mobius(x, masks)
+    if reduce(or_, masks, 0).bit_count() < 7:
+        assert_bitwise_equal(mobius(x, masks), ref)
+    else:
+        assert_within(mobius(x, masks), ref, 1e-12 * max(1.0, float(np.max(np.abs(x)))))
+
+
 @st.composite
 def _arrays_and_requests(draw):
-    # few distinct sizes over many axes make large shape classes, which are
-    # stacked from 7 axes on; size-1 axes are legal for the transform even
-    # though tables need two levels
+    # half the draws span 7 or 8 axes, where mobius centers axis by axis;
+    # size-1 axes are legal for the transform even though tables need two
+    # levels
     n = draw(st.integers(1, 6) | st.integers(7, 8))
     shape = tuple(draw(st.lists(st.sampled_from([1, 2, 2, 3]), min_size=n, max_size=n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -183,8 +201,7 @@ class TestStackedTransform:
     @settings(max_examples=40, deadline=None)
     @given(_arrays_and_requests())
     def test_matches_the_per_pair_sum_bit_for_bit(self, case):
-        x, masks = case
-        assert_bitwise_equal(mobius(x, masks), per_pair_mobius(x, masks))
+        assert_matches_per_pair(*case)
 
     def test_strict_request_on_the_bulk_shape(self):
         # 7 binary and 3 ternary variables, --target v0 --given v1,v2: the
@@ -194,10 +211,19 @@ class TestStackedTransform:
         target, collapsed = 0b1, ((1 << n) - 1) & ~0b111
         masks = [m for m in submasks(0b111) if m & target]
         masks += [m for m in range(1 << n) if m & target and m & collapsed]
-        # both paths run: large classes as stacks, small ones per mask
-        stacked = _stack_classes(x.shape, masks, (1 << n) - 1)
-        assert stacked and 0 < sum(map(len, stacked)) < len(masks)
-        assert_bitwise_equal(mobius(x, masks), per_pair_mobius(x, masks))
+        assert_matches_per_pair(x, masks)
+
+    def test_wide_request_peaks_below_the_array(self):
+        # the 12 axes outside the span are averaged before any centering, so
+        # the partial arrays stay over 7 axes: 2^19 floats in, 3^7 at most
+        x = np.random.default_rng(3).normal(size=(2,) * 19)
+        tracemalloc.start()
+        try:
+            out = mobius(x, range(1 << 7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 128 and peak < x.nbytes
 
     def test_mask_outside_the_array_is_rejected(self):
         with pytest.raises(SchemeError, match="outside shape"):
