@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DistributionError, ModelError
+from .errors import DistributionError, ModelError, array, malformed
 from .tables import PROB_SUM_TOL, ci_deviation
 
 RELATIONS = ("r1", "r2", "r3", "r4")
@@ -33,10 +33,8 @@ DEFAULT_TOL = 1e-9
 
 
 def _check_levels(levels: Sequence[float], name: str) -> tuple[float, ...]:
-    try:
+    with malformed(DistributionError, f"{name} support points"):
         arr = tuple(float(v) for v in levels)
-    except (TypeError, ValueError) as exc:
-        raise DistributionError(f"{name} support points must be numbers: {exc}") from exc
     if not all(math.isfinite(v) for v in arr):
         raise DistributionError(f"{name} support points must be finite")
     if len(arr) < 2:
@@ -119,13 +117,11 @@ class FiniteJoint:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "FiniteJoint":
-        try:
+        with malformed(DistributionError, "joint payload"):
             lv = payload["levels"]
-            y, x, w = lv["y"], lv["x"], lv["w"]
-            p = np.asarray(payload["p"], dtype=float).reshape(len(y), len(x), len(w))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DistributionError(f"malformed joint payload: {exc}") from exc
-        return cls(tuple(y), tuple(x), tuple(w), p)
+            y, x, w = array(lv, "y"), array(lv, "x"), array(lv, "w")
+            p = np.asarray(array(payload, "p"), dtype=float).reshape(len(y), len(x), len(w))
+            return cls(tuple(y), tuple(x), tuple(w), p)
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteJoint":

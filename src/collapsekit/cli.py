@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .assoc import FiniteJoint, detect_assoc_reversal, double_linkage, holds_relation
 from .collapse import check_collapsibility, check_strict_collapsibility
-from .errors import CollapsekitError, SchemeError, TableError
+from .errors import CollapsekitError, SchemeError, TableError, malformed
 from .loglinear import LATTICE_BUDGET, decompose, is_hierarchical
 from .paradox import StratumScan, cornfield, detect_reversal, scan_strata
 from .regress import (
@@ -170,11 +170,18 @@ def _emit(report: dict, fmt: str, markdown_body: str | None = None) -> None:
 # -- input loading -------------------------------------------------------------
 
 
+# SHA-256 of each file as it was read, by path: a report's input_sha256
+# hashes the bytes its verdict came from, so piped input is read only once
+_digests: dict[str, str] = {}
+
+
 def _read_bytes(path: str) -> bytes:
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise TableError(f"cannot read {path}: {exc}") from exc
+    _digests[path] = hashlib.sha256(data).hexdigest()
+    return data
 
 
 # str.splitlines also ends a line at these; in a CSV they are field characters
@@ -269,13 +276,7 @@ def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> Contingenc
 def _load_scheme(path: str | None) -> CategoricalScheme | None:
     if path is None:
         return None
-    payload = json.loads(_read_bytes(path).decode("utf-8"))
-    try:
-        return CategoricalScheme(
-            tuple((v["name"], tuple(v["levels"])) for v in payload["variables"])
-        )
-    except (KeyError, TypeError) as exc:
-        raise TableError(f"malformed variables payload: {exc}") from exc
+    return CategoricalScheme.from_json_dict(json.loads(_read_bytes(path).decode("utf-8")))
 
 
 def _load_table(path: str, variables: str | None = None) -> ContingencyTable:
@@ -416,11 +417,9 @@ def _cmd_regress_audit(args):
         rows = list(filter(None, reader))  # blank lines parse to []
         if set(map(len, rows)) - {3}:
             raise TableError(f"ragged row at line {_ragged_line(lines, 3)}")
-        try:
+        with malformed(TableError, "records CSV"):
             y = [float(r[0]) for r in rows]
             x = [float(r[1]) for r in rows]
-        except ValueError as exc:
-            raise TableError(f"malformed records CSV: {exc}") from exc
         summary = summary_from_records(y, x, [r[2].strip() for r in rows])
     else:
         summary = StratifiedRegressionSummary.from_json(
@@ -556,11 +555,12 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses exit code 2 for usage errors; remap to the input-error code
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     fmt, markdown_body = args.format, None
+    _digests.clear()
     try:
         verdict, detected, markdown_body = args.fn(args)
         report = {
             "verb": args.verb,
-            "input_sha256": hashlib.sha256(_read_bytes(args.input)).hexdigest(),
+            "input_sha256": _digests.pop(args.input),
             "tool_version": __version__,
             "verdict": as_report(verdict),
         }

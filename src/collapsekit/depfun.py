@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import integrate
 
-from .errors import ModelError
+from .errors import ModelError, array, malformed
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -302,24 +302,19 @@ class UniformQuadratic(DependenceModel):
 
 
 def model_from_json_dict(payload: Mapping) -> DependenceModel:
-    try:
+    with malformed(ModelError, "model payload"):
         family = payload["family"]
-    except (KeyError, TypeError) as exc:
-        raise ModelError(f"malformed model payload: {exc}") from exc
-    if family == GaussianLinearInteraction.family:
-        try:
-            a1, a2, a3 = map(float, payload["alpha"])
+        if family == GaussianLinearInteraction.family:
+            a1, a2, a3 = map(float, array(payload, "alpha"))
             sigma = float(payload["sigma"])
             w_law = payload.get("w_law", {"type": "normal", "mean_slope": 0.0})
             if w_law.get("type") != "normal":
                 raise ModelError(f"unsupported w_law {w_law!r}")
             rho = float(w_law.get("mean_slope", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"malformed gaussian model payload: {exc}") from exc
-        return GaussianLinearInteraction(a1, a2, a3, sigma, rho)
-    if family == UniformQuadratic.family:
-        return UniformQuadratic()
-    raise ModelError(f"unknown family {family!r}")
+            return GaussianLinearInteraction(a1, a2, a3, sigma, rho)
+        if family == UniformQuadratic.family:
+            return UniformQuadratic()
+        raise ModelError(f"unknown family {family!r}")
 
 
 def model_from_json(text: str) -> DependenceModel:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .assoc import FiniteJoint
-from .errors import DistributionError, RouteDisagreementError
+from .errors import DistributionError, RouteDisagreementError, array, malformed
 from .tables import PROB_SUM_TOL, ci_deviation
 
 DEFAULT_TOL = 1e-9
@@ -125,7 +125,7 @@ class StratifiedRegressionSummary:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "StratifiedRegressionSummary":
-        try:
+        with malformed(DistributionError, "summary payload"):
             strata = tuple(
                 RegressionStratum(
                     pi=float(lv["pi"]),
@@ -136,11 +136,9 @@ class StratifiedRegressionSummary:
                     s_yy=float(lv["s_yy"]),
                     label=_label(lv.get("label")),
                 )
-                for lv in payload["levels"]
+                for lv in array(payload, "levels")
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DistributionError(f"malformed summary payload: {exc}") from exc
-        return cls(strata)
+            return cls(strata)
 
     @classmethod
     def from_json(cls, text: str) -> "StratifiedRegressionSummary":

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, array, malformed
 
 W_LAWS = ("std-normal", "gumbel", "logistic")
 
@@ -143,7 +143,7 @@ class SurvivalSpec:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SurvivalSpec":
-        try:
+        with malformed(ModelError, "survival spec payload"):
             eta = payload.get("eta", {})
             kt = payload.get("k_transform")
             return cls(
@@ -153,10 +153,8 @@ class SurvivalSpec:
                 eta_rho=float(eta.get("rho", 0.0)),
                 w_law=payload.get("w_law", "std-normal"),
                 v_law=payload.get("v_law", "std-normal"),
-                k_transform=(tuple(kt["t"]), tuple(kt["k"])) if kt else None,
+                k_transform=(tuple(array(kt, "t")), tuple(array(kt, "k"))) if kt else None,
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"malformed survival spec payload: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "SurvivalSpec":

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SchemeError, TableError
+from .errors import SchemeError, TableError, array, malformed
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_CI_TOL = 1e-9
@@ -106,6 +106,13 @@ class CategoricalScheme:
 
     def subset_names(self, axes: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.names[a] for a in sorted(axes))
+
+    @classmethod
+    def from_json_dict(cls, payload: Mapping) -> "CategoricalScheme":
+        """The scheme in the ``variables`` of a table or a ``--variables`` file."""
+        with malformed(TableError, "variables payload"):
+            variables = array(payload, "variables")
+            return cls(tuple((v["name"], tuple(array(v, "levels"))) for v in variables))
 
 
 @dataclass(frozen=True)
@@ -244,6 +251,11 @@ class ContingencyTable:
                 )
             probs = (self.cells + lam) / smoothed
         probs = probs / probs.sum()  # remove residual rounding drift
+        if not probs.all():
+            raise TableError(
+                f"a cell probability underflows to 0 over the total {total!r}"
+                + ("" if smoothing is None else f" with smoothing {smoothing!r}")
+            )
         return ContingencyTable(self.scheme, probs, "probability")
 
     def marginalize(self, keep: SubsetSpec) -> "ContingencyTable":
@@ -331,15 +343,9 @@ class ContingencyTable:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "ContingencyTable":
-        try:
-            variables = tuple(
-                (v["name"], tuple(v["levels"])) for v in payload["variables"]
-            )
-            form = payload["form"]
-            cells = payload["cells"]
-        except (KeyError, TypeError) as exc:
-            raise TableError(f"malformed table payload: {exc}") from exc
-        return build_table(CategoricalScheme(variables), cells, form)
+        with malformed(TableError, "table payload"):
+            scheme = CategoricalScheme.from_json_dict(payload)
+            return build_table(scheme, array(payload, "cells"), payload["form"])
 
     @classmethod
     def from_json(cls, text: str) -> "ContingencyTable":

@@ -495,6 +495,24 @@ class TestExitCodes:
         candidates = json.loads(out)["verdict"]["candidates"]
         assert [c["error"] for c in candidates] == ["cell sums overflow a float"] * 2
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    def test_underflowing_cell_is_structured(self, tmp_path, capsys):
+        # a smoothed zero cell, 1e-300 / 1e300, rounds to 0.0
+        payload = {
+            "variables": [{"name": f"v{j}", "levels": ["0", "1"]} for j in range(3)],
+            "form": "counts",
+            "cells": [0.0] * 7 + [1e300],
+        }
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps(payload))
+        assert main(["decompose", "--smoothing", "1e-300", str(p)]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["error"] == {
+            "kind": "TableError",
+            "message": "a cell probability underflows to 0 over the total 1e+300 with smoothing 1e-300",
+        }
+
     def test_missing_file(self, capsys):
         assert main(["decompose", "/nonexistent/nope.json"]) == EXIT_ERROR
 
@@ -583,6 +601,103 @@ TOL_VERBS = {
     "regress-audit": ["regress-audit", str(CORPUS / "records.csv")],
     "dep-check": ["dep-check", str(CORPUS / "gauss.json")],
 }
+
+
+TABLE = {
+    "variables": [{"name": "A", "levels": ["a", "b"]}, {"name": "B", "levels": ["a", "b"]}],
+    "form": "counts",
+    "cells": [1, 2, 3, 4],
+}
+JOINT = {"levels": {"y": [0, 1], "x": [0, 1], "w": [0, 1]}, "p": [0.125] * 8}
+MODEL = {
+    "family": "gaussian-linear-interaction",
+    "alpha": [1.0, 0.5, 0.8],
+    "sigma": 1.0,
+    "w_law": {"type": "normal", "mean_slope": 0.0},
+}
+SPEC = {"beta_x": 1.0, "beta_y": -2.0, "eta": {"mu": 0.0, "rho": 0.8}}
+
+
+class TestMalformedPayload:
+    @staticmethod
+    def run(tmp_path, capsys, verb, payload):
+        """Exit code and error object of ``verb`` on ``payload``; stderr stays empty."""
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(payload))
+        argv = [verb, str(p)]
+        if verb == "ingest":  # the payload is the --variables file
+            obs = tmp_path / "obs.csv"
+            obs.write_text("A,B\nW,a\nB,b\n")
+            argv = [verb, str(obs), "--variables", str(p)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, json.loads(out).get("error")
+
+    @pytest.mark.parametrize(
+        "verb, payload, kind, key",
+        [
+            ("decompose", dict(TABLE, cells="1234"), "TableError", "cells"),
+            (
+                "decompose",
+                dict(TABLE, variables=[{"name": "A", "levels": "ab"}, TABLE["variables"][1]]),
+                "TableError",
+                "levels",
+            ),
+            (
+                "ingest",
+                {"variables": [{"name": "A", "levels": "WB"}, {"name": "B", "levels": ["a", "b"]}]},
+                "TableError",
+                "levels",
+            ),
+            ("assoc-check", dict(JOINT, levels=dict(JOINT["levels"], y="01")), "DistributionError", "y"),
+            ("dep-check", dict(MODEL, alpha="123"), "ModelError", "alpha"),
+            ("survival-check", dict(SPEC, k_transform={"t": "012", "k": "013"}), "ModelError", "t"),
+        ],
+        ids=["table-cells", "table-levels", "variables-levels", "joint-levels", "model-alpha", "survival-k"],
+    )
+    def test_string_where_an_array_belongs(self, tmp_path, capsys, verb, payload, kind, key):
+        # a string used to be read one character at a time
+        code, error = self.run(tmp_path, capsys, verb, payload)
+        assert code == EXIT_ERROR
+        assert error["kind"] == kind
+        assert error["message"].endswith(f"{key} must be an array, not str")
+
+    @pytest.mark.parametrize(
+        "verb, payload, kind",
+        [
+            ("decompose", dict(TABLE, cells=[{}, 1, 2, 3]), "TableError"),
+            ("decompose", dict(TABLE, cells="abcd"), "TableError"),
+            ("decompose", dict(TABLE, cells=5), "TableError"),
+            ("decompose", dict(TABLE, cells=[[1, 2], [3]]), "TableError"),
+            ("decompose", dict(TABLE, cells=[10**400, 1, 2, 3]), "TableError"),  # float() overflows
+            ("survival-check", [1, 2], "ModelError"),
+            ("survival-check", dict(SPEC, eta=[1, 2]), "ModelError"),
+            ("dep-check", dict(MODEL, w_law="normal"), "ModelError"),
+        ],
+    )
+    def test_reader_error_is_structured(self, tmp_path, capsys, verb, payload, kind):
+        code, error = self.run(tmp_path, capsys, verb, payload)
+        assert code == EXIT_ERROR
+        assert error["kind"] == kind
+        assert error["message"].startswith("malformed ")
+
+
+class TestPipedInput:
+    @pytest.mark.parametrize("verb", ["decompose", "ingest"])
+    def test_digest_is_of_the_bytes_read(self, admission_table, verb):
+        raw = (admission_table.to_json() if verb == "decompose" else "\n".join(EX1_ROWS)).encode()
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "collapsekit.cli", verb, "/dev/stdin"],
+            input=raw,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stdout
+        assert proc.stderr == b""
+        assert json.loads(proc.stdout)["input_sha256"] == hashlib.sha256(raw).hexdigest()
 
 
 class TestToleranceOption:
