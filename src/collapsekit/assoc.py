@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DistributionError, ModelError, array, malformed
+from .errors import DistributionError, ModelError, loads, malformed, numbers
 from .tables import PROB_SUM_TOL, ci_deviation
 
 RELATIONS = ("r1", "r2", "r3", "r4")
@@ -119,13 +119,13 @@ class FiniteJoint:
     def from_json_dict(cls, payload: Mapping) -> "FiniteJoint":
         with malformed(DistributionError, "joint payload"):
             lv = payload["levels"]
-            y, x, w = array(lv, "y"), array(lv, "x"), array(lv, "w")
-            p = np.asarray(array(payload, "p"), dtype=float).reshape(len(y), len(x), len(w))
-            return cls(tuple(y), tuple(x), tuple(w), p)
+            y, x, w = (tuple(numbers(lv, key).tolist()) for key in "yxw")
+            p = numbers(payload, "p").reshape(len(y), len(x), len(w))
+            return cls(y, x, w, p)
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteJoint":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(loads(text, DistributionError, "joint payload"))
 
 
 def _as_bivariate(dist: "FiniteJoint | BivariateJoint") -> BivariateJoint:

@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from collections import Counter
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -33,7 +34,7 @@ import numpy as np
 from . import __version__
 from .assoc import FiniteJoint, detect_assoc_reversal, double_linkage, holds_relation
 from .collapse import check_collapsibility, check_strict_collapsibility
-from .errors import CollapsekitError, SchemeError, TableError, malformed
+from .errors import CollapsekitError, SchemeError, TableError, loads, malformed
 from .loglinear import LATTICE_BUDGET, decompose, is_hierarchical
 from .paradox import StratumScan, cornfield, detect_reversal, scan_strata
 from .regress import (
@@ -188,17 +189,29 @@ def _read_bytes(path: str) -> bytes:
 _SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _csv_lines(path: str) -> list[str]:
-    """The file's lines, split at LF, CR and CRLF only, each with its end.
+def _csv_lines(path: str) -> tuple[list[str], bool]:
+    """The file's lines, split at LF, CR and CRLF only, and whether each line
+    is one record.
 
-    Line ends stay, so csv.reader keeps a quoted field's line breaks.
-    ``str.splitlines`` is the fast split, used unless the text holds one of
-    the other characters it splits at (a memchr scan each).
+    It is when the text holds no quote, so no field spans lines or hides a
+    comma, no NUL, which csv.reader rejects on Python 3.10, and no line over
+    ``csv.field_size_limit()``, so no field is over it.  ``line.split(",")``
+    is then csv.reader's row, except that a blank line gives ``[""]``, not
+    ``[]``.  Lines keep their ends only when the text holds a quote, so
+    csv.reader keeps a quoted field's line breaks.  ``str.splitlines`` is the
+    fast split, used unless the text holds one of the other characters it
+    splits at (a memchr scan each).
     """
     text = _read_bytes(path).decode("utf-8-sig")
+    quoted = '"' in text
     if any(c in text for c in _SPLITLINES_ONLY):
-        return io.StringIO(text, newline="").readlines()
-    return text.splitlines(keepends=True)
+        lines = io.StringIO(text, newline="").readlines()
+        if not quoted:
+            lines = [line.rstrip("\r\n") for line in lines]
+    else:
+        lines = text.splitlines(keepends=quoted)
+    by_line = not quoted and "\0" not in text
+    return lines, by_line and max(map(len, lines), default=0) <= csv.field_size_limit()
 
 
 def _ragged_line(lines: list[str], width: int) -> int:
@@ -222,20 +235,29 @@ def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> Contingenc
 
     Identical raw rows are tallied once, so Python work grows with the
     number of distinct rows; rows that differ only in padding land in one
-    cell and are summed there.
+    cell and are summed there.  A text whose lines are its records (see
+    ``_csv_lines``) is tallied by line, so csv.reader never sees it.
     """
-    lines = _csv_lines(path)
-    reader = csv.reader(lines)
-    header = next((row for row in reader if row), None)
+    lines, by_line = _csv_lines(path)
+    # dict order is first appearance, so each level's first distinct row
+    # comes in the order of the level's first observation
+    with malformed(TableError, "CSV", csv.Error):
+        if by_line:
+            body = filter(None, lines)  # blank lines
+            first = next(body, None)
+            header = None if first is None else first.split(",")
+            # lines hash in C; distinct lines split to distinct rows
+            tally = {tuple(line.split(",")): n for line, n in Counter(body).items()}
+        else:
+            reader = csv.reader(lines)
+            header = next(filter(None, reader), None)
+            tally = Counter(map(tuple, reader))
+            tally.pop((), None)  # blank lines
     if header is None:
         raise TableError("empty CSV file")
     header = [h.strip() for h in header]
     if len(header) > MAX_CSV_VARIABLES:
         raise TableError(f"more than {MAX_CSV_VARIABLES} variables")
-    # dict order is first appearance, so each level's first distinct row
-    # comes in the order of the level's first observation
-    tally = Counter(map(tuple, reader))
-    tally.pop((), None)  # blank lines
     if not tally:
         raise TableError("CSV has a header but no observation rows")
     if any(len(row) != len(header) for row in tally):
@@ -276,7 +298,8 @@ def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> Contingenc
 def _load_scheme(path: str | None) -> CategoricalScheme | None:
     if path is None:
         return None
-    return CategoricalScheme.from_json_dict(json.loads(_read_bytes(path).decode("utf-8")))
+    text = _read_bytes(path).decode("utf-8")
+    return CategoricalScheme.from_json_dict(loads(text, TableError, "variables payload"))
 
 
 def _load_table(path: str, variables: str | None = None) -> ContingencyTable:
@@ -298,6 +321,32 @@ def _parse_subset(text: str) -> tuple["str | int", ...]:
     if not parts:
         raise SchemeError(f"empty variable subset {text!r}")
     return tuple(int(p) if p.isdigit() else p for p in parts)
+
+
+def read_records(path: str) -> tuple[list[float], list[float], list[str]]:
+    """The y, x and stripped a columns of a records CSV with header y,x,a."""
+    lines, by_line = _csv_lines(path)
+    with malformed(TableError, "records CSV", csv.Error):
+        if by_line:
+            body = filter(None, lines)  # blank lines
+            header = next(body, "").split(",")
+            rows = list(body)
+            ragged = set(map(str.count, rows, repeat(","))) - {2}
+            # with two commas a line, line i's fields are 3i, 3i+1 and 3i+2
+            fields = ",".join(rows).split(",") if rows else []
+        else:
+            reader = csv.reader(lines)
+            header = next(filter(None, reader), [])
+            rows = list(filter(None, reader))  # blank lines parse to []
+            ragged = set(map(len, rows)) - {3}
+            fields = list(chain.from_iterable(rows))
+        if [h.strip().lower() for h in header] != ["y", "x", "a"]:
+            raise TableError("records CSV must have header y,x,a")
+        if ragged:
+            raise TableError(f"ragged row at line {_ragged_line(lines, 3)}")
+        y = list(map(float, fields[0::3]))
+        x = list(map(float, fields[1::3]))
+    return y, x, list(map(str.strip, fields[2::3]))
 
 
 # -- verbs ---------------------------------------------------------------------
@@ -409,18 +458,7 @@ def _cmd_assoc_check(args):
 
 def _cmd_regress_audit(args):
     if args.input.endswith(".csv"):
-        lines = _csv_lines(args.input)
-        reader = csv.reader(lines)
-        header = next((row for row in reader if row), [])
-        if [h.strip().lower() for h in header] != ["y", "x", "a"]:
-            raise TableError("records CSV must have header y,x,a")
-        rows = list(filter(None, reader))  # blank lines parse to []
-        if set(map(len, rows)) - {3}:
-            raise TableError(f"ragged row at line {_ragged_line(lines, 3)}")
-        with malformed(TableError, "records CSV"):
-            y = [float(r[0]) for r in rows]
-            x = [float(r[1]) for r in rows]
-        summary = summary_from_records(y, x, [r[2].strip() for r in rows])
+        summary = summary_from_records(*read_records(args.input))
     else:
         summary = StratifiedRegressionSummary.from_json(
             _read_bytes(args.input).decode("utf-8")

@@ -21,7 +21,6 @@ rule if the adaptive routine fails to converge.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import integrate
 
-from .errors import ModelError, array, malformed
+from .errors import ModelError, loads, malformed, number, numbers
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -305,12 +304,12 @@ def model_from_json_dict(payload: Mapping) -> DependenceModel:
     with malformed(ModelError, "model payload"):
         family = payload["family"]
         if family == GaussianLinearInteraction.family:
-            a1, a2, a3 = map(float, array(payload, "alpha"))
-            sigma = float(payload["sigma"])
+            a1, a2, a3 = numbers(payload, "alpha").tolist()
+            sigma = number(payload, "sigma")
             w_law = payload.get("w_law", {"type": "normal", "mean_slope": 0.0})
             if w_law.get("type") != "normal":
                 raise ModelError(f"unsupported w_law {w_law!r}")
-            rho = float(w_law.get("mean_slope", 0.0))
+            rho = number(w_law, "mean_slope", 0.0)
             return GaussianLinearInteraction(a1, a2, a3, sigma, rho)
         if family == UniformQuadratic.family:
             return UniformQuadratic()
@@ -318,7 +317,7 @@ def model_from_json_dict(payload: Mapping) -> DependenceModel:
 
 
 def model_from_json(text: str) -> DependenceModel:
-    return model_from_json_dict(json.loads(text))
+    return model_from_json_dict(loads(text, ModelError, "model payload"))
 
 
 def dep_fn(model: DependenceModel, y: float, x: float, w: float) -> float:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .assoc import FiniteJoint
-from .errors import DistributionError, RouteDisagreementError, array, malformed
+from .errors import DistributionError, RouteDisagreementError, array, loads, malformed, number
 from .tables import PROB_SUM_TOL, ci_deviation
 
 DEFAULT_TOL = 1e-9
@@ -128,12 +128,12 @@ class StratifiedRegressionSummary:
         with malformed(DistributionError, "summary payload"):
             strata = tuple(
                 RegressionStratum(
-                    pi=float(lv["pi"]),
-                    alpha=float(lv["alpha"]),
-                    beta=float(lv["beta"]),
-                    mu_x=float(lv["mu_x"]),
-                    s_xx=float(lv["s_xx"]),
-                    s_yy=float(lv["s_yy"]),
+                    pi=number(lv, "pi"),
+                    alpha=number(lv, "alpha"),
+                    beta=number(lv, "beta"),
+                    mu_x=number(lv, "mu_x"),
+                    s_xx=number(lv, "s_xx"),
+                    s_yy=number(lv, "s_yy"),
                     label=_label(lv.get("label")),
                 )
                 for lv in array(payload, "levels")
@@ -142,7 +142,7 @@ class StratifiedRegressionSummary:
 
     @classmethod
     def from_json(cls, text: str) -> "StratifiedRegressionSummary":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(loads(text, DistributionError, "summary payload"))
 
 
 def _wmean(pi: np.ndarray, v: np.ndarray) -> float:

@@ -19,14 +19,13 @@ closed-form conditional ratios and quadrature marginals.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ModelError, array, malformed
+from .errors import ModelError, loads, malformed, number, numbers
 
 W_LAWS = ("std-normal", "gumbel", "logistic")
 
@@ -146,19 +145,20 @@ class SurvivalSpec:
         with malformed(ModelError, "survival spec payload"):
             eta = payload.get("eta", {})
             kt = payload.get("k_transform")
+            knots = tuple(tuple(numbers(kt, key).tolist()) for key in "tk") if kt else None
             return cls(
-                beta_x=float(payload["beta_x"]),
-                beta_y=float(payload["beta_y"]),
-                eta_mu=float(eta.get("mu", 0.0)),
-                eta_rho=float(eta.get("rho", 0.0)),
+                beta_x=number(payload, "beta_x"),
+                beta_y=number(payload, "beta_y"),
+                eta_mu=number(eta, "mu", 0.0),
+                eta_rho=number(eta, "rho", 0.0),
                 w_law=payload.get("w_law", "std-normal"),
                 v_law=payload.get("v_law", "std-normal"),
-                k_transform=(tuple(array(kt, "t")), tuple(array(kt, "k"))) if kt else None,
+                k_transform=knots,
             )
 
     @classmethod
     def from_json(cls, text: str) -> "SurvivalSpec":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(loads(text, ModelError, "survival spec payload"))
 
 
 # -- conditional quantities (closed form) -----------------------------------

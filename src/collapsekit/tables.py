@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SchemeError, TableError, array, malformed
+from .errors import SchemeError, TableError, array, loads, malformed, numbers
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_CI_TOL = 1e-9
@@ -345,18 +345,18 @@ class ContingencyTable:
     def from_json_dict(cls, payload: Mapping) -> "ContingencyTable":
         with malformed(TableError, "table payload"):
             scheme = CategoricalScheme.from_json_dict(payload)
-            return build_table(scheme, array(payload, "cells"), payload["form"])
+            return build_table(scheme, numbers(payload, "cells"), payload["form"])
 
     @classmethod
     def from_json(cls, text: str) -> "ContingencyTable":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(loads(text, TableError, "table payload"))
 
 
 def build_table(
     scheme: CategoricalScheme, cells: Sequence[float], form: str
 ) -> ContingencyTable:
     """Validate and shape a flat row-major cell list into a table."""
-    arr = np.asarray(list(cells), dtype=float)
+    arr = np.asarray(cells, dtype=float)
     if arr.size != scheme.ncells:
         raise TableError(
             f"expected {scheme.ncells} cells for shape {scheme.shape}, got {arr.size}"

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -17,12 +19,14 @@ from collapsekit.cli import (
     EXIT_DETECTED,
     EXIT_ERROR,
     EXIT_OK,
+    as_report,
     dumps_report,
     ingest_csv,
     main,
 )
-from collapsekit.errors import SchemeError, TableError
+from collapsekit.errors import DistributionError, SchemeError, TableError
 from collapsekit.loglinear import LATTICE_BUDGET
+from collapsekit.regress import summary_from_records
 from collapsekit.tables import CategoricalScheme
 
 from conftest import ci_constructed_table, random_positive_table
@@ -164,6 +168,26 @@ class TestIngestCsv:
         with pytest.raises(TableError, match="ragged row at line 3$"):
             ingest_csv(str(p))
 
+    def test_field_at_the_size_limit_is_read(self, tmp_path):
+        # the line is over csv.field_size_limit(), its fields are not
+        label = "x" * csv.field_size_limit()
+        p = tmp_path / "wide.csv"
+        p.write_text(f"a,b\n{label},y\nq,z\n")
+        assert ingest_csv(str(p)).scheme.variables == (("a", (label, "q")), ("b", ("y", "z")))
+
+    def test_nul_reads_as_csv_reader_does(self, tmp_path):
+        # csv.reader rejects NUL on Python 3.10 and reads it from 3.11 on
+        text = "a,b\nx\0,u\nz,v\n"
+        p = tmp_path / "nul.csv"
+        p.write_text(text)
+        try:
+            list(csv.reader(text.splitlines()))
+        except csv.Error as exc:
+            with pytest.raises(TableError, match=f"^malformed CSV: {exc}$"):
+                ingest_csv(str(p))
+        else:
+            assert ingest_csv(str(p)).scheme.variables == (("a", ("x\0", "z")), ("b", ("u", "v")))
+
     def test_first_unknown_level_in_row_order(self, tmp_path):
         scheme = CategoricalScheme((("a", ("x", "y")), ("b", ("u", "v"))))
         p = tmp_path / "unknown.csv"
@@ -195,7 +219,7 @@ class TestIngestCsv:
     def test_matches_a_per_row_crosstab(self, tmp_path_factory, data):
         text, scheme = data.draw(_observation_csvs())
         p = tmp_path_factory.mktemp("ingest") / "obs.csv"
-        p.write_text(text)
+        p.write_bytes(text.encode())
         names, levels, cells = _per_row_crosstab(text, scheme)
         if min(map(len, levels)) < 2:
             with pytest.raises(TableError, match="single observed level"):
@@ -209,31 +233,44 @@ class TestIngestCsv:
 # labels with commas need quoting; padding goes inside the quotes, since
 # a quote after a space is an ordinary character
 _LABELS = st.text(alphabet="xy,", min_size=1, max_size=3)
+_PLAIN_LABELS = st.text(alphabet="xy", min_size=1, max_size=3)
 _PADS = st.sampled_from(["", " ", "  "])
+_EOLS = st.sampled_from(["\n", "\r", "\r\n"])
 
 
-def _field(data, label: str) -> str:
+def _field(data, label: str, quoting: bool) -> str:
+    """``label`` padded, and quoted when it holds a comma or a line break or,
+    in a text that quotes, at random."""
     padded = data.draw(_PADS) + label + data.draw(_PADS)
-    if "," in label or data.draw(st.booleans()):
+    if any(c in label for c in ",\n") or (quoting and data.draw(st.booleans())):
         return '"' + padded + '"'
     return padded
 
 
-@st.composite
-def _observation_csvs(draw):
-    """CSV text of padded, sometimes quoted fields and blank lines, plus
-    None or a declared scheme that adds unfilled levels in a shuffled order."""
-    data = draw(st.data())
-    ncols = draw(st.integers(1, 3))
-    names = [f"c{j}" for j in range(ncols)]
-    levels = [draw(st.lists(_LABELS, min_size=1, max_size=3, unique=True)) for _ in names]
-    nrows = draw(st.integers(1, 25))
-    lines = [",".join(_field(data, n) for n in names)]
-    for _ in range(nrows):
-        row = [draw(st.sampled_from(lv)) for lv in levels]
-        lines.append(",".join(_field(data, v) for v in row))
+def _with_blank_lines(draw, lines: list[str]) -> list[str]:
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), "")
+    return lines
+
+
+@st.composite
+def _observation_csvs(draw):
+    """CSV text of padded fields and blank lines, quote-free or with some
+    fields quoted (half the texts each), whose lines end in LF, CR or CRLF,
+    plus None or a declared scheme that adds unfilled levels in a shuffled
+    order."""
+    data = draw(st.data())
+    quoting = draw(st.booleans())
+    ncols = draw(st.integers(1, 3))
+    names = [f"c{j}" for j in range(ncols)]
+    labels = _LABELS if quoting else _PLAIN_LABELS
+    levels = [draw(st.lists(labels, min_size=1, max_size=3, unique=True)) for _ in names]
+    nrows = draw(st.integers(1, 25))
+    lines = [",".join(_field(data, n, quoting) for n in names)]
+    for _ in range(nrows):
+        row = [draw(st.sampled_from(lv)) for lv in levels]
+        lines.append(",".join(_field(data, v, quoting) for v in row))
+    lines = _with_blank_lines(draw, lines)
     scheme = None
     if draw(st.booleans()):
         declared = []
@@ -242,7 +279,8 @@ def _observation_csvs(draw):
             declared.append((name, tuple(draw(st.permutations([*lv, *extra])))))
         if all(len(lv) >= 2 for _, lv in declared):
             scheme = CategoricalScheme(tuple(declared))
-    return "\n".join(lines) + "\n", scheme
+    eol = draw(_EOLS)
+    return eol.join(lines) + eol, scheme
 
 
 def _per_row_crosstab(text, scheme):
@@ -449,9 +487,32 @@ class TestExitCodes:
             message = "cell total overflows: 16 finite counts sum to inf"
         assert error["message"] == message
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["bare", "quoted"])
+    @pytest.mark.parametrize(
+        "verb, text, what",
+        [("ingest", "a,b\n{},y\nq,z\n", "CSV"), ("regress-audit", "y,x,a\n1,0,{}\n2,1,g\n", "records CSV")],
+        ids=["ingest", "regress-audit"],
+    )
+    def test_field_over_the_size_limit_is_structured(self, tmp_path, capsys, verb, text, what, quote):
+        limit = csv.field_size_limit()
+        p = tmp_path / "wide.csv"
+        p.write_text(text.format(quote + "x" * (limit + 1) + quote))
+        assert main([verb, str(p)]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["error"] == {
+            "kind": "TableError",
+            "message": f"malformed {what}: field larger than field limit ({limit})",
+        }
+
     @pytest.mark.parametrize(
         "text, line",
-        [("y,x,a\n1,0,g\n2,1,g,EXTRA\n", 3), ("y,x,a\n1,0,g\n\n2,1\n0,0,g\n", 4)],
+        [
+            ("y,x,a\n1,0,g\n2,1,g,EXTRA\n", 3),
+            ("y,x,a\n1,0,g\n\n2,1\n0,0,g\n", 4),
+            # six fields in all, as two rows of three would have
+            ("y,x,a\n1,0\n2,1,g,h\n", 2),
+        ],
     )
     def test_ragged_records_row(self, tmp_path, capsys, text, line):
         p = tmp_path / "records.csv"
@@ -616,14 +677,19 @@ MODEL = {
     "w_law": {"type": "normal", "mean_slope": 0.0},
 }
 SPEC = {"beta_x": 1.0, "beta_y": -2.0, "eta": {"mu": 0.0, "rho": 0.8}}
+STRATUM = {"pi": 0.5, "alpha": 0.0, "beta": 0.5, "mu_x": 0.0, "s_xx": 1.0, "s_yy": 1.0}
+SUMMARY = {"levels": [STRATUM, dict(STRATUM, mu_x=1.0)]}
+# a JSON integer past Python's 4,300-digit limit for int(str)
+HUGE = "1" * 5000
 
 
 class TestMalformedPayload:
     @staticmethod
     def run(tmp_path, capsys, verb, payload):
-        """Exit code and error object of ``verb`` on ``payload``; stderr stays empty."""
+        """Exit code and error object of ``verb`` on ``payload`` (or on JSON text
+        as it is); stderr stays empty."""
         p = tmp_path / "input.json"
-        p.write_text(json.dumps(payload))
+        p.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         argv = [verb, str(p)]
         if verb == "ingest":  # the payload is the --variables file
             obs = tmp_path / "obs.csv"
@@ -681,6 +747,74 @@ class TestMalformedPayload:
         assert code == EXIT_ERROR
         assert error["kind"] == kind
         assert error["message"].startswith("malformed ")
+
+    @pytest.mark.parametrize(
+        "verb, text, kind, what",
+        [
+            ("decompose", json.dumps(dict(TABLE, cells=[-7, 2, 3, 4])), "TableError", "table payload"),
+            ("ingest", json.dumps(dict(TABLE, cells=[-7])), "TableError", "variables payload"),
+            ("assoc-check", json.dumps(dict(JOINT, p=[-7] + [0.125] * 7)), "DistributionError", "joint payload"),
+            ("regress-audit", json.dumps(dict(SUMMARY, n=-7)), "DistributionError", "summary payload"),
+            ("dep-check", json.dumps(dict(MODEL, sigma=-7)), "ModelError", "model payload"),
+            ("survival-check", json.dumps(dict(SPEC, beta_x=-7)), "ModelError", "survival spec payload"),
+        ],
+        ids=["table", "variables", "joint", "summary", "model", "survival"],
+    )
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys, verb, text, kind, what):
+        # json.loads raises a plain ValueError, not a JSONDecodeError
+        code, error = self.run(tmp_path, capsys, verb, text.replace("-7", HUGE))
+        assert code == EXIT_ERROR
+        assert error["kind"] == kind
+        assert error["message"].startswith(f"malformed {what}: ")
+
+    @pytest.mark.parametrize(
+        "verb, payload, kind, message",
+        [
+            ("decompose", dict(TABLE, cells=["1", "2", "3", "4"]), "TableError", "cells must hold numbers, not str"),
+            ("decompose", dict(TABLE, cells=[1, 2, True, 4]), "TableError", "cells must hold numbers, not bool"),
+            ("decompose", dict(TABLE, cells=[[1, "2"], [3, None]]), "TableError", "cells must hold numbers, not NoneType, str"),
+            ("assoc-check", dict(JOINT, p=["0.125"] * 8), "DistributionError", "p must hold numbers, not str"),
+            (
+                "assoc-check",
+                dict(JOINT, levels=dict(JOINT["levels"], w=["0", "1"])),
+                "DistributionError",
+                "w must hold numbers, not str",
+            ),
+            (
+                "regress-audit",
+                {"levels": [dict(STRATUM, s_xx="1.0"), dict(STRATUM, mu_x=1.0)]},
+                "DistributionError",
+                "s_xx must be a number, not str",
+            ),
+            ("dep-check", dict(MODEL, alpha=["1.0", 0.5, 0.8]), "ModelError", "alpha must hold numbers, not str"),
+            ("dep-check", dict(MODEL, sigma="1"), "ModelError", "sigma must be a number, not str"),
+            (
+                "dep-check",
+                dict(MODEL, w_law={"type": "normal", "mean_slope": False}),
+                "ModelError",
+                "mean_slope must be a number, not bool",
+            ),
+            ("survival-check", dict(SPEC, beta_x="1"), "ModelError", "beta_x must be a number, not str"),
+            ("survival-check", dict(SPEC, eta={"mu": "0", "rho": 0.8}), "ModelError", "mu must be a number, not str"),
+            (
+                "survival-check",
+                dict(SPEC, k_transform={"t": [0, 1], "k": ["0", "1"]}),
+                "ModelError",
+                "k must hold numbers, not str",
+            ),
+        ],
+    )
+    def test_string_where_a_number_belongs(self, tmp_path, capsys, verb, payload, kind, message):
+        # float() and numpy's float cast used to read "1" as the number 1
+        code, error = self.run(tmp_path, capsys, verb, payload)
+        assert code == EXIT_ERROR
+        assert error["kind"] == kind
+        assert error["message"].endswith(message)
+
+    def test_nested_cells_are_read(self, tmp_path, capsys):
+        flat = self.run(tmp_path, capsys, "decompose", TABLE)
+        nested = self.run(tmp_path, capsys, "decompose", dict(TABLE, cells=[[1, 2], [3, 4]]))
+        assert flat == nested == (EXIT_OK, None)
 
 
 class TestPipedInput:
@@ -761,6 +895,57 @@ class TestReportsAreValidJson:
         p.write_text(text)
         assert main([verb, str(p)]) == EXIT_ERROR
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == kind
+
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(-1e3, 1e3, allow_nan=False).map(repr),
+)
+
+
+@st.composite
+def _records_csvs(draw):
+    """A records CSV of padded fields and blank lines, quote-free or with some
+    fields quoted (half the texts each), whose lines end in LF, CR or CRLF.
+    Its strata may hold a single x value, and it may have no records."""
+    data = draw(st.data())
+    quoting = draw(st.booleans())
+    labels = ["g", "h", "g,h", "g\nh"] if quoting else ["g", "h"]
+    lines = [",".join(_field(data, name, quoting) for name in "yxa")]
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(_NUMBERS), draw(_NUMBERS), draw(st.sampled_from(labels))]
+        lines.append(",".join(_field(data, v, quoting) for v in row))
+    eol = draw(_EOLS)
+    return eol.join(_with_blank_lines(draw, lines)) + eol
+
+
+def _per_row_summary(text):
+    """The report of ``text``'s summary, read one csv.reader row at a time."""
+    rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r][1:]
+    y = [float(r[0]) for r in rows]
+    x = [float(r[1]) for r in rows]
+    return dumps_report(as_report(summary_from_records(y, x, [r[2].strip() for r in rows])))
+
+
+class TestRecordsCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(text=_records_csvs())
+    def test_matches_a_per_row_reader(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("records") / "records.csv"
+        p.write_bytes(text.encode())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["regress-audit", str(p)])
+        report = json.loads(out.getvalue())
+        try:
+            expected = _per_row_summary(text)
+        except DistributionError as exc:
+            assert code == EXIT_ERROR
+            assert report["error"] == {"kind": "DistributionError", "message": str(exc)}
+        else:
+            assert code in (EXIT_OK, EXIT_DETECTED)
+            # .17g floats round-trip, so equal text is equal bits
+            assert dumps_report(report["verdict"]["summary"]) == expected
 
 
 class TestByteOrderMark:

@@ -1,10 +1,12 @@
-"""Every JSON reader turns a payload of the wrong shape into its own error.
+"""Every reader turns an input of the wrong shape into its own error.
 
-Each property starts from a valid payload and replaces one to three of its
-values, at any depth (the whole payload included), by any JSON value:
-strings, numbers, null, booleans, nested arrays and objects.  A reader may
-accept what it gets or raise a ``CollapsekitError``; anything else
-escaping would end a CLI call in a traceback.
+Each JSON property starts from a valid payload and replaces one to three of
+its values, at any depth (the whole payload included), by any JSON value:
+strings, numbers, null, booleans, nested arrays and objects.  The CSV
+properties read arbitrary text over the characters the CSV format gives a
+meaning to.  A reader may accept what it gets or raise a
+``CollapsekitError``; anything else escaping would end a CLI call in a
+traceback.
 """
 
 import copy
@@ -14,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsekit.assoc import FiniteJoint
+from collapsekit.cli import ingest_csv, read_records
 from collapsekit.depfun import model_from_json_dict
 from collapsekit.errors import CollapsekitError
-from collapsekit.regress import StratifiedRegressionSummary
+from collapsekit.regress import StratifiedRegressionSummary, summary_from_records
 from collapsekit.survival import SurvivalSpec
 from collapsekit.tables import CategoricalScheme, ContingencyTable
 
@@ -105,5 +108,26 @@ def test_only_collapsekit_errors_escape(name, data):
     payload = _swapped(valid, data.draw(st.lists(swap, min_size=1, max_size=3), label="swaps"))
     try:
         reader(payload)
+    except CollapsekitError:
+        pass
+
+
+# the separator, the quote, the line ends, padding and NUL, plus characters
+# that make names, levels and numbers
+CSV_TEXT = st.text(alphabet=',"\r\n \x00xy1.', max_size=40)
+CSV_READERS = {
+    "observations": ingest_csv,
+    "records": lambda path: summary_from_records(*read_records(path)),
+}
+
+
+@pytest.mark.parametrize("name", CSV_READERS)
+@settings(max_examples=100, deadline=None)
+@given(head=st.sampled_from(["", "y,x,a\n", "a,b\n"]), text=CSV_TEXT)
+def test_only_collapsekit_errors_escape_a_csv_reader(tmp_path_factory, name, head, text):
+    p = tmp_path_factory.mktemp("csv") / "input.csv"
+    p.write_bytes((head + text).encode())
+    try:
+        CSV_READERS[name](str(p))
     except CollapsekitError:
         pass
