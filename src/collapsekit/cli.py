@@ -9,6 +9,13 @@ significant digits, so identical inputs and options produce byte-identical
 output.  Each verb returns its verdict; ``main`` alone wraps it in the
 report envelope, emits it and maps it to an exit code.
 
+``VERBS`` is the CLI: one row per verb holds its handler, its help, its
+``--tol`` default (the library's constant, or None for no ``--tol``) and its
+own options as (flag, ``add_argument`` keywords), and ``build_parser`` is
+one loop over the rows.  Rows hold the ``_cmd_*`` handlers, never library
+functions: a handler looks its library calls up by module-level name when it
+runs, so a wrapper swapped in for a module attribute sees every call.
+
 ``dep-check`` and ``survival-check`` import their modules inside the verb:
 those modules load scipy, which the other verbs never need.
 """
@@ -31,11 +38,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, assoc, regress
 from .assoc import FiniteJoint, detect_assoc_reversal, double_linkage, holds_relation
 from .collapse import check_collapsibility, check_strict_collapsibility
 from .errors import CollapsekitError, SchemeError, TableError, loads, malformed
-from .loglinear import LATTICE_BUDGET, decompose, is_hierarchical
+from .loglinear import DEFAULT_TAU_TOL, LATTICE_BUDGET, decompose, is_hierarchical
 from .paradox import StratumScan, cornfield, detect_reversal, scan_strata
 from .regress import (
     StratifiedRegressionSummary,
@@ -43,7 +50,7 @@ from .regress import (
     check_parallel_collapsibility,
     summary_from_records,
 )
-from .tables import CategoricalScheme, ContingencyTable, build_table
+from .tables import CategoricalScheme, ContingencyTable
 
 MAX_CSV_VARIABLES = 20
 
@@ -295,17 +302,26 @@ def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> Contingenc
     return ContingencyTable(scheme, cells.reshape(scheme.shape), "counts")
 
 
+def _text(path: str) -> str:
+    return _read_bytes(path).decode("utf-8")
+
+
 def _load_scheme(path: str | None) -> CategoricalScheme | None:
     if path is None:
         return None
-    text = _read_bytes(path).decode("utf-8")
-    return CategoricalScheme.from_json_dict(loads(text, TableError, "variables payload"))
+    return CategoricalScheme.from_json_dict(loads(_text(path), TableError, "variables payload"))
 
 
 def _load_table(path: str, variables: str | None = None) -> ContingencyTable:
     if path.endswith(".csv"):
         return ingest_csv(path, scheme=_load_scheme(variables))
-    return ContingencyTable.from_json(_read_bytes(path).decode("utf-8"))
+    return ContingencyTable.from_json(_text(path))
+
+
+def _probabilities(args) -> ContingencyTable:
+    """The input table; a counts table is normalized with ``--smoothing``."""
+    table = _load_table(args.input)
+    return table.normalize(smoothing=args.smoothing) if table.form == "counts" else table
 
 
 def _parse_event(text: str) -> tuple[str, str]:
@@ -323,8 +339,19 @@ def _parse_subset(text: str) -> tuple["str | int", ...]:
     return tuple(int(p) if p.isdigit() else p for p in parts)
 
 
+def _subset_names(scheme: CategoricalScheme, text: str) -> tuple[str, ...]:
+    return scheme.subset_names(scheme.resolve_subset(_parse_subset(text)))
+
+
+def _plain(text: str) -> bool:
+    """No digit-group ``_`` and nothing outside ASCII, such as a full-width
+    digit: ``float`` reads both, a CSV number holds neither."""
+    return text.isascii() and "_" not in text
+
+
 def read_records(path: str) -> tuple[list[float], list[float], list[str]]:
-    """The y, x and stripped a columns of a records CSV with header y,x,a."""
+    """The y, x and stripped a columns of a records CSV with header y,x,a;
+    y and x must be ``_plain``, the labels may hold any text."""
     lines, by_line = _csv_lines(path)
     with malformed(TableError, "records CSV", csv.Error):
         if by_line:
@@ -344,6 +371,12 @@ def read_records(path: str) -> tuple[list[float], list[float], list[str]]:
             raise TableError("records CSV must have header y,x,a")
         if ragged:
             raise TableError(f"ragged row at line {_ragged_line(lines, 3)}")
+        # one scan of the text settles the common case; a label may hold
+        # "_" or non-ASCII text, so only then are y and x looked at alone
+        if not _plain("".join(lines)):
+            for i, field in enumerate(fields):
+                if i % 3 < 2 and not _plain(field):
+                    raise ValueError(f"y and x must be ASCII numbers without '_', not {field!r}")
         y = list(map(float, fields[0::3]))
         x = list(map(float, fields[1::3]))
     return y, x, list(map(str.strip, fields[2::3]))
@@ -378,10 +411,7 @@ def _cmd_scan_paradox(args):
 
 
 def _cmd_decompose(args):
-    table = _load_table(args.input)
-    if table.form == "counts":
-        table = table.normalize(smoothing=args.smoothing)
-    dec = decompose(table)
+    dec = decompose(_probabilities(args))
     hier = is_hierarchical(dec, tol=args.tol)
     verdict = dec.to_json_dict()
     verdict["hierarchical"] = hier.hierarchical
@@ -391,60 +421,38 @@ def _cmd_decompose(args):
     return verdict, False, None
 
 
+# the keys both collapse-check forms report; each form adds its own
+_COLLAPSE_KEYS = ("target", "margin", "collapsible", "strict", "max_residual", "direct_gap", "tol")
+
+
 def _cmd_collapse_check(args):
-    table = _load_table(args.input)
-    if table.form == "counts":
-        table = table.normalize(smoothing=args.smoothing)
-    target = table.scheme.subset_names(
-        table.scheme.resolve_subset(_parse_subset(args.target))
-    )
+    table = _probabilities(args)
+    target = _subset_names(table.scheme, args.target)
     if args.strict:
-        given = (
-            table.scheme.subset_names(
-                table.scheme.resolve_subset(_parse_subset(args.given))
-            )
-            if args.given
-            else ()
-        )
-        collapsed = tuple(
-            n for n in table.scheme.names if n not in set(target) | set(given)
-        )
-        v = check_strict_collapsibility(
-            table, target, given, collapsed, tol=args.tol
-        )
-        verdict = {
-            "target": list(v.target),
-            "margin": list(v.margin),
-            "collapsible": v.collapsible,
-            "strict": v.strict,
-            "max_residual": v.max_residual,
-            "direct_gap": v.direct_gap,
+        given = _subset_names(table.scheme, args.given) if args.given else ()
+        collapsed = tuple(n for n in table.scheme.names if n not in set(target) | set(given))
+        v = check_strict_collapsibility(table, target, given, collapsed, tol=args.tol)
+        own = {
             "zero_set_max": v.zero_set_max,
             "interaction_zero_ok": v.interaction_zero_ok,
-            "ci_holds": v.ci.holds if v.ci else None,
-            "ci_max_deviation": v.ci.max_deviation if v.ci else None,
-            "tol": v.tol,
+            "ci_holds": v.ci.holds,
+            "ci_max_deviation": v.ci.max_deviation,
         }
-        return verdict, not v.strict, None
-    if not args.margin:
-        raise SchemeError("--margin is required without --strict")
-    v = check_collapsibility(table, target, _parse_subset(args.margin), tol=args.tol)
-    verdict = {
-        "target": list(v.target),
-        "margin": list(v.margin),
-        "collapsible": v.collapsible,
-        "strict": None,
-        "max_residual": v.max_residual,
-        "direct_gap": v.direct_gap,
-        "tau_full": v.tau_full.reshape(-1).tolist(),
-        "eta_marginal": v.eta_marginal.reshape(-1).tolist(),
-        "tol": v.tol,
-    }
-    return verdict, not v.collapsible, None
+        detected = not v.strict
+    else:
+        if not args.margin:
+            raise SchemeError("--margin is required without --strict")
+        v = check_collapsibility(table, target, _parse_subset(args.margin), tol=args.tol)
+        own = {
+            "tau_full": v.tau_full.reshape(-1).tolist(),
+            "eta_marginal": v.eta_marginal.reshape(-1).tolist(),
+        }
+        detected = not v.collapsible
+    return {**{k: as_report(getattr(v, k)) for k in _COLLAPSE_KEYS}, **own}, detected, None
 
 
 def _cmd_assoc_check(args):
-    joint = FiniteJoint.from_json(_read_bytes(args.input).decode("utf-8"))
+    joint = FiniteJoint.from_json(_text(args.input))
     rep = detect_assoc_reversal(joint, args.relation, tol=args.tol)
     verdict = {
         "relation": args.relation,
@@ -460,26 +468,21 @@ def _cmd_regress_audit(args):
     if args.input.endswith(".csv"):
         summary = summary_from_records(*read_records(args.input))
     else:
-        summary = StratifiedRegressionSummary.from_json(
-            _read_bytes(args.input).decode("utf-8")
-        )
+        summary = StratifiedRegressionSummary.from_json(_text(args.input))
     betas = [s.beta for s in summary.strata]
     mode = args.mode
     if mode == "auto":
         mode = "parallel" if max(betas) - min(betas) <= 1e-12 else "average"
-    if mode == "parallel":
-        v = check_parallel_collapsibility(summary, tol=args.tol)
-        detected = not v.collapsible
-    else:
-        v = check_a_collapsibility(summary, tol=args.tol)
-        detected = not v.a_collapsible
-    return dict(as_report(v), summary=as_report(summary)), detected, None
+    check = check_parallel_collapsibility if mode == "parallel" else check_a_collapsibility
+    v = check(summary, tol=args.tol)
+    # a parallel verdict's a_collapsible is its collapsible
+    return dict(as_report(v), summary=as_report(summary)), not v.a_collapsible, None
 
 
 def _cmd_dep_check(args):
     from .depfun import check_avg_collapsibility, check_homogeneity, model_from_json
 
-    model = model_from_json(_read_bytes(args.input).decode("utf-8"))
+    model = model_from_json(_text(args.input))
     v = check_avg_collapsibility(model, tol=args.tol)
     h = check_homogeneity(model, tol=args.tol)
     verdict = {
@@ -496,7 +499,7 @@ def _cmd_dep_check(args):
 def _cmd_survival_check(args):
     from .survival import SurvivalSpec, check_condition, verify_numeric
 
-    spec = SurvivalSpec.from_json(_read_bytes(args.input).decode("utf-8"))
+    spec = SurvivalSpec.from_json(_text(args.input))
     v = verify_numeric(spec) if args.numeric else check_condition(spec)
     return v, v.condition, None
 
@@ -512,6 +515,43 @@ def _tolerance(text: str) -> float:
     return value
 
 
+_SMOOTHING = ("--smoothing", dict(type=float, default=None, help="additive smoothing for zero count cells"))
+_VARIABLES = ("--variables", dict(help="JSON file declaring variables and levels (CSV input)"))
+
+# dep-check's --tol default is depfun.DEFAULT_TOL: importing depfun loads scipy
+VERBS = (
+    ("ingest", _cmd_ingest, "cross-tabulate a CSV of observations", None, [_VARIABLES]),
+    ("scan-paradox", _cmd_scan_paradox, "event-level reversal scan (exit 2 on reversal)", None, [
+        _VARIABLES,
+        ("--response", dict(required=True, metavar="VAR=LEVEL")),
+        ("--exposure", dict(required=True, metavar="VAR=LEVEL")),
+        ("--covariate", dict(help="restrict the scan to one covariate variable")),
+        ("--cornfield", dict(
+            metavar="VAR=LEVEL", help="also report effect-size diagnostics for this confounder event"
+        )),
+    ]),
+    ("decompose", _cmd_decompose, "saturated log-linear interaction parameters", DEFAULT_TAU_TOL, [_SMOOTHING]),
+    ("collapse-check", _cmd_collapse_check, "collapsibility onto a margin (exit 2 when not collapsible)",
+     DEFAULT_TAU_TOL, [
+        ("--target", dict(required=True, help="comma-separated target variables")),
+        ("--margin", dict(help="comma-separated margin variables (plain check)")),
+        ("--strict", dict(action="store_true", help="strict collapsibility over the complement")),
+        ("--given", dict(help="conditioning variables for --strict (may be empty)")),
+        _SMOOTHING,
+    ]),
+    ("assoc-check", _cmd_assoc_check, "association relation and reversal report", assoc.DEFAULT_TOL, [
+        ("--relation", dict(choices=("r1", "r2", "r3", "r4"), default="r4")),
+    ]),
+    ("regress-audit", _cmd_regress_audit, "regression collapsibility audit", regress.DEFAULT_TOL, [
+        ("--mode", dict(choices=("auto", "parallel", "average"), default="auto")),
+    ]),
+    ("dep-check", _cmd_dep_check, "dependence-function average collapsibility", 1e-6, []),
+    ("survival-check", _cmd_survival_check, "survival reversal condition (exit 2 when predicted)", None, [
+        ("--numeric", dict(action="store_true", help="also verify on the probe grid")),
+    ]),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collapsekit",
@@ -519,69 +559,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, tol_default=None, tol_help="decision tolerance"):
+    for verb, fn, about, tol, options in VERBS:
+        p = sub.add_parser(verb, help=about)
         p.add_argument("input", help="input file (JSON; CSV where noted)")
-        p.add_argument(
-            "--format", choices=("json", "md"), default="json", help="output format"
-        )
-        if tol_default is not None:
-            p.add_argument(
-                "--tol", type=_tolerance, default=tol_default, help=f"{tol_help} (default {tol_default})"
-            )
-
-    p = sub.add_parser("ingest", help="cross-tabulate a CSV of observations")
-    common(p)
-    p.add_argument("--variables", help="JSON file declaring variables and levels")
-    p.set_defaults(fn=_cmd_ingest)
-
-    p = sub.add_parser("scan-paradox", help="event-level reversal scan (exit 2 on reversal)")
-    common(p)
-    p.add_argument("--variables", help="JSON file declaring variables and levels (CSV input)")
-    p.add_argument("--response", required=True, metavar="VAR=LEVEL")
-    p.add_argument("--exposure", required=True, metavar="VAR=LEVEL")
-    p.add_argument("--covariate", help="restrict the scan to one covariate variable")
-    p.add_argument(
-        "--cornfield", metavar="VAR=LEVEL", help="also report effect-size diagnostics for this confounder event"
-    )
-    p.set_defaults(fn=_cmd_scan_paradox)
-
-    p = sub.add_parser("decompose", help="saturated log-linear interaction parameters")
-    common(p, tol_default=1e-8, tol_help="zero-interaction tolerance")
-    p.add_argument(
-        "--smoothing", type=float, default=None, help="additive smoothing for zero count cells"
-    )
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser(
-        "collapse-check", help="collapsibility onto a margin (exit 2 when not collapsible)"
-    )
-    common(p, tol_default=1e-8)
-    p.add_argument("--target", required=True, help="comma-separated target variables")
-    p.add_argument("--margin", help="comma-separated margin variables (plain check)")
-    p.add_argument("--strict", action="store_true", help="strict collapsibility over the complement")
-    p.add_argument("--given", help="conditioning variables for --strict (may be empty)")
-    p.add_argument("--smoothing", type=float, default=None)
-    p.set_defaults(fn=_cmd_collapse_check)
-
-    p = sub.add_parser("assoc-check", help="association relation and reversal report")
-    common(p, tol_default=1e-9)
-    p.add_argument("--relation", choices=("r1", "r2", "r3", "r4"), default="r4")
-    p.set_defaults(fn=_cmd_assoc_check)
-
-    p = sub.add_parser("regress-audit", help="regression collapsibility audit")
-    common(p, tol_default=1e-9)
-    p.add_argument("--mode", choices=("auto", "parallel", "average"), default="auto")
-    p.set_defaults(fn=_cmd_regress_audit)
-
-    p = sub.add_parser("dep-check", help="dependence-function average collapsibility")
-    common(p, tol_default=1e-6)
-    p.set_defaults(fn=_cmd_dep_check)
-
-    p = sub.add_parser("survival-check", help="survival reversal condition (exit 2 when predicted)")
-    common(p)
-    p.add_argument("--numeric", action="store_true", help="also verify on the probe grid")
-    p.set_defaults(fn=_cmd_survival_check)
+        p.add_argument("--format", choices=("json", "md"), default="json", help="output format")
+        if tol is not None:
+            p.add_argument("--tol", type=_tolerance, default=tol, help=f"decision tolerance (default {tol})")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -94,14 +94,8 @@ class StratifiedRegressionSummary:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {
-            "pi": np.array([s.pi for s in self.strata]),
-            "alpha": np.array([s.alpha for s in self.strata]),
-            "beta": np.array([s.beta for s in self.strata]),
-            "mu_x": np.array([s.mu_x for s in self.strata]),
-            "mu_y": np.array([s.mu_y for s in self.strata]),
-            "s_xx": np.array([s.s_xx for s in self.strata]),
-            "s_yy": np.array([s.s_yy for s in self.strata]),
-            "s_yx": np.array([s.s_yx for s in self.strata]),
+            k: np.array([getattr(s, k) for s in self.strata])
+            for k in ("pi", "alpha", "beta", "mu_x", "mu_y", "s_xx", "s_yy", "s_yx")
         }
 
     def to_json_dict(self) -> dict:
@@ -153,25 +147,20 @@ def _wcov(pi: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     return _wmean(pi, u * v) - _wmean(pi, u) * _wmean(pi, v)
 
 
-def _marginal_var_x(a: dict[str, np.ndarray]) -> float:
-    """Var(X) = E[s_xx] + Var(mu_x), the denominator of the marginal slope."""
-    den = _wmean(a["pi"], a["s_xx"]) + _wcov(a["pi"], a["mu_x"], a["mu_x"])
-    if den <= 0.0:
+def _marginal_line(a: dict[str, np.ndarray]) -> tuple[float, float, float]:
+    """Marginal slope, intercept and Var(X) = E[s_xx] + Var(mu_x), the
+    slope's denominator, from the stratum arrays."""
+    pi = a["pi"]
+    var_x = _wmean(pi, a["s_xx"]) + _wcov(pi, a["mu_x"], a["mu_x"])
+    if var_x <= 0.0:
         raise DistributionError("marginal variance of X is not positive")
-    return den
+    beta = (_wmean(pi, a["s_yx"]) + _wcov(pi, a["mu_y"], a["mu_x"])) / var_x
+    return beta, _wmean(pi, a["mu_y"]) - beta * _wmean(pi, a["mu_x"]), var_x
 
 
 def marginal_beta(summary: StratifiedRegressionSummary) -> float:
     """Marginal least-squares slope implied by the per-stratum moments."""
-    a = summary.arrays()
-    num = _wmean(a["pi"], a["s_yx"]) + _wcov(a["pi"], a["mu_y"], a["mu_x"])
-    return num / _marginal_var_x(a)
-
-
-def marginal_alpha(summary: StratifiedRegressionSummary) -> float:
-    """Marginal intercept: overall mean of Y minus marginal slope times mean of X."""
-    a = summary.arrays()
-    return _wmean(a["pi"], a["mu_y"]) - marginal_beta(summary) * _wmean(a["pi"], a["mu_x"])
+    return _marginal_line(summary.arrays())[0]
 
 
 @dataclass(frozen=True)
@@ -202,7 +191,7 @@ class RegressVerdict:
 
 def _decide(
     mode: str,
-    summary: StratifiedRegressionSummary,
+    a: dict[str, np.ndarray],
     lhs: float,
     rhs: float,
     reference: float,
@@ -214,8 +203,8 @@ def _decide(
     route two compares the marginal slope with ``reference`` directly.  A
     disagreement raises RouteDisagreementError.
     """
-    beta_marg = marginal_beta(summary)
-    scaled = abs(lhs - rhs) / _marginal_var_x(summary.arrays())
+    beta_marg, alpha_marg, var_x = _marginal_line(a)
+    scaled = abs(lhs - rhs) / var_x
     by_identity = scaled <= tol
     if by_identity != (abs(beta_marg - reference) <= tol):
         raise RouteDisagreementError(
@@ -225,7 +214,7 @@ def _decide(
     return RegressVerdict(
         mode=mode,
         beta_marginal=beta_marg,
-        alpha_marginal=marginal_alpha(summary),
+        alpha_marginal=alpha_marg,
         beta_reference=reference,
         collapsible=by_identity if mode == "parallel" else None,
         a_collapsible=by_identity,
@@ -250,7 +239,7 @@ def check_parallel_collapsibility(
     beta = float(a["beta"][0])
     if np.max(np.abs(a["beta"] - beta)) > 1e-12:
         raise DistributionError("strata have different slopes; not a parallel summary")
-    return _decide("parallel", summary, _wcov(a["pi"], a["alpha"], a["mu_x"]), 0.0, beta, tol)
+    return _decide("parallel", a, _wcov(a["pi"], a["alpha"], a["mu_x"]), 0.0, beta, tol)
 
 
 def check_a_collapsibility(
@@ -267,7 +256,7 @@ def check_a_collapsibility(
     e_beta = _wmean(a["pi"], a["beta"])
     lhs = e_beta * _wcov(a["pi"], a["mu_x"], a["mu_x"])
     rhs = _wcov(a["pi"], a["beta"], a["s_xx"]) + _wcov(a["pi"], a["mu_y"], a["mu_x"])
-    return _decide("average", summary, lhs, rhs, e_beta, tol)
+    return _decide("average", a, lhs, rhs, e_beta, tol)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -20,6 +21,7 @@ from collapsekit.cli import (
     EXIT_ERROR,
     EXIT_OK,
     as_report,
+    build_parser,
     dumps_report,
     ingest_csv,
     main,
@@ -419,6 +421,9 @@ class TestExitCodes:
             ),
             ("records.csv", "y,x,a\n1,0,u\nnan,1,u\n0,0,v\n1,1,v\n"),
             ("records.csv", "y,x,a\n1,0,u\ninf,1,u\n0,0,v\n1,1,v\n"),
+            # the csv.reader path, and a number past the ASCII check
+            ("records.csv", 'y,x,a\n1,0,"u"\n"nan",1,u\n0,0,v\n1,1,v\n'),
+            ("records.csv", 'y,x,a\n1,0,"u"\n2,-Infinity,u\n0,0,v\n1,1,v\n'),
         ],
     )
     def test_non_finite_regression_input_is_structured(self, tmp_path, capsys, name, text):
@@ -848,6 +853,94 @@ class TestToleranceOption:
         assert json.loads(capsys.readouterr().out)["verb"] == verb.split()[0]
 
 
+_HELP = (("-h", "--help"), "_HelpAction", argparse.SUPPRESS, None, False, None, None)
+_INPUT = ((), "_StoreAction", None, None, True, None, None)
+_FORMAT = (("--format",), "_StoreAction", "json", ("json", "md"), False, None, None)
+_VARIABLES = (("--variables",), "_StoreAction", None, None, False, None, None)
+_SMOOTHING = (("--smoothing",), "_StoreAction", None, None, False, None, "float")
+_EVENT = "VAR=LEVEL"
+
+
+def _tol(default):
+    return (("--tol",), "_StoreAction", default, None, False, None, "_tolerance")
+
+
+# every verb's arguments in --help order: option strings, action, default,
+# choices, required, metavar and type
+PARSER_SPEC = {
+    "ingest": [_HELP, _INPUT, _FORMAT, _VARIABLES],
+    "scan-paradox": [
+        _HELP, _INPUT, _FORMAT, _VARIABLES,
+        (("--response",), "_StoreAction", None, None, True, _EVENT, None),
+        (("--exposure",), "_StoreAction", None, None, True, _EVENT, None),
+        (("--covariate",), "_StoreAction", None, None, False, None, None),
+        (("--cornfield",), "_StoreAction", None, None, False, _EVENT, None),
+    ],
+    "decompose": [_HELP, _INPUT, _FORMAT, _tol(1e-8), _SMOOTHING],
+    "collapse-check": [
+        _HELP, _INPUT, _FORMAT, _tol(1e-8),
+        (("--target",), "_StoreAction", None, None, True, None, None),
+        (("--margin",), "_StoreAction", None, None, False, None, None),
+        (("--strict",), "_StoreTrueAction", False, None, False, None, None),
+        (("--given",), "_StoreAction", None, None, False, None, None),
+        _SMOOTHING,
+    ],
+    "assoc-check": [
+        _HELP, _INPUT, _FORMAT, _tol(1e-9),
+        (("--relation",), "_StoreAction", "r4", ("r1", "r2", "r3", "r4"), False, None, None),
+    ],
+    "regress-audit": [
+        _HELP, _INPUT, _FORMAT, _tol(1e-9),
+        (("--mode",), "_StoreAction", "auto", ("auto", "parallel", "average"), False, None, None),
+    ],
+    "dep-check": [_HELP, _INPUT, _FORMAT, _tol(1e-6)],
+    "survival-check": [
+        _HELP, _INPUT, _FORMAT,
+        (("--numeric",), "_StoreTrueAction", False, None, False, None, None),
+    ],
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestParser:
+    def test_every_verb_takes_the_pinned_arguments(self):
+        verbs = _subparsers()
+        assert list(verbs) == list(PARSER_SPEC)
+        for verb, p in verbs.items():
+            got = [
+                (
+                    tuple(a.option_strings),
+                    type(a).__name__,
+                    a.default,
+                    None if a.choices is None else tuple(a.choices),
+                    a.required,
+                    a.metavar,
+                    None if a.type is None else a.type.__name__,
+                )
+                for a in p._actions
+            ]
+            assert got == PARSER_SPEC[verb], verb
+            assert p.get_default("fn").__name__ == "_cmd_" + verb.replace("-", "_")
+
+    def test_tol_defaults_are_the_library_constants(self):
+        from collapsekit import assoc, depfun, loglinear, regress
+
+        library = {
+            "decompose": loglinear.DEFAULT_TAU_TOL,
+            "collapse-check": loglinear.DEFAULT_TAU_TOL,
+            "assoc-check": assoc.DEFAULT_TOL,
+            "regress-audit": regress.DEFAULT_TOL,
+            "dep-check": depfun.DEFAULT_TOL,
+        }
+        defaults = {verb: p.get_default("tol") for verb, p in _subparsers().items()}
+        assert {v: d for v, d in defaults.items() if d is not None} == library
+
+
 class TestReportsAreValidJson:
     def test_control_character_in_name_is_escaped(self, tmp_path, capsys):
         p = tmp_path / "table.json"
@@ -946,6 +1039,52 @@ class TestRecordsCsv:
             assert code in (EXIT_OK, EXIT_DETECTED)
             # .17g floats round-trip, so equal text is equal bits
             assert dumps_report(report["verdict"]["summary"]) == expected
+
+
+def _records_text(cells, quote):
+    """A two-stratum records CSV whose second row holds ``cells``, every
+    field wrapped in ``quote`` (the csv.reader path when it is ``"``)."""
+    rows = [["y", "x", "a"], ["1", "0", "u"], cells, ["0", "0", "v"], ["3", "1", "v"]]
+    return "".join(",".join(quote + f + quote for f in row) + "\n" for row in rows)
+
+
+class TestRecordsNumbers:
+    def run(self, tmp_path, capsys, text):
+        p = tmp_path / "records.csv"
+        p.write_bytes(text.encode())
+        code = main(["regress-audit", str(p)])
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, json.loads(out)
+
+    # float() reads each of these; a CSV number is ASCII without "_"
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["by-line", "csv-reader"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["y", "x"])
+    @pytest.mark.parametrize("cell", ["1_0", "\uff11", "\u0661", "1\u2007", "\u00a01"])
+    def test_number_outside_ascii_or_with_underscore_is_malformed(
+        self, tmp_path, capsys, cell, column, quote
+    ):
+        cells = ["2", "1", "u"]
+        cells[column] = cell
+        code, report = self.run(tmp_path, capsys, _records_text(cells, quote))
+        assert code == EXIT_ERROR
+        assert report["error"] == {
+            "kind": "TableError",
+            "message": f"malformed records CSV: y and x must be ASCII numbers without '_', not {cell!r}",
+        }
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["by-line", "csv-reader"])
+    @pytest.mark.parametrize("label", ["u_1", "\u00fc", "\uff11"])
+    def test_label_may_hold_any_text(self, tmp_path, capsys, label, quote):
+        text = _records_text(["2", "1", "u"], quote).replace("u", label)
+        code, report = self.run(tmp_path, capsys, text)
+        assert code in (EXIT_OK, EXIT_DETECTED)
+        assert [lv["label"] for lv in report["verdict"]["summary"]["levels"]] == [label, "v"]
+
+    def test_plain_numbers_read_as_float_does(self, tmp_path, capsys):
+        code, report = self.run(tmp_path, capsys, "y,x,a\n 1e0 ,0.,u\n+2,1,u\n0,-0,v\n3,.1E1,v\n")
+        assert code in (EXIT_OK, EXIT_DETECTED)
+        assert [lv["mu_x"] for lv in report["verdict"]["summary"]["levels"]] == [0.5, 0.5]
 
 
 class TestByteOrderMark:
