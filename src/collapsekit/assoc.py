@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DistributionError, ModelError, loads, malformed, numbers
-from .tables import PROB_SUM_TOL, ci_deviation
+from .tables import ci_deviation, probabilities
 
 RELATIONS = ("r1", "r2", "r3", "r4")
 
@@ -44,23 +44,6 @@ def _check_levels(levels: Sequence[float], name: str) -> tuple[float, ...]:
     return arr
 
 
-def _check_joint(p: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Read-only float copy of ``p``: finite, strictly positive, summing to 1."""
-    arr = np.array(p, dtype=float)
-    if arr.shape != shape:
-        raise DistributionError(
-            f"probability array shape {arr.shape} does not match supports {shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise DistributionError("probabilities must be finite")
-    if np.any(arr <= 0.0):
-        raise DistributionError("probabilities must be strictly positive")
-    if abs(float(arr.sum()) - 1.0) > PROB_SUM_TOL:
-        raise DistributionError("probabilities must sum to 1")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class BivariateJoint:
     """Positive finite joint distribution of (Y, X); p is indexed [y, x]."""
@@ -73,7 +56,7 @@ class BivariateJoint:
         object.__setattr__(self, "y_levels", _check_levels(self.y_levels, "Y"))
         object.__setattr__(self, "x_levels", _check_levels(self.x_levels, "X"))
         shape = (len(self.y_levels), len(self.x_levels))
-        object.__setattr__(self, "p", _check_joint(self.p, shape))
+        object.__setattr__(self, "p", probabilities(self.p, DistributionError, "joint", shape))
 
     def swapped(self) -> "BivariateJoint":
         return BivariateJoint(self.x_levels, self.y_levels, self.p.T)
@@ -93,7 +76,7 @@ class FiniteJoint:
         object.__setattr__(self, "x_levels", _check_levels(self.x_levels, "X"))
         object.__setattr__(self, "w_levels", _check_levels(self.w_levels, "W"))
         shape = (len(self.y_levels), len(self.x_levels), len(self.w_levels))
-        object.__setattr__(self, "p", _check_joint(self.p, shape))
+        object.__setattr__(self, "p", probabilities(self.p, DistributionError, "joint", shape))
 
     def marginal_yx(self) -> BivariateJoint:
         return BivariateJoint(self.y_levels, self.x_levels, self.p.sum(axis=2))
@@ -144,8 +127,11 @@ def _r1_steps(b: BivariateJoint) -> np.ndarray:
 
 def _r2_steps(b: BivariateJoint) -> np.ndarray:
     p_x = b.p.sum(axis=0)
-    means = (np.asarray(b.y_levels)[:, None] * b.p).sum(axis=0) / p_x
-    return np.diff(means)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff((np.asarray(b.y_levels)[:, None] * b.p).sum(axis=0) / p_x)
+    if not np.all(np.isfinite(steps)):
+        raise DistributionError("E(Y | X) steps overflow on these support points")
+    return steps
 
 
 def _r3_cells(b: BivariateJoint) -> np.ndarray:
@@ -160,10 +146,14 @@ def covariance(dist: "FiniteJoint | BivariateJoint") -> float:
     b = _as_bivariate(dist)
     y = np.asarray(b.y_levels)[:, None]
     x = np.asarray(b.x_levels)[None, :]
-    exy = float((y * x * b.p).sum())
-    ey = float((y * b.p).sum())
-    ex = float((x * b.p).sum())
-    return exy - ey * ex
+    with np.errstate(over="ignore", invalid="ignore"):
+        exy = float((y * x * b.p).sum())
+        ey = float((y * b.p).sum())
+        ex = float((x * b.p).sum())
+    cov = exy - ey * ex
+    if not math.isfinite(cov):
+        raise DistributionError("Cov(X, Y) overflows on these support points")
+    return cov
 
 
 def holds_relation(

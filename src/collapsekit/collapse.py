@@ -12,25 +12,28 @@ are always computed and compared:
 
 Both routes are ``loglinear.mobius`` applied to ln p, to ln p_B and to d,
 asked only for the interactions a verdict compares or reports; neither
-table is decomposed in full.
+table is decomposed in full.  ``_routes`` alone runs them.
 
-Strict collapsibility additionally requires every interaction linking A to
-the collapsed variables to vanish, which holds exactly when X_A is
-conditionally independent of the collapsed variables given the rest of the
-margin.  That conditional-independence route is computed as a cross-check.
+Strict collapsibility (Whittemore 1978) extends the plain verdict for the
+target over the margin target ∪ given: every interaction of the target's
+parameter set must match its marginal counterpart and every interaction
+linking the target to the collapsed variables must vanish, which holds
+exactly when X_A is conditionally independent of the collapsed variables
+given the rest of the margin.  That conditional-independence route is
+computed as a cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
+from typing import Collection, Mapping
 
 import numpy as np
 
 from .errors import RouteDisagreementError, SchemeError
 from .loglinear import DEFAULT_TAU_TOL, log_cells, mobius, mobius_at, squeeze_mask
 from .subsets import axes_of, mask_of, submasks
-from .tables import DEFAULT_CI_TOL, CiVerdict, ContingencyTable, SubsetSpec
+from .tables import CiVerdict, ContingencyTable, SubsetSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,20 +65,51 @@ class CollapseVerdict:
     ci: CiVerdict | None = None
 
 
-def _log_margin(
-    logp: np.ndarray, table: ContingencyTable, b_axes: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal log cells over B and the residual d = ln p_B - ltilde_B."""
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x)))
+
+
+def _routes(
+    table: ContingencyTable, a_axes: tuple[int, ...], b_axes: tuple[int, ...], tol: float,
+    masks: Collection[int] = (),
+) -> tuple[CollapseVerdict, dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The plain verdict for tau_A over the margin B, by both routes, and
+    tau and eta at A and at each of ``masks``, keyed by mask over the table:
+    tau keepdims over the table, eta squeezed, for the masks inside B only."""
+    logp = log_cells(table)
     log_marg = np.log(table.marginalize(b_axes).cells)
-    ltilde_b = logp.mean(axis=tuple(x for x in range(logp.ndim) if x not in b_axes))
-    return log_marg, log_marg - ltilde_b
+    d = log_marg - logp.mean(axis=tuple(x for x in range(logp.ndim) if x not in b_axes))
+    a_mask, b_mask = mask_of(a_axes), mask_of(b_axes)
+    wanted = list(dict.fromkeys((a_mask, *masks)))
+    # each mask inside B, over the (sorted) margin's axes
+    pos = {m: mask_of(b_axes.index(x) for x in axes_of(m)) for m in wanted if not m & ~b_mask}
+    tau = mobius(logp, wanted)
+    eta_pos = mobius(log_marg, list(pos.values()))
+    eta = {m: squeeze_mask(eta_pos[p], p) for m, p in pos.items()}
+    max_residual = _max_abs(mobius_at(d, pos[a_mask]))
+    tau_full = squeeze_mask(tau[a_mask], a_mask)
+    direct_gap = _max_abs(tau_full - eta[a_mask])
+    by_residual = max_residual <= tol
+    if by_residual != (direct_gap <= tol):
+        raise RouteDisagreementError(
+            f"residual route ({max_residual!r}) and direct route ({direct_gap!r}) "
+            f"disagree at tol {tol!r}"
+        )
+    plain = CollapseVerdict(
+        target=table.scheme.subset_names(a_axes),
+        margin=table.scheme.subset_names(b_axes),
+        collapsible=by_residual,
+        max_residual=max_residual,
+        direct_gap=direct_gap,
+        tau_full=tau_full,
+        eta_marginal=eta[a_mask],
+        tol=tol,
+    )
+    return plain, tau, eta
 
 
 def check_collapsibility(
-    table: ContingencyTable,
-    target: SubsetSpec,
-    margin: SubsetSpec,
-    tol: float = DEFAULT_TAU_TOL,
+    table: ContingencyTable, target: SubsetSpec, margin: SubsetSpec, tol: float = DEFAULT_TAU_TOL
 ) -> CollapseVerdict:
     """Is the table collapsible onto ``margin`` with respect to tau_target?
 
@@ -93,48 +127,18 @@ def check_collapsibility(
         raise SchemeError("margin must be a proper subset: nothing to collapse over")
     if not a_axes:
         raise SchemeError("target must be nonempty")
-
-    logp = log_cells(table)
-    log_marg, d = _log_margin(logp, table, b_axes)
-    # the target's mask over the (sorted) margin's axes
-    a_pos = mask_of(b_axes.index(x) for x in a_axes)
-    max_residual = float(np.max(np.abs(mobius_at(d, a_pos))))
-
-    tau_full = mobius_at(logp, mask_of(a_axes))
-    eta_marginal = mobius_at(log_marg, a_pos)
-    direct_gap = float(np.max(np.abs(tau_full - eta_marginal)))
-
-    by_residual = max_residual <= tol
-    by_direct = direct_gap <= tol
-    if by_residual != by_direct:
-        raise RouteDisagreementError(
-            f"residual route ({max_residual!r}) and direct route ({direct_gap!r}) "
-            f"disagree at tol {tol!r}"
-        )
-    return CollapseVerdict(
-        target=table.scheme.subset_names(a_axes),
-        margin=table.scheme.subset_names(b_axes),
-        collapsible=by_residual,
-        max_residual=max_residual,
-        direct_gap=direct_gap,
-        tau_full=tau_full,
-        eta_marginal=eta_marginal,
-        tol=tol,
-    )
+    return _routes(table, a_axes, b_axes, tol)[0]
 
 
 def check_strict_collapsibility(
-    table: ContingencyTable,
-    target: SubsetSpec,
-    given: SubsetSpec,
-    collapsed: SubsetSpec,
+    table: ContingencyTable, target: SubsetSpec, given: SubsetSpec, collapsed: SubsetSpec,
     tol: float = DEFAULT_TAU_TOL,
-    ci_tol: float = DEFAULT_CI_TOL,
 ) -> CollapseVerdict:
     """Strict collapsibility over ``collapsed`` for the partition (target, given, collapsed).
 
     The three subsets must partition the variable set (``given`` may be
-    empty).  The verdict covers the whole parameter set
+    empty).  The verdict extends the plain one for the target over the
+    margin target ∪ given to the whole parameter set
     {tau_L : L inside target ∪ given, L meets target}: every member must
     match its marginal counterpart, and every interaction meeting both
     ``target`` and ``collapsed`` must vanish.  The equivalent
@@ -145,64 +149,35 @@ def check_strict_collapsibility(
     b_axes = table.scheme.resolve_subset(given)
     c_axes = table.scheme.resolve_subset(collapsed)
     n = table.scheme.n
-    union = set(a_axes) | set(b_axes) | set(c_axes)
-    if (
-        len(a_axes) + len(b_axes) + len(c_axes) != n
-        or union != set(range(n))
-    ):
+    if sorted(a_axes + b_axes + c_axes) != list(range(n)):
         raise SchemeError("target, given, collapsed must partition the variables")
     if not a_axes or not c_axes:
         raise SchemeError("target and collapsed must be nonempty")
 
-    margin_axes = tuple(sorted(set(a_axes) | set(b_axes)))
-    logp = log_cells(table)
-    log_marg, d = _log_margin(logp, table, margin_axes)
-    a_mask = mask_of(a_axes)
-    c_mask = mask_of(c_axes)
-
-    def in_margin(mask: int) -> int:
-        return mask_of(margin_axes.index(x) for x in axes_of(mask))
-
-    # the parameter set C_L = {L inside the margin : L meets target}, and the
-    # condition-(ii) interactions meeting both the target and the collapsed set
+    margin_axes = tuple(sorted(a_axes + b_axes))
+    a_mask, c_mask = mask_of(a_axes), mask_of(c_axes)
+    # the parameter set C_L = {L inside the margin : L meets target}, target
+    # included, and the condition-(ii) interactions meeting A and C
     set_masks = [m for m in submasks(mask_of(margin_axes)) if m & a_mask]
     zero_masks = [m for m in range(1 << n) if m & a_mask and m & c_mask]
-    tau = mobius(logp, set_masks + zero_masks)
-    eta = mobius(log_marg, [in_margin(m) for m in set_masks])
+    plain, tau, eta = _routes(table, a_axes, margin_axes, tol, set_masks + zero_masks)
 
-    set_gaps: dict[tuple[str, ...], float] = {}
-    worst_gap = 0.0
-    for l_mask in set_masks:
-        l_pos = in_margin(l_mask)
-        gap = squeeze_mask(tau[l_mask], l_mask) - squeeze_mask(eta[l_pos], l_pos)
-        gap = float(np.max(np.abs(gap)))
-        set_gaps[table.scheme.subset_names(axes_of(l_mask))] = gap
-        worst_gap = max(worst_gap, gap)
-
-    zero_set_max = max(float(np.max(np.abs(tau[m]))) for m in zero_masks)
+    names = table.scheme.subset_names
+    set_gaps = {names(axes_of(m)): _max_abs(squeeze_mask(tau[m], m) - eta[m]) for m in set_masks}
+    worst_gap = max(set_gaps.values())
+    zero_set_max = max(_max_abs(tau[m]) for m in zero_masks)
     interaction_zero_ok = zero_set_max <= tol
 
     strict_by_tau = worst_gap <= tol and interaction_zero_ok
-    ci = table.check_ci(a_axes, c_axes, b_axes, tol=ci_tol)
+    ci = table.check_ci(a_axes, c_axes, b_axes)
     if strict_by_tau != ci.holds:
         raise RouteDisagreementError(
             f"interaction route (gap {worst_gap!r}, zero-set {zero_set_max!r}) and "
             f"CI route (deviation {ci.max_deviation!r}) disagree"
         )
-
-    a_pos = in_margin(a_mask)
-    max_residual = float(np.max(np.abs(mobius_at(d, a_pos))))
-    tau_full = squeeze_mask(tau[a_mask], a_mask)
-    eta_marginal = squeeze_mask(eta[a_pos], a_pos)
-    return CollapseVerdict(
-        target=table.scheme.subset_names(a_axes),
-        margin=table.scheme.subset_names(margin_axes),
+    return replace(
+        plain,
         collapsible=worst_gap <= tol,
-        max_residual=max_residual,
-        direct_gap=float(np.max(np.abs(tau_full - eta_marginal))),
-        tau_full=tau_full,
-        eta_marginal=eta_marginal,
-        tol=tol,
         strict=strict_by_tau,
         set_gaps=set_gaps,
         zero_set_max=zero_set_max,

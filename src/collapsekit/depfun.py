@@ -62,7 +62,7 @@ def _integrate(f, lo: float, hi: float, points: Sequence[float] = ()) -> tuple[f
         except integrate.IntegrationWarning:
             pass
     grid = np.linspace(lo, hi, 201)
-    vals = np.array([f(t) for t in grid])
+    vals = np.array([f(t) for t in grid.tolist()])  # Python floats: an overflow is inf, not a warning
     return float(integrate.simpson(vals, x=grid)), False
 
 
@@ -199,6 +199,8 @@ class GaussianLinearInteraction(DependenceModel):
         mu = self.alpha1 * x + self.rho * x * g
         dmu = self.alpha1 + self.rho * (self.alpha2 + 2.0 * self.alpha3 * x)
         v = math.sqrt(g * g + self.sigma * self.sigma)
+        if v == 0.0:  # sigma^2 underflows where g vanishes
+            raise ModelError(f"(Y | x={x}) has zero spread: sigma {self.sigma!r} is too small")
         dv = self.alpha3 * g / v
         return mu, dmu, v, dv
 

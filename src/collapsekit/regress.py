@@ -26,7 +26,7 @@ import numpy as np
 
 from .assoc import FiniteJoint
 from .errors import DistributionError, RouteDisagreementError, array, loads, malformed, number
-from .tables import PROB_SUM_TOL, ci_deviation
+from .tables import ci_deviation, probabilities
 
 DEFAULT_TOL = 1e-9
 
@@ -78,11 +78,7 @@ class StratifiedRegressionSummary:
                 math.isfinite(v) for v in (s.pi, s.alpha, s.beta, s.mu_x, s.s_xx, s.s_yy)
             ):
                 raise DistributionError("stratum moments must be finite")
-        pis = np.array([s.pi for s in strata])
-        if np.any(pis <= 0.0):
-            raise DistributionError("stratum weights must be positive")
-        if abs(float(pis.sum()) - 1.0) > PROB_SUM_TOL:
-            raise DistributionError("stratum weights must sum to 1")
+        probabilities([s.pi for s in strata], DistributionError, "stratum weights")
         for s in strata:
             if s.s_xx <= 0.0 or s.s_yy <= 0.0:
                 raise DistributionError("variances must be positive")
@@ -204,6 +200,8 @@ def _decide(
     disagreement raises RouteDisagreementError.
     """
     beta_marg, alpha_marg, var_x = _marginal_line(a)
+    if not all(map(math.isfinite, (lhs, rhs, beta_marg, alpha_marg, var_x))):
+        raise DistributionError("the summary's moments overflow in the marginal line or the identity")
     scaled = abs(lhs - rhs) / var_x
     by_identity = scaled <= tol
     if by_identity != (abs(beta_marg - reference) <= tol):
@@ -226,6 +224,8 @@ def _decide(
     )
 
 
+# a moment that overflows comes out inf or nan, which ``_decide`` rejects
+@np.errstate(over="ignore", invalid="ignore")
 def check_parallel_collapsibility(
     summary: StratifiedRegressionSummary, tol: float = DEFAULT_TOL
 ) -> RegressVerdict:
@@ -242,6 +242,7 @@ def check_parallel_collapsibility(
     return _decide("parallel", a, _wcov(a["pi"], a["alpha"], a["mu_x"]), 0.0, beta, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as check_parallel_collapsibility
 def check_a_collapsibility(
     summary: StratifiedRegressionSummary, tol: float = DEFAULT_TOL
 ) -> RegressVerdict:
@@ -338,6 +339,8 @@ def check_sufficient_conditions(
     )
 
 
+# a moment that overflows comes out inf or nan, which the summary rejects
+@np.errstate(over="ignore", invalid="ignore")
 def summary_from_records(
     y: Sequence[float], x: Sequence[float], a: Sequence
 ) -> StratifiedRegressionSummary:

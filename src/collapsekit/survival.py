@@ -51,7 +51,10 @@ def _log_survival(z: float, law: str) -> float:
     if law == "std-normal":
         return float(_normal_tail()[1](-z))
     if law == "gumbel":  # S(z) = exp(-e^z); the extreme-value / hazard e^z case
-        return -math.exp(z)
+        try:
+            return -math.exp(z)
+        except OverflowError:  # S(z) underflows to 0
+            return -math.inf
     if law == "logistic":  # S(z) = 1 / (1 + e^z)
         return -(z + math.log1p(math.exp(-z))) if z > 0 else -math.log1p(math.exp(z))
     raise ModelError(f"unknown baseline law {law!r}; use one of {W_LAWS}")
@@ -174,10 +177,13 @@ def conditional_ratio(
 ) -> float:
     """Residual survival P(T > t+s | T > t, x, y), computed in log space."""
     shift = spec.beta_x * x + spec.beta_y * y
-    return math.exp(
+    log_ratio = (
         _log_survival(spec.k(t + s) + shift, spec.w_law)
         - _log_survival(spec.k(t) + shift, spec.w_law)
     )
+    if math.isnan(log_ratio):  # ln S(t) is -inf: 0 / 0
+        raise ModelError(f"P(T > {t} | x={x}, y={y}) vanished; grid point unusable")
+    return math.exp(log_ratio)
 
 
 # -- marginal quantities (quadrature over the second covariate) -------------

@@ -16,12 +16,33 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SchemeError, TableError, array, loads, malformed, numbers
+from .errors import CollapsekitError, SchemeError, TableError, array, loads, malformed, numbers
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_CI_TOL = 1e-9
 
 SubsetSpec = Iterable["str | int"]
+
+
+def probabilities(
+    p, error: type[CollapsekitError], what: str, shape: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Read-only float copy of ``p``, which must be finite, strictly positive
+    and sum to 1 within ``PROB_SUM_TOL`` (and have ``shape``, when given);
+    otherwise raises ``error`` with a message naming ``what``."""
+    arr = np.array(p, dtype=float)
+    if shape is not None and arr.shape != shape:
+        raise error(f"{what} has shape {arr.shape}, not {shape}")
+    # NaN passes both the sign and the sum test, so finiteness comes first
+    if not np.all(np.isfinite(arr)):
+        raise error(f"non-finite cell in {what}")
+    if np.any(arr <= 0.0):
+        raise error(f"zero cell in {what}")
+    total = float(arr.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise error(f"{what}: cells sum to {total!r}, not 1")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -174,26 +195,23 @@ class ContingencyTable:
     form: str
 
     def __post_init__(self) -> None:
-        arr = np.array(self.cells, dtype=float)
+        arr = np.asarray(self.cells, dtype=float)
         if arr.shape != self.scheme.shape:
             raise TableError(
                 f"cell array shape {arr.shape} does not match scheme shape "
                 f"{self.scheme.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise TableError("cells must be finite")
-        if self.form == "counts":
+        if self.form == "probability":
+            arr = probabilities(arr, TableError, "probability table")
+        elif self.form == "counts":
+            arr = np.array(arr)  # a private copy, made read-only below
+            if not np.all(np.isfinite(arr)):
+                raise TableError("cells must be finite")
             if np.any(arr < 0.0):
                 raise TableError("negative cell in counts table")
-        elif self.form == "probability":
-            if np.any(arr <= 0.0):
-                raise TableError("zero cell in probability table")
-            total = float(arr.sum())
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise TableError(f"probability cells sum to {total!r}, not 1")
+            arr.flags.writeable = False
         else:
             raise TableError(f"unknown form {self.form!r}")
-        arr.flags.writeable = False
         object.__setattr__(self, "cells", arr)
 
     # -- basic accessors ---------------------------------------------------

@@ -579,6 +579,58 @@ class TestExitCodes:
             "message": "a cell probability underflows to 0 over the total 1e+300 with smoothing 1e-300",
         }
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    @pytest.mark.parametrize(
+        "argv, name, text, kind, message",
+        [
+            # Cov(X, Y) is inf - inf; it used to read as "does not hold"
+            (
+                ["assoc-check", "--relation", "r4"], "joint.json",
+                '{"levels": {"y": [0, 1e308], "x": [0, 1e308], "w": [0, 1]},'
+                ' "p": [0.2, 0.2, 0.05, 0.05, 0.05, 0.05, 0.2, 0.2]}',
+                "DistributionError", "Cov(X, Y) overflows on these support points",
+            ),
+            # E(Y | x) runs from -1.36e308 to 1.36e308, a step past the largest float
+            (
+                ["assoc-check", "--relation", "r2"], "joint.json",
+                '{"levels": {"y": [-1.7e308, 1.7e308], "x": [0, 1], "w": [0, 1]},'
+                ' "p": [0.225, 0.225, 0.025, 0.025, 0.025, 0.025, 0.225, 0.225]}',
+                "DistributionError", "E(Y | X) steps overflow on these support points",
+            ),
+            (
+                ["regress-audit"], "records.csv", "y,x,a\n1e308,1e308,u\n-1e308,-1e308,u\n1,2,v\n3,5,v\n",
+                "DistributionError", "stratum moments must be finite",
+            ),
+            # finite moments whose Var(mu_x) overflows; it used to be a RouteDisagreementError
+            (
+                ["regress-audit"], "summary.json",
+                '{"levels": [{"pi": 0.5, "alpha": 0, "beta": 1, "mu_x": 1e200, "s_xx": 1, "s_yy": 2},'
+                ' {"pi": 0.5, "alpha": 0, "beta": 1, "mu_x": -1e200, "s_xx": 1, "s_yy": 2}]}',
+                "DistributionError", "the summary's moments overflow in the marginal line or the identity",
+            ),
+            # e^z overflows in the gumbel ln S(z) = -e^z
+            (
+                ["survival-check", "--numeric"], "survival.json",
+                '{"beta_x": 1, "beta_y": -1000, "eta": {"mu": 0, "rho": 0.01}, "w_law": "gumbel"}',
+                "ModelError", "P(T > 0.25 | x=-1.0, y=-2.0) vanished; grid point unusable",
+            ),
+            # sigma^2 underflows, so sd(Y | x) = |a2 + a3 x| = 0 at x = -2
+            (
+                ["dep-check"], "gauss.json",
+                '{"family": "gaussian-linear-interaction", "alpha": [1, 2, 1], "sigma": 1e-200}',
+                "ModelError", "(Y | x=-2.0) has zero spread: sigma 1e-200 is too small",
+            ),
+        ],
+        ids=["assoc-r4", "assoc-r2", "records", "summary", "survival-numeric", "dep-check"],
+    )
+    def test_overflow_is_structured(self, tmp_path, capsys, argv, name, text, kind, message):
+        p = tmp_path / name
+        p.write_text(text)
+        assert main([*argv, str(p)]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["error"] == {"kind": kind, "message": message}
+
     def test_missing_file(self, capsys):
         assert main(["decompose", "/nonexistent/nope.json"]) == EXIT_ERROR
 

@@ -112,6 +112,30 @@ class TestBitwiseRoutes:
             )
             assert v.zero_set_max == zero
 
+    def test_strict_extends_the_plain_verdict(self):
+        # the fields a strict verdict shares with the plain verdict for the
+        # target over target ∪ given; below 7 spanned axes both requests
+        # take the same per-mask path, so they match bit for bit
+        golden = ContingencyTable.from_json((PERFBENCH / "corpus" / "death_penalty.json").read_text())
+        cases = [
+            (golden.normalize(smoothing=0.5), a, g, c)
+            for a, g, c in ((("A", "D"), (), ("V",)), (("A",), ("D",), ("V",)), (("V",), (), ("A", "D")))
+        ]
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            t = random_positive_table(rng, n=int(rng.integers(2, 7)), max_levels=3)
+            perm = rng.permutation(t.scheme.n).tolist()
+            cut_a, cut_c = sorted(rng.choice(np.arange(1, t.scheme.n), size=2).tolist())
+            cases.append((t, perm[:cut_a], perm[cut_a:cut_c], perm[cut_c:]))
+        for t, a, g, c in cases:
+            strict = check_strict_collapsibility(t, a, g, c)
+            plain = check_collapsibility(t, a, [*a, *g])
+            for name in ("target", "margin", "max_residual", "direct_gap", "tol"):
+                assert getattr(strict, name) == getattr(plain, name), name
+            for name in ("tau_full", "eta_marginal"):
+                got, want = getattr(strict, name), getattr(plain, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
     @pytest.mark.parametrize("shape", [(2, 3, 2, 3, 2), (3, 2, 2, 3, 2, 3), (3, 3, 2, 2, 3, 2)])
     def test_wide_tables_with_ternary_axes_match_reference(self, shape):
         # five or six axes: masks of popcount 4 to 6 sum 16 to 64 subset
