@@ -434,7 +434,7 @@ def _cmd_collapse_check(args):
         v = check_strict_collapsibility(table, target, given, collapsed, tol=args.tol)
         own = {
             "zero_set_max": v.zero_set_max,
-            "interaction_zero_ok": v.interaction_zero_ok,
+            "interaction_zero_ok": v.strict,
             "ci_holds": v.ci.holds,
             "ci_max_deviation": v.ci.max_deviation,
         }

@@ -2,8 +2,9 @@
 
 A table over variables 1..n is collapsible onto the margin B with respect
 to tau_A (A inside B) when the A-interaction of the full table equals the
-A-interaction of the marginal table over B.  Two equivalent verdict routes
-are always computed and compared:
+A-interaction of the marginal table over B.  Two equivalent routes are
+always computed; the residual decides, and the direct one must agree to
+rounding:
 
 * direct: compare tau_A of the full table with eta_A of the marginal table;
 * residual: form d(i_B) = ln p_B(i_B) - ltilde_B(i_B), average d over
@@ -15,16 +16,18 @@ asked only for the interactions a verdict compares or reports; neither
 table is decomposed in full.  ``_routes`` alone runs them.
 
 Strict collapsibility (Whittemore 1978) extends the plain verdict for the
-target over the margin target ∪ given: every interaction of the target's
-parameter set must match its marginal counterpart and every interaction
-linking the target to the collapsed variables must vanish, which holds
-exactly when X_A is conditionally independent of the collapsed variables
-given the rest of the margin.  That conditional-independence route is
-computed as a cross-check.
+target over the margin target ∪ given: every interaction linking the
+target to the collapsed variables must vanish, which holds exactly when
+X_A is conditionally independent of the collapsed variables given the
+rest of the margin, and then every interaction of the target's parameter
+set matches its marginal counterpart.  The zero set decides ``strict`` at
+``tol``; the log CI residual bounds it (see RouteDisagreementError), and the
+exact CI check (``ci``, 1e-9 on the probability scale) is only reported.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Collection, Mapping
 
@@ -35,19 +38,20 @@ from .loglinear import DEFAULT_TAU_TOL, log_cells, mobius, mobius_at, squeeze_ma
 from .subsets import axes_of, mask_of, submasks
 from .tables import CiVerdict, ContingencyTable, SubsetSpec
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True, eq=False)
 class CollapseVerdict:
     """Verdict of a (strict) collapsibility check.
 
     ``max_residual`` is the worst absolute value of the residual alternating
-    sum; ``direct_gap`` is max |tau_A - eta_A| from the direct route.  The
-    two agree up to rounding by construction.  For strict checks, ``strict``
-    carries the verdict, ``set_gaps`` the per-parameter gaps over the target
-    set, ``zero_set_max`` the largest interaction linking the target to the
-    collapsed variables (the Definition-style condition (ii), also exposed
-    as ``interaction_zero_ok``), and ``ci`` the conditional-independence
-    cross-check.
+    sum, which decides ``collapsible``; ``direct_gap`` is max |tau_A - eta_A|
+    from the direct route, within rounding of it.  For strict checks,
+    ``zero_set_max`` is the largest interaction linking the target to the
+    collapsed variables and decides ``strict``; ``collapsible`` then tests
+    the worst of the ``set_gaps``, the per-parameter gaps over the target
+    set, and ``ci`` is the exact conditional-independence check, reported.
     """
 
     target: tuple[str, ...]
@@ -61,7 +65,6 @@ class CollapseVerdict:
     strict: bool | None = None
     set_gaps: Mapping[tuple[str, ...], float] | None = None
     zero_set_max: float | None = None
-    interaction_zero_ok: bool | None = None
     ci: CiVerdict | None = None
 
 
@@ -72,10 +75,11 @@ def _max_abs(x: np.ndarray) -> float:
 def _routes(
     table: ContingencyTable, a_axes: tuple[int, ...], b_axes: tuple[int, ...], tol: float,
     masks: Collection[int] = (),
-) -> tuple[CollapseVerdict, dict[int, np.ndarray], dict[int, np.ndarray]]:
+) -> tuple[CollapseVerdict, dict[int, np.ndarray], dict[int, np.ndarray], np.ndarray]:
     """The plain verdict for tau_A over the margin B, by both routes, and
     tau and eta at A and at each of ``masks``, keyed by mask over the table:
-    tau keepdims over the table, eta squeezed, for the masks inside B only."""
+    tau keepdims over the table, eta squeezed, for the masks inside B only;
+    and ln p."""
     logp = log_cells(table)
     log_marg = np.log(table.marginalize(b_axes).cells)
     d = log_marg - logp.mean(axis=tuple(x for x in range(logp.ndim) if x not in b_axes))
@@ -89,23 +93,23 @@ def _routes(
     max_residual = _max_abs(mobius_at(d, pos[a_mask]))
     tau_full = squeeze_mask(tau[a_mask], a_mask)
     direct_gap = _max_abs(tau_full - eta[a_mask])
-    by_residual = max_residual <= tol
-    if by_residual != (direct_gap <= tol):
+    # both are alternating sums of 2^|A| means of logs no larger than max|ln p|
+    if abs(max_residual - direct_gap) > 16 * 2 ** len(a_axes) * _EPS * _max_abs(logp):
         raise RouteDisagreementError(
             f"residual route ({max_residual!r}) and direct route ({direct_gap!r}) "
-            f"disagree at tol {tol!r}"
+            "differ by more than rounding"
         )
     plain = CollapseVerdict(
         target=table.scheme.subset_names(a_axes),
         margin=table.scheme.subset_names(b_axes),
-        collapsible=by_residual,
+        collapsible=max_residual <= tol,
         max_residual=max_residual,
         direct_gap=direct_gap,
         tau_full=tau_full,
         eta_marginal=eta[a_mask],
         tol=tol,
     )
-    return plain, tau, eta
+    return plain, tau, eta, logp
 
 
 def check_collapsibility(
@@ -115,9 +119,8 @@ def check_collapsibility(
 
     ``target`` must lie inside ``margin``, and ``margin`` must be a proper
     subset of the variables (otherwise there is nothing to collapse over).
-    Raises RouteDisagreementError if the residual route and the direct
-    tau-versus-eta route disagree, which would indicate a bug rather than a
-    property of the data.
+    The residual route decides; raises RouteDisagreementError if the direct
+    tau-versus-eta route's gap differs from it by more than rounding.
     """
     a_axes = table.scheme.resolve_subset(target)
     b_axes = table.scheme.resolve_subset(margin)
@@ -137,13 +140,11 @@ def check_strict_collapsibility(
     """Strict collapsibility over ``collapsed`` for the partition (target, given, collapsed).
 
     The three subsets must partition the variable set (``given`` may be
-    empty).  The verdict extends the plain one for the target over the
-    margin target ∪ given to the whole parameter set
-    {tau_L : L inside target ∪ given, L meets target}: every member must
-    match its marginal counterpart, and every interaction meeting both
-    ``target`` and ``collapsed`` must vanish.  The equivalent
-    conditional-independence statement X_target ⊥ X_collapsed | X_given is
-    evaluated as a second route and must agree.
+    empty).  ``strict`` holds when every interaction meeting both
+    ``target`` and ``collapsed`` is within ``tol`` of zero, which implies up
+    to rounding that every member of the parameter set
+    {tau_L : L inside target ∪ given, L meets target} is within ``tol`` of
+    its marginal counterpart, the test of ``collapsible``.
     """
     a_axes = table.scheme.resolve_subset(target)
     b_axes = table.scheme.resolve_subset(given)
@@ -160,27 +161,25 @@ def check_strict_collapsibility(
     # included, and the condition-(ii) interactions meeting A and C
     set_masks = [m for m in submasks(mask_of(margin_axes)) if m & a_mask]
     zero_masks = [m for m in range(1 << n) if m & a_mask and m & c_mask]
-    plain, tau, eta = _routes(table, a_axes, margin_axes, tol, set_masks + zero_masks)
+    plain, tau, eta, logp = _routes(table, a_axes, margin_axes, tol, set_masks + zero_masks)
 
     names = table.scheme.subset_names
     set_gaps = {names(axes_of(m)): _max_abs(squeeze_mask(tau[m], m) - eta[m]) for m in set_masks}
-    worst_gap = max(set_gaps.values())
     zero_set_max = max(_max_abs(tau[m]) for m in zero_masks)
-    interaction_zero_ok = zero_set_max <= tol
+    def log_sum(axes):  # ln of p summed over ``axes``, keepdims
+        return np.log(table.cells.sum(axis=axes, keepdims=True))
 
-    strict_by_tau = worst_gap <= tol and interaction_zero_ok
-    ci = table.check_ci(a_axes, c_axes, b_axes)
-    if strict_by_tau != ci.holds:
-        raise RouteDisagreementError(
-            f"interaction route (gap {worst_gap!r}, zero-set {zero_set_max!r}) and "
-            f"CI route (deviation {ci.max_deviation!r}) disagree"
-        )
+    # on the zero set tau_L(ln p) = tau_L(r), and tau_L takes I - M_a, of max
+    # norm 2(1 - 1/m_a) >= 1, on each a in L: so |tau_L| <= K max|r|, K their product
+    r = logp + log_sum(a_axes + c_axes) - log_sum(c_axes) - log_sum(a_axes)
+    k = math.prod(2 - 2 / m for m in logp.shape)
+    if zero_set_max > k * _max_abs(r) + 2**n * _EPS * _max_abs(logp):
+        raise RouteDisagreementError(f"zero set {zero_set_max!r} over {k!r} times max|r| {_max_abs(r)!r}")
     return replace(
         plain,
-        collapsible=worst_gap <= tol,
-        strict=strict_by_tau,
+        collapsible=max(set_gaps.values()) <= tol,
+        strict=zero_set_max <= tol,
         set_gaps=set_gaps,
         zero_set_max=zero_set_max,
-        interaction_zero_ok=interaction_zero_ok,
-        ci=ci,
+        ci=table.check_ci(a_axes, c_axes, b_axes),
     )

@@ -29,9 +29,10 @@ class ModelError(CollapsekitError, ValueError):
 class RouteDisagreementError(CollapsekitError, RuntimeError):
     """Two mathematically equivalent computation routes disagreed.
 
-    Raised when a verdict computed by independent formulas comes out
-    inconsistent.  This signals an implementation bug (or a tolerance set
-    exactly at the data's decision boundary), never a property of the data.
+    Each verdict is decided by one route against its tolerance; the other
+    route's value must lie within a proven, tolerance-free rounding bound
+    of the first.  Breaking it signals an implementation bug, never a
+    property of the data or a tolerance at its boundary.
     """
 
 

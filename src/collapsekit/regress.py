@@ -12,7 +12,7 @@ The marginal slope is the law-of-total-covariance value
     beta_marg = (E[s_yx] + Cov(mu_y, mu_x)) / (E[s_xx] + Var(mu_x)),
 
 with all expectations over the stratum weights.  Collapsibility verdicts
-are computed by two algebraically equivalent routes that must agree.
+are decided by one route; an equivalent second route must agree to rounding.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import DistributionError, RouteDisagreementError, array, loads, mal
 from .tables import ci_deviation, probabilities
 
 DEFAULT_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,11 @@ def _wcov(pi: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     return _wmean(pi, u * v) - _wmean(pi, u) * _wmean(pi, v)
 
 
+def _wsize(pi: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """E|uv| + E|u| E|v|: the size of the products ``_wcov(pi, u, v)`` sums."""
+    return _wmean(pi, np.abs(u * v)) + _wmean(pi, np.abs(u)) * _wmean(pi, np.abs(v))
+
+
 def _marginal_line(a: dict[str, np.ndarray]) -> tuple[float, float, float]:
     """Marginal slope, intercept and Var(X) = E[s_xx] + Var(mu_x), the
     slope's denominator, from the stratum arrays."""
@@ -167,9 +173,8 @@ class RegressVerdict:
     intercept/mean covariance against zero in the parallel case; the
     slope-mean times Var(mu_x) against the two covariances in the
     random-coefficient case).  ``beta_gap`` is the direct route
-    |beta_marg - reference|.  Both routes decide on the slope scale: the
-    identity gap divided by the marginal Var(X) equals the beta gap, and
-    that quotient is compared with ``tol``.
+    |beta_marg - reference|.  The identity gap over the marginal Var(X)
+    equals the beta gap, and that quotient alone is compared with ``tol``.
     """
 
     mode: str  # "parallel" | "average"
@@ -193,21 +198,27 @@ def _decide(
     reference: float,
     tol: float,
 ) -> RegressVerdict:
-    """Decide both routes on the slope scale and build the verdict.
+    """Decide on the slope scale and build the verdict.
 
-    Route one divides the identity gap |lhs - rhs| by the marginal Var(X);
-    route two compares the marginal slope with ``reference`` directly.  A
-    disagreement raises RouteDisagreementError.
+    Route one, |lhs - rhs| / Var(X), decides; route two, |beta_marg -
+    reference|, must lie within 16 eps (M / Var(X) + |reference|) of it.
+    M sizes the products both sum: E[s_yx], Cov(mu_y, mu_x) and Var(X)
+    times the slope, which bound the identity's too (alpha mu_x =
+    mu_y mu_x - beta mu_x^2, beta s_xx = s_yx), hence the 2 and E|beta|.
     """
     beta_marg, alpha_marg, var_x = _marginal_line(a)
     if not all(map(math.isfinite, (lhs, rhs, beta_marg, alpha_marg, var_x))):
         raise DistributionError("the summary's moments overflow in the marginal line or the identity")
     scaled = abs(lhs - rhs) / var_x
     by_identity = scaled <= tol
-    if by_identity != (abs(beta_marg - reference) <= tol):
+    pi = a["pi"]
+    size = 2 * (_wmean(pi, np.abs(a["s_yx"])) + _wsize(pi, a["mu_y"], a["mu_x"])) + (
+        abs(beta_marg) + _wmean(pi, np.abs(a["beta"]))
+    ) * (_wmean(pi, a["s_xx"]) + _wsize(pi, a["mu_x"], a["mu_x"]))
+    if abs(scaled - abs(beta_marg - reference)) > 16 * _EPS * (size / var_x + abs(reference)):
         raise RouteDisagreementError(
             f"identity gap / Var(X) {scaled!r} and beta gap {beta_marg - reference!r} "
-            f"disagree at tol {tol!r}"
+            "differ by more than rounding"
         )
     return RegressVerdict(
         mode=mode,

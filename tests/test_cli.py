@@ -28,10 +28,11 @@ from collapsekit.cli import (
 )
 from collapsekit.errors import DistributionError, SchemeError, TableError
 from collapsekit.loglinear import LATTICE_BUDGET
-from collapsekit.regress import summary_from_records
+from collapsekit.regress import StratifiedRegressionSummary, _marginal_line, summary_from_records
 from collapsekit.tables import CategoricalScheme
 
 from conftest import ci_constructed_table, random_positive_table
+from test_golden import CASES as GOLDEN
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -903,6 +904,65 @@ class TestToleranceOption:
             assert out == "" and "argument --tol" in err, tol
         assert main([*TOL_VERBS[verb], "--tol=1e-7"]) in (EXIT_OK, EXIT_DETECTED)
         assert json.loads(capsys.readouterr().out)["verb"] == verb.split()[0]
+
+
+# the golden collapse-check and regress-audit calls, as JSON reports
+ROUTE_CASES = {
+    name: [arg for arg in argv if arg not in ("--format", "md")]
+    for name, argv in GOLDEN.items()
+    if argv[0] in ("collapse-check", "regress-audit")
+}
+
+
+def _route_values(verdict) -> list[float]:
+    """Both route values of a collapse-check or regress-audit verdict on the
+    tol scale (the zero set too for strict): the identity gap over Var(X)
+    is recomputed from the reported summary, whose floats round-trip."""
+    if "beta_gap" in verdict:
+        summary = StratifiedRegressionSummary.from_json_dict(verdict["summary"])
+        return [verdict["identity_gap"] / _marginal_line(summary.arrays())[2], verdict["beta_gap"]]
+    keys = ("max_residual", "direct_gap", "zero_set_max")
+    return [verdict[k] for k in keys if verdict.get(k) is not None]
+
+
+class TestRouteBoundaries:
+    """One route decides each verdict at --tol; a --tol between two route
+    values that differ only by rounding is a verdict, never exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            TOL_VERBS["collapse-check --strict"] + ["--tol", "1"],
+            ["collapse-check", "--target", "A,D", "--margin", "A,D", "--smoothing", "0.5",
+             "--tol", "0.1193035409997599", str(CORPUS / "death_penalty.json")],
+            ["regress-audit", "--tol", "0.4419495788498569", str(CORPUS / "records.csv")],
+        ],
+        ids=["strict-tol-1", "plain-between-routes", "regress-between-routes"],
+    )
+    def test_tol_at_the_boundary_is_a_verdict(self, capsys, argv):
+        assert main(argv) in (EXIT_OK, EXIT_DETECTED)
+        out, err = capsys.readouterr()
+        assert err == "" and "verdict" in json.loads(out)
+
+    def test_strict_is_decided_by_the_zero_set(self, capsys):
+        # the zero set (0.79) is under tol 1; CI is reported on its own
+        # probability scale (deviation 0.14 over 1e-9) and decides nothing
+        assert main(TOL_VERBS["collapse-check --strict"] + ["--tol", "1"]) == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["strict"] is True and verdict["interaction_zero_ok"] is True
+        assert verdict["ci_holds"] is False
+
+    @pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+    def test_tol_sweep_over_the_route_values(self, case, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)  # golden paths are relative to the repo root
+        argv = ROUTE_CASES[case]
+        main(argv)
+        values = _route_values(json.loads(capsys.readouterr().out)["verdict"])
+        tols = {t for x in values for t in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))}
+        for tol in sorted(t for t in tols if t > 0.0):
+            code = main([*argv, f"--tol={tol!r}"])
+            out, err = capsys.readouterr()
+            assert code in (EXIT_OK, EXIT_DETECTED) and err == "", (tol, out)
 
 
 _HELP = (("-h", "--help"), "_HelpAction", argparse.SUPPRESS, None, False, None, None)

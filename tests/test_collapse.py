@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from collapsekit import collapse
 from collapsekit.collapse import check_collapsibility, check_strict_collapsibility
-from collapsekit.errors import SchemeError
+from collapsekit.errors import RouteDisagreementError, SchemeError
 from collapsekit.loglinear import decompose, interaction
 from collapsekit.subsets import axes_of, mask_of, submasks
 from collapsekit.tables import CategoricalScheme, ContingencyTable
@@ -98,7 +103,6 @@ class TestStrictCollapsibility:
         t = ci_constructed_table(rng)
         v = check_strict_collapsibility(t, ["x1"], ["x2"], ["x3"])
         assert v.strict
-        assert v.interaction_zero_ok
         assert v.ci is not None and v.ci.holds
         # the verdict covers tau_{x1} and tau_{x1,x2}
         assert set(v.set_gaps) == {("x1",), ("x1", "x2")}
@@ -138,7 +142,7 @@ class TestStrictCollapsibility:
         pert = ContingencyTable(t.scheme, cells, "probability")
         v = check_strict_collapsibility(pert, ["x1"], ["x2"], ["x3"])
         assert not v.strict
-        assert v.zero_set_max > 1e-8 or max(v.set_gaps.values()) > 1e-8
+        assert v.zero_set_max > 1e-8
 
     def test_partition_required(self, admission_table):
         p = admission_table.normalize()
@@ -220,3 +224,124 @@ class TestWideTables:
         t, full = bulk
         a = (0, 2, 4, 6, 7, 8, 9)
         self.assert_close(interaction(t, a), full.tau(a))
+
+
+def _table(cells: np.ndarray) -> ContingencyTable:
+    scheme = CategoricalScheme(
+        tuple((f"x{j}", tuple(f"l{i}" for i in range(m))) for j, m in enumerate(cells.shape))
+    )
+    return ContingencyTable(scheme, cells / cells.sum(), "probability")
+
+
+@st.composite
+def _near_ci_tables(draw):
+    """ln p = f(A, B) + g(B, C) + delta * noise over a random partition
+    (A, B, C) of 2-4 variables, and a tol log-uniform in [1e-14, 10]."""
+    shape = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=4)))
+    n = len(shape)
+    order = draw(st.permutations(range(n)))
+    n_a = draw(st.integers(1, n - 1))
+    n_c = draw(st.integers(1, n - n_a))
+    a, c, b = sorted(order[:n_a]), sorted(order[n_a:n_a + n_c]), sorted(order[n_a + n_c:])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def term(axes):
+        return rng.normal(0.0, 2.0, [m if x in axes else 1 for x, m in enumerate(shape)])
+
+    delta = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1.0]))
+    logp = term(a + b) + term(b + c) + delta * rng.normal(size=shape)
+    return _table(np.exp(logp)), a, b, c, 10.0 ** draw(st.floats(-14.0, 1.0))
+
+
+def _log_ci_residual(p: np.ndarray, a, c) -> np.ndarray:
+    """ln p + ln p_B - ln p_AB - ln p_BC, from the table's own margins."""
+    def log_sum(axes):
+        return np.log(p.sum(axis=tuple(axes), keepdims=True))
+
+    return np.log(p) + log_sum(a + c) - log_sum(c) - log_sum(a)
+
+
+def _around(x: float) -> list[float]:
+    """x and its nextafter neighbours, the positive ones only."""
+    return [t for t in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)) if t > 0.0]
+
+
+class TestOneDecidingRoute:
+    """Each verdict is decided by one route at tol; the other route is only
+    held to a tol-free rounding bound, so no tol can make them disagree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_near_ci_tables())
+    def test_strict_is_the_zero_set_at_any_tol(self, case):
+        t, a, b, c, tol = case
+        v = check_strict_collapsibility(t, a, b, c, tol=tol)
+        assert v.strict == (v.zero_set_max <= tol)
+        assert v.collapsible == (max(v.set_gaps.values()) <= tol)
+        # every zero-set interaction is bounded by the log CI residual
+        k = math.prod(2 - 2 / m for m in t.scheme.shape)
+        r = _log_ci_residual(t.cells, a, c)
+        slack = 2**t.scheme.n * np.finfo(float).eps * np.max(np.abs(np.log(t.cells)))
+        assert v.zero_set_max <= k * np.max(np.abs(r)) + slack
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_plain_at_a_route_value(self, seed, data):
+        rng = np.random.default_rng(seed)
+        t = random_positive_table(rng)
+        n = t.scheme.n
+        margin = sorted(rng.choice(n, int(rng.integers(1, n)), replace=False).tolist())
+        target = margin[: int(rng.integers(1, len(margin) + 1))]
+        v = check_collapsibility(t, target, margin)
+        tol = data.draw(st.sampled_from(_around(v.max_residual) + _around(v.direct_gap)))
+        w = check_collapsibility(t, target, margin, tol=tol)
+        assert w.collapsible == (w.max_residual <= tol)
+
+    def test_loose_tol_is_strict_without_ci(self, death_penalty_table):
+        # the zero set (0.79) decides at tol 1; the CI deviation (0.14 on the
+        # probability scale, over its own 1e-9) is reported only
+        p = death_penalty_table.normalize(smoothing=0.5)
+        v = check_strict_collapsibility(p, ["A", "D"], [], ["V"], tol=1.0)
+        assert v.strict and v.collapsible and not v.ci.holds
+
+
+class TestBrokenRouteRaises:
+    """A route off by far more than rounding is a bug, and raises."""
+
+    def test_shifted_residual(self, monkeypatch):
+        t = ci_constructed_table(np.random.default_rng(0))
+        real = collapse.mobius_at
+        monkeypatch.setattr(collapse, "mobius_at", lambda x, mask: real(x, mask) + 1e-6)
+        with pytest.raises(RouteDisagreementError, match="residual route"):
+            check_collapsibility(t, ["x1", "x2"], ["x1", "x2"])
+        with pytest.raises(RouteDisagreementError, match="residual route"):
+            check_strict_collapsibility(t, ["x1"], ["x2"], ["x3"])
+
+    @pytest.mark.parametrize("scale", [4.0, 1e6])
+    def test_scaled_zero_set(self, monkeypatch, death_penalty_table, scale):
+        # A = {A, D}, C = {V}: the interactions of ln p meeting V are the zero
+        # set, 0.79 at most against max|r| = 2.63 (K = 1 on binary axes)
+        p = death_penalty_table.normalize(smoothing=0.5)
+        real = collapse.mobius
+        v_mask = mask_of((1,))
+
+        def scaled(x, masks):
+            out = real(x, masks)
+            if x.ndim < 3:  # the margin's interactions stay as they are
+                return out
+            return {m: arr * scale if m & v_mask else arr for m, arr in out.items()}
+
+        assert check_strict_collapsibility(p, ["A", "D"], [], ["V"]).zero_set_max > 0.75
+        monkeypatch.setattr(collapse, "mobius", scaled)
+        with pytest.raises(RouteDisagreementError, match="zero set"):
+            check_strict_collapsibility(p, ["A", "D"], [], ["V"])
+
+    def test_scaled_zero_set_of_a_ci_table(self, monkeypatch):
+        t = ci_constructed_table(np.random.default_rng(4))
+        real = collapse.mobius
+        x3 = mask_of((2,))
+        monkeypatch.setattr(
+            collapse, "mobius",
+            lambda x, masks: {m: a + 1e-9 if m & x3 else a for m, a in real(x, masks).items()},
+        )
+        with pytest.raises(RouteDisagreementError, match="zero set"):
+            check_strict_collapsibility(t, ["x1"], ["x2"], ["x3"])

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from collapsekit import regress
 from collapsekit.assoc import FiniteJoint
-from collapsekit.errors import DistributionError
+from collapsekit.errors import DistributionError, RouteDisagreementError
 from collapsekit.regress import (
     RegressionStratum,
     StratifiedRegressionSummary,
@@ -164,6 +169,55 @@ class TestParallelCollapsibility:
             v = check_parallel_collapsibility(summ)
             assert v.collapsible == (v.identity_gap <= v.tol)
             assert v.collapsible == (v.beta_gap <= v.tol)
+
+
+def _around(x: float) -> list[float]:
+    """x and its nextafter neighbours."""
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+class TestOneDecidingRoute:
+    """The identity route decides; the beta gap is held to a tol-free
+    rounding bound, so a tol at either route's value never raises."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0.0, 1.0, 1e3, 1e6]), st.data())
+    def test_tol_at_a_route_value(self, seed, parallel, offset, data):
+        rng = np.random.default_rng(seed)
+        base = random_summary(rng, parallel=parallel)
+        # shift mu_x (and with it mu_y) far from 0; half the time make the
+        # summary collapsible by construction, so both sides are about 0
+        same = data.draw(st.booleans())
+        summ = StratifiedRegressionSummary(
+            tuple(
+                S(s.pi, 1.25 if same and parallel else s.alpha, s.beta,
+                  0.4 + offset if same and not parallel else s.mu_x + offset,
+                  1.3 if same and not parallel else s.s_xx, s.s_yy + 10.0)
+                for s in base.strata
+            )
+        )
+        check = check_parallel_collapsibility if parallel else check_a_collapsibility
+        v = check(summ)
+        scaled = v.identity_gap / regress._marginal_line(summ.arrays())[2]
+        tol = data.draw(st.sampled_from(_around(scaled) + _around(v.beta_gap)))
+        w = check(summ, tol=tol)
+        assert w.a_collapsible == (scaled <= tol)
+
+
+class TestBrokenRouteRaises:
+    @pytest.mark.parametrize("check", [check_parallel_collapsibility, check_a_collapsibility])
+    def test_shifted_marginal_slope(self, monkeypatch, check):
+        summ = random_summary(np.random.default_rng(8), parallel=True)
+        real = regress._marginal_line
+
+        def shifted(a):
+            beta, alpha, var_x = real(a)
+            return beta + 1e-6, alpha, var_x
+
+        check(summ)
+        monkeypatch.setattr(regress, "_marginal_line", shifted)
+        with pytest.raises(RouteDisagreementError, match="more than rounding"):
+            check(summ)
 
 
 def shifted_intercepts(s_xx):

@@ -87,14 +87,14 @@ VERDICTS = {
         lambda: check_collapsibility(PROBS, ("A", "X"), ("A", "X")),
         {
             "target", "margin", "collapsible", "max_residual", "direct_gap", "tau_full",
-            "eta_marginal", "tol", "strict", "set_gaps", "zero_set_max", "interaction_zero_ok", "ci",
+            "eta_marginal", "tol", "strict", "set_gaps", "zero_set_max", "ci",
         },
     ),
     "CollapseVerdict.strict": (
         lambda: check_strict_collapsibility(PROBS, ("A", "X"), (), ("D",)),
         {
             "target", "margin", "collapsible", "max_residual", "direct_gap", "tau_full",
-            "eta_marginal", "tol", "strict", "set_gaps", "zero_set_max", "interaction_zero_ok", "ci",
+            "eta_marginal", "tol", "strict", "set_gaps", "zero_set_max", "ci",
         },
     ),
     "CiVerdict": (lambda: PROBS.check_ci(("A",), ("X",), ("D",)), {"holds", "max_deviation", "witness", "tol"}),
