@@ -3,8 +3,7 @@
 A table over variables 1..n is collapsible onto the margin B with respect
 to tau_A (A inside B) when the A-interaction of the full table equals the
 A-interaction of the marginal table over B.  Two equivalent routes are
-always computed; the residual decides, and the direct one must agree to
-rounding:
+computed; the residual decides, and the direct one must agree to rounding:
 
 * direct: compare tau_A of the full table with eta_A of the marginal table;
 * residual: form d(i_B) = ln p_B(i_B) - ltilde_B(i_B), average d over
@@ -16,12 +15,12 @@ asked only for the interactions a verdict compares or reports; neither
 table is decomposed in full.  ``_routes`` alone runs them.
 
 Strict collapsibility (Whittemore 1978) extends the plain verdict for the
-target over the margin target ∪ given: every interaction linking the
-target to the collapsed variables must vanish, which holds exactly when
-X_A is conditionally independent of the collapsed variables given the
-rest of the margin, and then every interaction of the target's parameter
-set matches its marginal counterpart.  The zero set decides ``strict`` at
-``tol``; the log CI residual bounds it (see RouteDisagreementError), and the
+target over the margin target ∪ given: every interaction of the target's
+parameter set must match its marginal counterpart and every interaction
+linking the target to the collapsed variables must vanish, which holds
+exactly when X_A is conditionally independent of the collapsed variables
+given the rest of the margin.  Both conditions decide ``strict`` at ``tol``;
+the log CI residual bounds the second (see RouteDisagreementError), and the
 exact CI check (``ci``, 1e-9 on the probability scale) is only reported.
 """
 
@@ -49,9 +48,10 @@ class CollapseVerdict:
     sum, which decides ``collapsible``; ``direct_gap`` is max |tau_A - eta_A|
     from the direct route, within rounding of it.  For strict checks,
     ``zero_set_max`` is the largest interaction linking the target to the
-    collapsed variables and decides ``strict``; ``collapsible`` then tests
-    the worst of the ``set_gaps``, the per-parameter gaps over the target
-    set, and ``ci`` is the exact conditional-independence check, reported.
+    collapsed variables; ``collapsible`` then tests the worst of the
+    ``set_gaps``, the per-parameter gaps over the target set, ``strict``
+    tests both, and ``ci`` is the exact conditional-independence check,
+    reported.
     """
 
     target: tuple[str, ...]
@@ -75,11 +75,11 @@ def _max_abs(x: np.ndarray) -> float:
 def _routes(
     table: ContingencyTable, a_axes: tuple[int, ...], b_axes: tuple[int, ...], tol: float,
     masks: Collection[int] = (),
-) -> tuple[CollapseVerdict, dict[int, np.ndarray], dict[int, np.ndarray], np.ndarray]:
+) -> tuple[CollapseVerdict, dict[int, np.ndarray], dict[int, np.ndarray], np.ndarray, np.ndarray]:
     """The plain verdict for tau_A over the margin B, by both routes, and
     tau and eta at A and at each of ``masks``, keyed by mask over the table:
     tau keepdims over the table, eta squeezed, for the masks inside B only;
-    and ln p."""
+    ln p; and ln p_B over the margin's axes."""
     logp = log_cells(table)
     log_marg = np.log(table.marginalize(b_axes).cells)
     d = log_marg - logp.mean(axis=tuple(x for x in range(logp.ndim) if x not in b_axes))
@@ -109,7 +109,7 @@ def _routes(
         eta_marginal=eta[a_mask],
         tol=tol,
     )
-    return plain, tau, eta, logp
+    return plain, tau, eta, logp, log_marg
 
 
 def check_collapsibility(
@@ -140,11 +140,11 @@ def check_strict_collapsibility(
     """Strict collapsibility over ``collapsed`` for the partition (target, given, collapsed).
 
     The three subsets must partition the variable set (``given`` may be
-    empty).  ``strict`` holds when every interaction meeting both
-    ``target`` and ``collapsed`` is within ``tol`` of zero, which implies up
-    to rounding that every member of the parameter set
+    empty).  ``collapsible`` holds when every member of the parameter set
     {tau_L : L inside target ∪ given, L meets target} is within ``tol`` of
-    its marginal counterpart, the test of ``collapsible``.
+    its marginal counterpart; ``strict`` holds when, besides, every
+    interaction meeting both ``target`` and ``collapsed`` is within ``tol``
+    of zero.
     """
     a_axes = table.scheme.resolve_subset(target)
     b_axes = table.scheme.resolve_subset(given)
@@ -161,24 +161,24 @@ def check_strict_collapsibility(
     # included, and the condition-(ii) interactions meeting A and C
     set_masks = [m for m in submasks(mask_of(margin_axes)) if m & a_mask]
     zero_masks = [m for m in range(1 << n) if m & a_mask and m & c_mask]
-    plain, tau, eta, logp = _routes(table, a_axes, margin_axes, tol, set_masks + zero_masks)
+    plain, tau, eta, logp, log_ab = _routes(table, a_axes, margin_axes, tol, set_masks + zero_masks)
 
     names = table.scheme.subset_names
     set_gaps = {names(axes_of(m)): _max_abs(squeeze_mask(tau[m], m) - eta[m]) for m in set_masks}
     zero_set_max = max(_max_abs(tau[m]) for m in zero_masks)
-    def log_sum(axes):  # ln of p summed over ``axes``, keepdims
-        return np.log(table.cells.sum(axis=axes, keepdims=True))
-
-    # on the zero set tau_L(ln p) = tau_L(r), and tau_L takes I - M_a, of max
-    # norm 2(1 - 1/m_a) >= 1, on each a in L: so |tau_L| <= K max|r|, K their product
-    r = logp + log_sum(a_axes + c_axes) - log_sum(c_axes) - log_sum(a_axes)
-    k = math.prod(2 - 2 / m for m in logp.shape)
-    if zero_set_max > k * _max_abs(r) + 2**n * _EPS * _max_abs(logp):
-        raise RouteDisagreementError(f"zero set {zero_set_max!r} over {k!r} times max|r| {_max_abs(r)!r}")
+    # on the zero set tau_L(ln p) = tau_L(r), r = ln p + ln p_B - ln p_AB - ln p_BC (B given),
+    # and I - M_a, of max norm 2(1 - 1/m_a) >= 1, acts on each a in L: |tau_L| <= K max|r|
+    p_bc = table.cells.sum(axis=a_axes, keepdims=True)
+    log_b = np.log(p_bc.sum(axis=c_axes, keepdims=True))
+    r = logp + log_b - np.expand_dims(log_ab, c_axes) - np.log(p_bc)
+    k, r_max = math.prod(2 - 2 / m for m in logp.shape), _max_abs(r)
+    if zero_set_max > k * r_max + 2**n * _EPS * _max_abs(logp):
+        raise RouteDisagreementError(f"zero set {zero_set_max!r} over {k!r} times max|r| {r_max!r}")
+    collapsible = max(set_gaps.values()) <= tol
     return replace(
         plain,
-        collapsible=max(set_gaps.values()) <= tol,
-        strict=zero_set_max <= tol,
+        collapsible=collapsible,
+        strict=collapsible and zero_set_max <= tol,
         set_gaps=set_gaps,
         zero_set_max=zero_set_max,
         ci=table.check_ci(a_axes, c_axes, b_axes),

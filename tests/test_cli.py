@@ -944,9 +944,10 @@ class TestRouteBoundaries:
         out, err = capsys.readouterr()
         assert err == "" and "verdict" in json.loads(out)
 
-    def test_strict_is_decided_by_the_zero_set(self, capsys):
-        # the zero set (0.79) is under tol 1; CI is reported on its own
-        # probability scale (deviation 0.14 over 1e-9) and decides nothing
+    def test_strict_is_decided_by_the_tau_route(self, capsys):
+        # the set gap (0.44) and zero set (0.79) are under tol 1; CI is
+        # reported on its own probability scale (deviation 0.14 over 1e-9)
+        # and decides nothing
         assert main(TOL_VERBS["collapse-check --strict"] + ["--tol", "1"]) == EXIT_OK
         verdict = json.loads(capsys.readouterr().out)["verdict"]
         assert verdict["strict"] is True and verdict["interaction_zero_ok"] is True

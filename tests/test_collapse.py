@@ -142,7 +142,7 @@ class TestStrictCollapsibility:
         pert = ContingencyTable(t.scheme, cells, "probability")
         v = check_strict_collapsibility(pert, ["x1"], ["x2"], ["x3"])
         assert not v.strict
-        assert v.zero_set_max > 1e-8
+        assert v.zero_set_max > 1e-8 or max(v.set_gaps.values()) > 1e-8
 
     def test_partition_required(self, admission_table):
         p = admission_table.normalize()
@@ -272,11 +272,12 @@ class TestOneDecidingRoute:
 
     @settings(max_examples=60, deadline=None)
     @given(_near_ci_tables())
-    def test_strict_is_the_zero_set_at_any_tol(self, case):
+    def test_strict_is_the_tau_route_at_any_tol(self, case):
         t, a, b, c, tol = case
         v = check_strict_collapsibility(t, a, b, c, tol=tol)
-        assert v.strict == (v.zero_set_max <= tol)
         assert v.collapsible == (max(v.set_gaps.values()) <= tol)
+        assert v.strict == (v.collapsible and v.zero_set_max <= tol)
+        assert v.collapsible or not v.strict
         # every zero-set interaction is bounded by the log CI residual
         k = math.prod(2 - 2 / m for m in t.scheme.shape)
         r = _log_ci_residual(t.cells, a, c)
@@ -296,9 +297,22 @@ class TestOneDecidingRoute:
         w = check_collapsibility(t, target, margin, tol=tol)
         assert w.collapsible == (w.max_residual <= tol)
 
+    def test_zero_set_within_tol_is_not_enough(self):
+        # ln p = g(c) + s_a (h s1 + h s2 + h s1 s2), g weighting c = (+, +):
+        # the zero set is h = 0.01, but collapsing moves tau_{x0} by 0.029
+        s = np.array([-1.0, 1.0])
+        sa, s1, s2 = s[:, None, None], s[None, :, None], s[None, None, :]
+        g = np.zeros((1, 2, 2))
+        g[0, 1, 1] = 5.0
+        t = _table(np.exp(g + sa * 0.01 * (s1 + s2 + s1 * s2)))
+        v = check_strict_collapsibility(t, ["x0"], [], ["x1", "x2"], tol=0.02)
+        assert v.zero_set_max <= 0.02 < v.set_gaps[("x0",)]
+        assert not v.collapsible and not v.strict
+
     def test_loose_tol_is_strict_without_ci(self, death_penalty_table):
-        # the zero set (0.79) decides at tol 1; the CI deviation (0.14 on the
-        # probability scale, over its own 1e-9) is reported only
+        # the set gap (0.44) and zero set (0.79) decide at tol 1; the CI
+        # deviation (0.14 on the probability scale, over its own 1e-9) is
+        # reported only
         p = death_penalty_table.normalize(smoothing=0.5)
         v = check_strict_collapsibility(p, ["A", "D"], [], ["V"], tol=1.0)
         assert v.strict and v.collapsible and not v.ci.holds
