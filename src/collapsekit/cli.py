@@ -15,9 +15,6 @@ own options as (flag, ``add_argument`` keywords), and ``build_parser`` is
 one loop over the rows.  Rows hold the ``_cmd_*`` handlers, never library
 functions: a handler looks its library calls up by module-level name when it
 runs, so a wrapper swapped in for a module attribute sees every call.
-
-``dep-check`` and ``survival-check`` import their modules inside the verb:
-those modules load scipy, which the other verbs never need.
 """
 
 from __future__ import annotations
@@ -38,9 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, assoc, regress
+from . import __version__, assoc, depfun, regress
 from .assoc import FiniteJoint, detect_assoc_reversal, double_linkage, holds_relation
 from .collapse import check_collapsibility, check_strict_collapsibility
+from .depfun import check_avg_collapsibility, check_homogeneity, model_from_json
 from .errors import CollapsekitError, SchemeError, TableError, loads, malformed
 from .loglinear import DEFAULT_TAU_TOL, LATTICE_BUDGET, decompose, is_hierarchical
 from .paradox import StratumScan, cornfield, detect_reversal, scan_strata
@@ -48,8 +46,10 @@ from .regress import (
     StratifiedRegressionSummary,
     check_a_collapsibility,
     check_parallel_collapsibility,
+    is_parallel,
     summary_from_records,
 )
+from .survival import SurvivalSpec, check_condition, verify_numeric
 from .tables import CategoricalScheme, ContingencyTable
 
 MAX_CSV_VARIABLES = 20
@@ -469,10 +469,9 @@ def _cmd_regress_audit(args):
         summary = summary_from_records(*read_records(args.input))
     else:
         summary = StratifiedRegressionSummary.from_json(_text(args.input))
-    betas = [s.beta for s in summary.strata]
     mode = args.mode
     if mode == "auto":
-        mode = "parallel" if max(betas) - min(betas) <= 1e-12 else "average"
+        mode = "parallel" if is_parallel(summary) else "average"
     check = check_parallel_collapsibility if mode == "parallel" else check_a_collapsibility
     v = check(summary, tol=args.tol)
     # a parallel verdict's a_collapsible is its collapsible
@@ -480,8 +479,6 @@ def _cmd_regress_audit(args):
 
 
 def _cmd_dep_check(args):
-    from .depfun import check_avg_collapsibility, check_homogeneity, model_from_json
-
     model = model_from_json(_text(args.input))
     v = check_avg_collapsibility(model, tol=args.tol)
     h = check_homogeneity(model, tol=args.tol)
@@ -497,8 +494,6 @@ def _cmd_dep_check(args):
 
 
 def _cmd_survival_check(args):
-    from .survival import SurvivalSpec, check_condition, verify_numeric
-
     spec = SurvivalSpec.from_json(_text(args.input))
     v = verify_numeric(spec) if args.numeric else check_condition(spec)
     return v, v.condition, None
@@ -518,7 +513,6 @@ def _tolerance(text: str) -> float:
 _SMOOTHING = ("--smoothing", dict(type=float, default=None, help="additive smoothing for zero count cells"))
 _VARIABLES = ("--variables", dict(help="JSON file declaring variables and levels (CSV input)"))
 
-# dep-check's --tol default is depfun.DEFAULT_TOL: importing depfun loads scipy
 VERBS = (
     ("ingest", _cmd_ingest, "cross-tabulate a CSV of observations", None, [_VARIABLES]),
     ("scan-paradox", _cmd_scan_paradox, "event-level reversal scan (exit 2 on reversal)", None, [
@@ -545,7 +539,7 @@ VERBS = (
     ("regress-audit", _cmd_regress_audit, "regression collapsibility audit", regress.DEFAULT_TOL, [
         ("--mode", dict(choices=("auto", "parallel", "average"), default="auto")),
     ]),
-    ("dep-check", _cmd_dep_check, "dependence-function average collapsibility", 1e-6, []),
+    ("dep-check", _cmd_dep_check, "dependence-function average collapsibility", depfun.DEFAULT_TOL, []),
     ("survival-check", _cmd_survival_check, "survival reversal condition (exit 2 when predicted)", None, [
         ("--numeric", dict(action="store_true", help="also verify on the probe grid")),
     ]),

@@ -16,18 +16,17 @@ dependence function against f(w | x) reproduces the marginal dependence
 function; equivalently, whether the integral of F(y | x, w) against the
 x-derivative of f(w | x) vanishes.  Both quantities are evaluated on a
 grid, with adaptive quadrature falling back to a fixed 201-point Simpson
-rule if the adaptive routine fails to converge.
+rule if the adaptive routine fails to converge.  scipy supplies both rules,
+and ``_integrate`` imports it, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ModelError, loads, malformed, number, numbers
 
@@ -51,16 +50,16 @@ def _ndtr(z: float) -> float:
 
 def _integrate(f, lo: float, hi: float, points: Sequence[float] = ()) -> tuple[float, bool]:
     """Adaptive quadrature with a fixed-grid fallback; returns (value, converged)."""
+    from scipy import integrate
+
     pts = sorted(p for p in points if lo < p < hi)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, _ = integrate.quad(
-                f, lo, hi, points=pts or None, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400
-            )
-            return val, True
-        except integrate.IntegrationWarning:
-            pass
+    # with full_output, QUADPACK's message comes as a fourth item, only
+    # when it did not converge
+    val, _, _, *failed = integrate.quad(
+        f, lo, hi, points=pts or None, full_output=1, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400
+    )
+    if not failed:
+        return val, True
     grid = np.linspace(lo, hi, 201)
     vals = np.array([f(t) for t in grid.tolist()])  # Python floats: an overflow is inf, not a warning
     return float(integrate.simpson(vals, x=grid)), False

@@ -235,6 +235,12 @@ def _decide(
     )
 
 
+def is_parallel(summary: StratifiedRegressionSummary) -> bool:
+    """Do the strata share one slope: do their slopes span at most 1e-12?"""
+    betas = [s.beta for s in summary.strata]
+    return max(betas) - min(betas) <= 1e-12
+
+
 # a moment that overflows comes out inf or nan, which ``_decide`` rejects
 @np.errstate(over="ignore", invalid="ignore")
 def check_parallel_collapsibility(
@@ -246,10 +252,10 @@ def check_parallel_collapsibility(
     Cov(alpha, mu_x) / Var(X) = 0 over the strata; route two compares the
     marginal slope with the common slope directly.
     """
+    if not is_parallel(summary):
+        raise DistributionError("strata have different slopes; not a parallel summary")
     a = summary.arrays()
     beta = float(a["beta"][0])
-    if np.max(np.abs(a["beta"] - beta)) > 1e-12:
-        raise DistributionError("strata have different slopes; not a parallel summary")
     return _decide("parallel", a, _wcov(a["pi"], a["alpha"], a["mu_x"]), 0.0, beta, tol)
 
 

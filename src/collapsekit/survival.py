@@ -13,12 +13,13 @@ for all t, s > 0 exactly when bx + by rho < 0, i.e. rho > bx / |by|.
 
 ``check_condition`` evaluates those parameter inequalities;
 ``verify_numeric`` probes the monotonicity pattern on a finite grid with
-closed-form conditional ratios and quadrature marginals.
+closed-form conditional ratios and quadrature marginals.  scipy is imported
+by the functions that use it (the normal tail, the quadrature and the
+tabulated K), so the condition check loads none of it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -37,19 +38,12 @@ DEFAULT_Y_PROBES = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _DIRECTION_EPS = 1e-11
 
 
-@functools.cache
-def _normal_tail():
-    """scipy.special's (ndtr, log_ndtr), imported on first use: the
-    condition check never evaluates a survival function, so it loads no scipy."""
-    from scipy.special import log_ndtr, ndtr
-
-    return ndtr, log_ndtr
-
-
 def _log_survival(z: float, law: str) -> float:
     """ln of the baseline survival function at z."""
     if law == "std-normal":
-        return float(_normal_tail()[1](-z))
+        from scipy.special import log_ndtr
+
+        return float(log_ndtr(-z))
     if law == "gumbel":  # S(z) = exp(-e^z); the extreme-value / hazard e^z case
         try:
             return -math.exp(z)
@@ -60,10 +54,14 @@ def _log_survival(z: float, law: str) -> float:
     raise ModelError(f"unknown baseline law {law!r}; use one of {W_LAWS}")
 
 
-def _survival(z: float, law: str) -> float:
+def _survival_function(law: str):
+    """The baseline survival function z -> S(z).  A quadrature calls it at
+    every node, so scipy is imported when the function is made, not per value."""
     if law == "std-normal":
-        return float(_normal_tail()[0](-z))
-    return math.exp(_log_survival(z, law))
+        from scipy.special import ndtr
+
+        return lambda z: float(ndtr(-z))
+    return lambda z: math.exp(_log_survival(z, law))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +106,6 @@ class SurvivalSpec:
                 b <= a for a, b in zip(ks, ks[1:])
             ):
                 raise ModelError("k_transform must be strictly increasing")
-            # scipy.interpolate is imported here, not at module level, so
-            # specs with the identity K never load it
             from scipy.interpolate import PchipInterpolator
 
             object.__setattr__(self, "k_transform", (ts, ks))
@@ -169,7 +165,7 @@ class SurvivalSpec:
 
 def conditional_survival(spec: SurvivalSpec, t: float, x: float, y: float) -> float:
     """P(T > t | X = x, Y = y)."""
-    return _survival(spec.k(t) + spec.beta_x * x + spec.beta_y * y, spec.w_law)
+    return _survival_function(spec.w_law)(spec.k(t) + spec.beta_x * x + spec.beta_y * y)
 
 
 def conditional_ratio(
@@ -191,20 +187,23 @@ def conditional_ratio(
 
 def marginal_survival(spec: SurvivalSpec, t: float, x: float) -> float:
     """P(T > t | X = x), integrating out Y ~ N(eta(x), 1)."""
-    # imported on use: only the numeric verification integrates, and
-    # scipy.integrate dominates the import time of a condition check
     from scipy.integrate import quad
 
+    survival = _survival_function(spec.w_law)
     center = spec.eta(x)
     kt = spec.k(t)
 
     def f(y: float) -> float:
         z = y - center
-        return _survival(kt + spec.beta_x * x + spec.beta_y * y, spec.w_law) * math.exp(
-            -0.5 * z * z
-        )
+        return survival(kt + spec.beta_x * x + spec.beta_y * y) * math.exp(-0.5 * z * z)
 
-    val, _ = quad(f, center - 10.0, center + 10.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+    # with full_output, QUADPACK's message comes as a fourth item, only
+    # when it did not converge
+    val, _, _, *failed = quad(
+        f, center - 10.0, center + 10.0, full_output=1, epsabs=1e-12, epsrel=1e-12, limit=200
+    )
+    if failed:
+        raise ModelError(f"the quadrature of P(T > {t} | x={x}) did not converge")
     return val / math.sqrt(2.0 * math.pi)
 
 

@@ -632,6 +632,21 @@ class TestExitCodes:
         assert err == ""
         assert json.loads(out)["error"] == {"kind": kind, "message": message}
 
+    @pytest.mark.filterwarnings("error")  # an IntegrationWarning fails the test
+    def test_unconverged_marginal_is_structured(self, tmp_path, capsys):
+        # by = -1000 makes S(0.5 | x=0, y) a step in y that the quadrature
+        # cannot resolve; the ratio read 1.00043 where the closed form gives
+        # 0.99980, and the verdict reported directions from it
+        p = tmp_path / "survival.json"
+        p.write_text('{"beta_x": 1.0, "beta_y": -1000.0, "eta": {"mu": 0, "rho": 0.8}}')
+        assert main(["survival-check", "--numeric", str(p)]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["error"] == {
+            "kind": "ModelError",
+            "message": "the quadrature of P(T > 0.5 | x=0.0) did not converge",
+        }
+
     def test_missing_file(self, capsys):
         assert main(["decompose", "/nonexistent/nope.json"]) == EXIT_ERROR
 

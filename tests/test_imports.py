@@ -1,10 +1,9 @@
-"""Import boundary: table verbs run without scipy, and lazy names act like eager ones.
+"""Import boundary: no import loads scipy, and the package exports its names.
 
-``depfun`` imports scipy, and ``survival`` does once it evaluates a survival
-function; scipy costs several times the import of numpy, so the package
-loads both modules on first use.  The boundary
-checks run in fresh interpreters, because the test process has long since
-imported everything.
+Only the dependence-function and survival code uses scipy, and each function
+that calls it imports it, so importing any module loads none of it; scipy
+costs several times the import of numpy.  The boundary checks run in fresh
+interpreters, because the test process has long since imported everything.
 """
 
 import importlib
@@ -17,13 +16,12 @@ from pathlib import Path
 import pytest
 
 import collapsekit
-from collapsekit import depfun, survival
 
 from test_golden import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 
-LAZY_NAMES = {
+MODEL_NAMES = {
     "DependenceModel": "depfun",
     "DepVerdict": "depfun",
     "GaussianLinearInteraction": "depfun",
@@ -39,29 +37,34 @@ LAZY_NAMES = {
 }
 SCIPY_VERBS = ("dep-check", "survival-check")
 
-# imports the package and the CLI, runs each golden case given as JSON
-# through cli.main in order, and prints the scipy modules loaded after each step
+# imports the modules given as a JSON list, runs each golden case given as
+# JSON through cli.main in order, and prints the scipy modules loaded after
+# each step
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-import collapsekit, collapsekit.cli
+modules, cases = json.loads(sys.argv[1])
+for module in modules:
+    importlib.import_module(module)
 loaded = {"import": scipy_modules()}
-for name, argv in json.loads(sys.argv[1]).items():
+for name, argv in cases.items():
     with contextlib.redirect_stdout(io.StringIO()):
-        collapsekit.cli.main(argv)
+        sys.modules["collapsekit.cli"].main(argv)
     loaded[name] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
-def scipy_loaded_after(cases: dict[str, list[str]]) -> dict[str, list[str]]:
-    """scipy modules in ``sys.modules`` after the import and after each case."""
+def scipy_loaded_after(
+    cases: dict[str, list[str]], modules=("collapsekit", "collapsekit.cli")
+) -> dict[str, list[str]]:
+    """scipy modules in ``sys.modules`` after the imports and after each case."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(cases)],
+        [sys.executable, "-c", CHILD, json.dumps([list(modules), cases])],
         cwd=ROOT,  # case arguments are paths relative to the repo root
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
@@ -76,6 +79,10 @@ class TestImportBoundary:
     def test_package_and_cli_import_without_scipy(self):
         assert scipy_loaded_after({}) == {"import": []}
 
+    def test_model_modules_import_without_scipy(self):
+        modules = ("collapsekit.depfun", "collapsekit.survival")
+        assert scipy_loaded_after({}, modules) == {"import": []}
+
     def test_table_verbs_run_without_scipy(self):
         cases = {
             name: argv
@@ -86,21 +93,27 @@ class TestImportBoundary:
         loaded = scipy_loaded_after(cases)
         assert loaded == dict.fromkeys(["import", *cases], [])
 
+    def test_dep_check_loads_integrate(self):
+        # the check above can see a load: the quadrature imports scipy.integrate
+        loaded = scipy_loaded_after({"dep-check": CASES["dep-check"]})
+        assert loaded["import"] == []
+        assert "scipy.integrate" in loaded["dep-check"]
+
     def test_survival_condition_skips_integrate_and_interpolate(self):
         loaded = scipy_loaded_after(
             {"condition": CASES["survival-check.md"], "numeric": CASES["survival-check"]}
         )
         # the condition is algebra on the coefficients: no scipy module at all
         assert loaded["condition"] == []
-        # the numeric probes do integrate: the check above can see a load
+        # the numeric probes do integrate
         assert "scipy.integrate" in loaded["numeric"]
         assert "scipy.special" in loaded["numeric"]
 
 
-class TestLazyNames:
-    @pytest.mark.parametrize("name", sorted(LAZY_NAMES))
+class TestPackageNames:
+    @pytest.mark.parametrize("name", sorted(MODEL_NAMES))
     def test_same_object_as_the_module(self, name):
-        module = importlib.import_module(f"collapsekit.{LAZY_NAMES[name]}")
+        module = importlib.import_module(f"collapsekit.{MODEL_NAMES[name]}")
         assert getattr(collapsekit, name) is getattr(module, name)
 
     def test_dir_lists_all(self):
@@ -115,14 +128,3 @@ class TestLazyNames:
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="'collapsekit'.*'no_such_name'"):
             collapsekit.no_such_name
-
-    def test_not_cached_in_the_package(self, monkeypatch):
-        # a swap of the module attribute (as span-recording probes do) shows
-        # through the package; a cached value would pin the old object
-        def probe(*args, **kwargs):
-            raise AssertionError("not called")
-
-        monkeypatch.setattr(survival, "verify_numeric", probe)
-        monkeypatch.setattr(depfun, "dep_fn", probe)
-        assert collapsekit.verify_numeric is probe
-        assert collapsekit.dep_fn is probe

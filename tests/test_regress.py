@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -161,6 +162,22 @@ class TestParallelCollapsibility:
         summ = random_summary(rng, parallel=False)
         with pytest.raises(DistributionError):
             check_parallel_collapsibility(summ)
+
+    @pytest.mark.parametrize(
+        "betas, parallel",
+        [((1.0, 1.0), True), ((0.0, 1e-12), True), ((0.0, 2e-12), False), ((0.0, 1e-12, -0.9e-12), False)],
+    )
+    def test_one_slope_rule_in_any_order(self, betas, parallel):
+        # the rule regress-audit --mode auto applies too; the slopes' spread,
+        # unlike a spread around the first slope, ignores the stratum order
+        for order in itertools.permutations(betas):
+            summ = StratifiedRegressionSummary(
+                tuple(S(1 / len(order), 0.0, b, float(i), 1.0, 2.0) for i, b in enumerate(order))
+            )
+            assert regress.is_parallel(summ) is parallel
+            if not parallel:
+                with pytest.raises(DistributionError, match="different slopes"):
+                    check_parallel_collapsibility(summ)
 
     def test_route_agreement_random(self):
         rng = np.random.default_rng(3)
