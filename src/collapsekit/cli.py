@@ -469,10 +469,7 @@ def _cmd_regress_audit(args):
         summary = summary_from_records(*read_records(args.input))
     else:
         summary = StratifiedRegressionSummary.from_json(_text(args.input))
-    mode = args.mode
-    if mode == "auto":
-        mode = "parallel" if is_parallel(summary) else "average"
-    check = check_parallel_collapsibility if mode == "parallel" else check_a_collapsibility
+    check = check_parallel_collapsibility if is_parallel(summary) else check_a_collapsibility
     v = check(summary, tol=args.tol)
     # a parallel verdict's a_collapsible is its collapsible
     return dict(as_report(v), summary=as_report(summary)), not v.a_collapsible, None
@@ -536,9 +533,7 @@ VERBS = (
     ("assoc-check", _cmd_assoc_check, "association relation and reversal report", assoc.DEFAULT_TOL, [
         ("--relation", dict(choices=("r1", "r2", "r3", "r4"), default="r4")),
     ]),
-    ("regress-audit", _cmd_regress_audit, "regression collapsibility audit", regress.DEFAULT_TOL, [
-        ("--mode", dict(choices=("auto", "parallel", "average"), default="auto")),
-    ]),
+    ("regress-audit", _cmd_regress_audit, "regression collapsibility audit", regress.DEFAULT_TOL, []),
     ("dep-check", _cmd_dep_check, "dependence-function average collapsibility", depfun.DEFAULT_TOL, []),
     ("survival-check", _cmd_survival_check, "survival reversal condition (exit 2 when predicted)", None, [
         ("--numeric", dict(action="store_true", help="also verify on the probe grid")),

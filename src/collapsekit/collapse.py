@@ -12,7 +12,10 @@ computed; the residual decides, and the direct one must agree to rounding:
 
 Both routes are ``loglinear.mobius`` applied to ln p, to ln p_B and to d,
 asked only for the interactions a verdict compares or reports; neither
-table is decomposed in full.  ``_routes`` alone runs them.
+table is decomposed in full.  ``_routes`` alone runs them.  ln p_B, d,
+tau, eta and the log CI residual r all keep the table's own axes (the
+collapsed ones as singletons), so one mask names a subset in every array,
+and arrays are squeezed only where a verdict reports them.
 
 Strict collapsibility (Whittemore 1978) extends the plain verdict for the
 target over the margin target ∪ given: every interaction of the target's
@@ -33,7 +36,7 @@ from typing import Collection, Mapping
 import numpy as np
 
 from .errors import RouteDisagreementError, SchemeError
-from .loglinear import DEFAULT_TAU_TOL, log_cells, mobius, mobius_at, squeeze_mask
+from .loglinear import DEFAULT_TAU_TOL, log_cells, mobius, squeeze_mask
 from .subsets import axes_of, mask_of, submasks
 from .tables import CiVerdict, ContingencyTable, SubsetSpec
 
@@ -77,22 +80,18 @@ def _routes(
     masks: Collection[int] = (),
 ) -> tuple[CollapseVerdict, dict[int, np.ndarray], dict[int, np.ndarray], np.ndarray, np.ndarray]:
     """The plain verdict for tau_A over the margin B, by both routes, and
-    tau and eta at A and at each of ``masks``, keyed by mask over the table:
-    tau keepdims over the table, eta squeezed, for the masks inside B only;
-    ln p; and ln p_B over the margin's axes."""
+    tau and eta at A and at each of ``masks`` (eta for the masks inside B
+    only), ln p and ln p_B, every array keepdims over the table's axes."""
     logp = log_cells(table)
-    log_marg = np.log(table.marginalize(b_axes).cells)
-    d = log_marg - logp.mean(axis=tuple(x for x in range(logp.ndim) if x not in b_axes))
+    c_axes = tuple(x for x in range(logp.ndim) if x not in b_axes)
+    log_marg = np.log(table.cells.sum(axis=c_axes, keepdims=True))
+    d = log_marg - logp.mean(axis=c_axes, keepdims=True)
     a_mask, b_mask = mask_of(a_axes), mask_of(b_axes)
     wanted = list(dict.fromkeys((a_mask, *masks)))
-    # each mask inside B, over the (sorted) margin's axes
-    pos = {m: mask_of(b_axes.index(x) for x in axes_of(m)) for m in wanted if not m & ~b_mask}
     tau = mobius(logp, wanted)
-    eta_pos = mobius(log_marg, list(pos.values()))
-    eta = {m: squeeze_mask(eta_pos[p], p) for m, p in pos.items()}
-    max_residual = _max_abs(mobius_at(d, pos[a_mask]))
-    tau_full = squeeze_mask(tau[a_mask], a_mask)
-    direct_gap = _max_abs(tau_full - eta[a_mask])
+    eta = mobius(log_marg, [m for m in wanted if not m & ~b_mask])
+    max_residual = _max_abs(mobius(d, (a_mask,))[a_mask])
+    direct_gap = _max_abs(tau[a_mask] - eta[a_mask])
     # both are alternating sums of 2^|A| means of logs no larger than max|ln p|
     if abs(max_residual - direct_gap) > 16 * 2 ** len(a_axes) * _EPS * _max_abs(logp):
         raise RouteDisagreementError(
@@ -105,8 +104,8 @@ def _routes(
         collapsible=max_residual <= tol,
         max_residual=max_residual,
         direct_gap=direct_gap,
-        tau_full=tau_full,
-        eta_marginal=eta[a_mask],
+        tau_full=squeeze_mask(tau[a_mask], a_mask),
+        eta_marginal=squeeze_mask(eta[a_mask], a_mask),
         tol=tol,
     )
     return plain, tau, eta, logp, log_marg
@@ -164,13 +163,13 @@ def check_strict_collapsibility(
     plain, tau, eta, logp, log_ab = _routes(table, a_axes, margin_axes, tol, set_masks + zero_masks)
 
     names = table.scheme.subset_names
-    set_gaps = {names(axes_of(m)): _max_abs(squeeze_mask(tau[m], m) - eta[m]) for m in set_masks}
+    set_gaps = {names(axes_of(m)): _max_abs(tau[m] - eta[m]) for m in set_masks}
     zero_set_max = max(_max_abs(tau[m]) for m in zero_masks)
     # on the zero set tau_L(ln p) = tau_L(r), r = ln p + ln p_B - ln p_AB - ln p_BC (B given),
     # and I - M_a, of max norm 2(1 - 1/m_a) >= 1, acts on each a in L: |tau_L| <= K max|r|
     p_bc = table.cells.sum(axis=a_axes, keepdims=True)
     log_b = np.log(p_bc.sum(axis=c_axes, keepdims=True))
-    r = logp + log_b - np.expand_dims(log_ab, c_axes) - np.log(p_bc)
+    r = logp + log_b - log_ab - np.log(p_bc)
     k, r_max = math.prod(2 - 2 / m for m in logp.shape), _max_abs(r)
     if zero_set_max > k * r_max + 2**n * _EPS * _max_abs(logp):
         raise RouteDisagreementError(f"zero set {zero_set_max!r} over {k!r} times max|r| {r_max!r}")

@@ -11,12 +11,13 @@ log-margins:
     ltilde_A(i_A) = mean over the complement coordinates of ln p(i),
     tau_A(i_A)    = sum over Z subset of A of (-1)^(|A|-|Z|) ltilde_Z(i_Z).
 
-``mobius`` is the one lattice transform of the package: ``decompose`` asks
-it for every subset, ``interaction`` for one, and the collapse routes apply
-it to ln p, to the marginal log cells and to their residual, asking only for
-the subsets they compare.  Internally every subset-indexed array keeps full
-rank with singleton axes on the averaged-out variables, so the alternating
-sums are plain broadcasts.  A request spanning 7 or more variables is
+``mobius`` is the one lattice transform and its only entry point:
+``decompose`` asks it for every subset, ``interaction`` for one, and the
+collapse routes apply it to ln p, to the marginal log cells and to their
+residual, asking only for the subsets they compare; ``_mean`` is the one
+subset mean, which ``tilde_l`` reports.  Every subset-indexed array keeps
+full rank with singleton axes on the averaged-out variables, so the
+alternating sums are plain broadcasts.  A request spanning 7 or more variables is
 computed instead by per-axis centering,
 
     tau_A = prod over a in A of (I - M_a) prod over a outside A of M_a  ln p,
@@ -59,10 +60,10 @@ def mobius(x: np.ndarray, masks: Collection[int]) -> dict[int, np.ndarray]:
     averaged over the axes outside Z, keepdims) computed once, by one
     ``x.mean`` call; each mask A then gets sum over Z inside A of
     (-1)^(|A|-|Z|) xtilde_Z, accumulated in ``submasks`` order; that order
-    fixes the last bits of every reported float.  The second term allocates
-    the sum and every later term is added or subtracted in place (a - b is
-    a + (-b) bit for bit), so no negated copy is made; a single-term mask
-    returns its mean itself.  Returns keepdims arrays in request order.
+    fixes the last bits of every reported float.  A term with a minus sign
+    is subtracted (a - b is a + (-b) bit for bit), so no negated copy is
+    made; a single-term mask returns its mean itself.  Returns keepdims
+    arrays in request order, over the axes of ``x``.
 
     A request spanning ``_CENTER_SPAN`` or more axes (up to 3^7 = 2,187
     submask terms and more) goes to ``_centered`` instead, which applies the per-axis
@@ -92,21 +93,17 @@ def mobius(x: np.ndarray, masks: Collection[int]) -> dict[int, np.ndarray]:
     out: dict[int, np.ndarray] = {}
     for mask in masks:
         parity = mask.bit_count() & 1
-        first = acc = None
+        acc = None
         for sub in submasks(mask):
             mean = means.get(sub)
             if mean is None:
                 mean = means[sub] = _mean(x, sub)
-            plus = (sub.bit_count() & 1) == parity
-            if first is None:
-                first = acc = mean  # the mask's own mean, with a plus sign
-            elif acc is first:
-                acc = acc + mean if plus else acc - mean
-            elif plus:
-                acc += mean
+            if acc is None:
+                acc = mean  # the mask's own mean, with a plus sign
+            elif (sub.bit_count() & 1) == parity:
+                acc = acc + mean
             else:
-                acc -= mean
-        assert acc is not None
+                acc = acc - mean
         out[mask] = acc
     return out
 
@@ -150,11 +147,6 @@ def squeeze_mask(arr: np.ndarray, mask: int) -> np.ndarray:
     """Copy of a keepdims array with the axes outside ``mask`` dropped."""
     drop = tuple(a for a in range(arr.ndim) if not mask & (1 << a))
     return np.squeeze(arr, axis=drop).copy() if drop else arr.copy()
-
-
-def mobius_at(x: np.ndarray, mask: int) -> np.ndarray:
-    """Single Möbius inverse at ``mask``, shaped over the mask's axes."""
-    return squeeze_mask(mobius(x, (mask,))[mask], mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,16 +206,14 @@ def tilde_l(table: ContingencyTable, subset: SubsetSpec) -> np.ndarray:
     The empty subset gives the grand mean of the log cells (0-d array); the
     full set gives ln p itself.
     """
-    logp = log_cells(table)
-    axes = table.scheme.resolve_subset(subset)
-    comp = tuple(a for a in range(table.scheme.n) if a not in axes)
-    out = logp.mean(axis=comp) if comp else logp.copy()
-    return np.asarray(out)
+    mask = mask_of(table.scheme.resolve_subset(subset))
+    return squeeze_mask(_mean(log_cells(table), mask), mask)
 
 
 def interaction(table: ContingencyTable, subset: SubsetSpec) -> np.ndarray:
     """Single interaction array tau_A, from the means of A's subsets only."""
-    return mobius_at(log_cells(table), mask_of(table.scheme.resolve_subset(subset)))
+    mask = mask_of(table.scheme.resolve_subset(subset))
+    return squeeze_mask(mobius(log_cells(table), (mask,))[mask], mask)
 
 
 def decompose(table: ContingencyTable) -> InteractionDecomposition:

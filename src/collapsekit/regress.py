@@ -236,9 +236,8 @@ def _decide(
 
 
 def is_parallel(summary: StratifiedRegressionSummary) -> bool:
-    """Do the strata share one slope: do their slopes span at most 1e-12?"""
-    betas = [s.beta for s in summary.strata]
-    return max(betas) - min(betas) <= 1e-12
+    """Do the strata share one slope, exactly?"""
+    return len({s.beta for s in summary.strata}) == 1
 
 
 # a moment that overflows comes out inf or nan, which ``_decide`` rejects
@@ -248,9 +247,10 @@ def check_parallel_collapsibility(
 ) -> RegressVerdict:
     """Collapsibility of the common slope of a parallel summary.
 
-    All strata must share one slope.  Route one tests
-    Cov(alpha, mu_x) / Var(X) = 0 over the strata; route two compares the
-    marginal slope with the common slope directly.
+    All strata must share one slope exactly (``is_parallel``), since both
+    routes assume it; a summary with any spread is an average one.  Route
+    one tests Cov(alpha, mu_x) / Var(X) = 0 over the strata; route two
+    compares the marginal slope with the common slope directly.
     """
     if not is_parallel(summary):
         raise DistributionError("strata have different slopes; not a parallel summary")

@@ -981,6 +981,51 @@ class TestRouteBoundaries:
             assert code in (EXIT_OK, EXIT_DETECTED) and err == "", (tol, out)
 
 
+def _slopes_summary(betas, shift=0.0):
+    """Equal-weight strata with the given slopes and mu_x = shift + 0, 1, …"""
+    return {
+        "levels": [
+            {"pi": 1 / len(betas), "alpha": 0, "beta": b, "mu_x": shift + i, "s_xx": 1, "s_yy": b * b + 2}
+            for i, b in enumerate(betas)
+        ]
+    }
+
+
+class TestNearParallelSlopes:
+    """Slopes that differ at all make an average audit: the parallel check's
+    identity route assumes one slope, so no spread is admitted to it."""
+
+    @pytest.mark.parametrize(
+        "shift, code, beta_gap", [(0.0, EXIT_OK, 1e-13), (1e6, EXIT_DETECTED, 2e-7)], ids=["near-0", "near-1e6"]
+    )
+    def test_slopes_1e_12_apart(self, tmp_path, capsys, shift, code, beta_gap):
+        # the shift multiplies the slopes' difference in the marginal slope
+        p = tmp_path / "summary.json"
+        p.write_text(json.dumps(_slopes_summary((0, 1e-12), shift)))
+        assert main(["regress-audit", str(p)]) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        verdict = json.loads(out)["verdict"]
+        assert verdict["mode"] == "average"
+        assert verdict["beta_gap"] == pytest.approx(beta_gap, rel=1e-5)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        beta0=st.floats(-2, 2),
+        delta=st.floats(1e-15, 1e-9),
+        ks=st.lists(st.integers(0, 3), min_size=2, max_size=4),
+        shift=st.floats(-1e6, 1e6),
+    )
+    def test_never_a_route_disagreement(self, tmp_path_factory, beta0, delta, ks, shift):
+        p = tmp_path_factory.mktemp("summary") / "summary.json"
+        p.write_text(json.dumps(_slopes_summary([beta0 + k * delta for k in ks], shift)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["regress-audit", str(p)])
+        assert code in (EXIT_OK, EXIT_DETECTED), out.getvalue()
+        assert err.getvalue() == ""
+
+
 _HELP = (("-h", "--help"), "_HelpAction", argparse.SUPPRESS, None, False, None, None)
 _INPUT = ((), "_StoreAction", None, None, True, None, None)
 _FORMAT = (("--format",), "_StoreAction", "json", ("json", "md"), False, None, None)
@@ -1017,10 +1062,7 @@ PARSER_SPEC = {
         _HELP, _INPUT, _FORMAT, _tol(1e-9),
         (("--relation",), "_StoreAction", "r4", ("r1", "r2", "r3", "r4"), False, None, None),
     ],
-    "regress-audit": [
-        _HELP, _INPUT, _FORMAT, _tol(1e-9),
-        (("--mode",), "_StoreAction", "auto", ("auto", "parallel", "average"), False, None, None),
-    ],
+    "regress-audit": [_HELP, _INPUT, _FORMAT, _tol(1e-9)],
     "dep-check": [_HELP, _INPUT, _FORMAT, _tol(1e-6)],
     "survival-check": [
         _HELP, _INPUT, _FORMAT,

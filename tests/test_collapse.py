@@ -323,10 +323,19 @@ class TestBrokenRouteRaises:
 
     def test_shifted_residual(self, monkeypatch):
         t = ci_constructed_table(np.random.default_rng(0))
-        real = collapse.mobius_at
-        monkeypatch.setattr(collapse, "mobius_at", lambda x, mask: real(x, mask) + 1e-6)
+        real = collapse.mobius
+        calls = []
+
+        def shifted(x, masks):
+            # the routes ask for tau, then eta, then the residual
+            calls.append(x)
+            out = real(x, masks)
+            return {m: a + 1e-6 for m, a in out.items()} if len(calls) % 3 == 0 else out
+
+        monkeypatch.setattr(collapse, "mobius", shifted)
         with pytest.raises(RouteDisagreementError, match="residual route"):
             check_collapsibility(t, ["x1", "x2"], ["x1", "x2"])
+        assert len(calls) == 3
         with pytest.raises(RouteDisagreementError, match="residual route"):
             check_strict_collapsibility(t, ["x1"], ["x2"], ["x3"])
 
@@ -339,10 +348,9 @@ class TestBrokenRouteRaises:
         v_mask = mask_of((1,))
 
         def scaled(x, masks):
-            out = real(x, masks)
-            if x.ndim < 3:  # the margin's interactions stay as they are
-                return out
-            return {m: arr * scale if m & v_mask else arr for m, arr in out.items()}
+            # only tau is asked for masks meeting V: the margin's and the
+            # residual's masks lie inside {A, D}
+            return {m: arr * scale if m & v_mask else arr for m, arr in real(x, masks).items()}
 
         assert check_strict_collapsibility(p, ["A", "D"], [], ["V"]).zero_set_max > 0.75
         monkeypatch.setattr(collapse, "mobius", scaled)

@@ -165,11 +165,13 @@ class TestParallelCollapsibility:
 
     @pytest.mark.parametrize(
         "betas, parallel",
-        [((1.0, 1.0), True), ((0.0, 1e-12), True), ((0.0, 2e-12), False), ((0.0, 1e-12, -0.9e-12), False)],
+        [
+            ((1.0, 1.0), True), ((0.5, 0.5, 0.5), True), ((0.0, 2e-12), False),
+            ((0.0, 1e-12, -0.9e-12), False), ((0.0, 1e-12), False),
+        ],
     )
     def test_one_slope_rule_in_any_order(self, betas, parallel):
-        # the rule regress-audit --mode auto applies too; the slopes' spread,
-        # unlike a spread around the first slope, ignores the stratum order
+        # the rule regress-audit applies too: equal slopes, in any stratum order
         for order in itertools.permutations(betas):
             summ = StratifiedRegressionSummary(
                 tuple(S(1 / len(order), 0.0, b, float(i), 1.0, 2.0) for i, b in enumerate(order))
