@@ -103,45 +103,93 @@ def _fmt_float(x: float) -> str:
 def dumps_report(obj, indent: int = 0) -> str:
     """JSON text with sorted keys and fixed float formatting.
 
-    A list or tuple whose items are all exactly ``float`` (a decompose
-    report's interaction arrays) is formatted by one ``%`` call over the
-    whole list and checked for NaN and infinity once, on the joined text.
-    Its bytes are identical to the per-item path, which every other list
-    takes, so bools and ints in a mixed list still print as ``true`` and
-    ``1``.
+    The value is walked once into a flat list of text pieces.  A list or
+    tuple whose items are all exactly ``float`` (a decompose report's
+    interaction arrays) leaves an empty piece there, and once the walk is
+    done ``_fill_float_lists`` fills every such piece, formatting each
+    distinct float magnitude of the whole report once.  The bytes are those
+    of formatting every float on its own with ``%.17g``.  Any other list
+    takes the per-item path, so bools and ints in a mixed list still print
+    as ``true`` and ``1``.  NaN or infinity anywhere raises ValueError.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return encode_basestring(obj)
-    if isinstance(obj, (list, tuple)):
+    pieces: list[str] = []
+    float_lists: list[tuple[int, list, str]] = []
+    _walk(obj, indent, pieces, float_lists)
+    if float_lists:
+        _fill_float_lists(pieces, float_lists)
+    return "".join(pieces)
+
+
+def _walk(obj, indent: int, pieces: list[str], float_lists: list) -> None:
+    """Append the JSON text of ``obj`` to ``pieces``.  An all-float list
+    gets an empty piece, and (its index, the list, the item pad) goes to
+    ``float_lists``."""
+    if isinstance(obj, str):  # first: a report's most common leaf
+        pieces.append(encode_basestring(obj))
+    elif obj is None:
+        pieces.append("null")
+    elif isinstance(obj, bool):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        pieces.append(str(obj))
+    elif isinstance(obj, float):
+        pieces.append(_fmt_float(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "[]"
+            pieces.append("{}")
+            return
+        pad = "  " * indent
+        sep = inner = pad + "  "
+        pieces.append("{\n")
+        for k in sorted(obj, key=str):
+            pieces.append(sep + encode_basestring(str(k)) + ": ")
+            _walk(obj[k], indent + 1, pieces, float_lists)
+            sep = ",\n" + inner
+        pieces.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            pieces.append("[]")
+            return
+        pad = "  " * indent
+        sep = inner = pad + "  "
+        pieces.append("[\n")
         if set(map(type, obj)) == {float}:
-            items = inner + (",\n" + inner).join(["%.17g"] * len(obj)) % tuple(obj)
-            # a .17g float has the letter n only in "nan" and "inf"
-            if "n" in items:
-                raise ValueError("reports must not contain NaN or infinity")
+            float_lists.append((len(pieces), obj, inner))
+            pieces.append("")
         else:
-            items = ",\n".join(inner + dumps_report(v, indent + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            inner + encode_basestring(str(k)) + ": " + dumps_report(obj[k], indent + 1)
-            for k in sorted(obj, key=str)
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            for v in obj:
+                pieces.append(sep)
+                _walk(v, indent + 1, pieces, float_lists)
+                sep = ",\n" + inner
+        pieces.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _fill_float_lists(pieces: list[str], float_lists: list) -> None:
+    """Fill the piece of each all-float list, formatting each magnitude once.
+
+    The floats of every list go into one array.  ``np.unique`` over the bit
+    patterns of their magnitudes gives the distinct values (a decompose
+    report holds a few times fewer than it prints: centering a binary axis
+    leaves values in +- pairs), one ``%`` call formats them, and each float
+    takes its magnitude's text, behind a ``-`` when its sign bit is set.
+    That is how ``%.17g`` prints a negative float, ``-0.0`` as ``-0``.
+    """
+    floats = np.fromiter(chain.from_iterable(lst for _, lst, _ in float_lists), float)
+    mags, index = np.unique(np.abs(floats).view(np.int64), return_inverse=True)
+    text = "%.17g\n" * len(mags) % tuple(mags.view(np.float64).tolist())
+    # a .17g float has the letter n only in "nan" and "inf"
+    if "n" in text:
+        raise ValueError("reports must not contain NaN or infinity")
+    texts = text.split("\n")[:-1]
+    texts = np.array(texts + ["-" + t for t in texts], dtype=object)
+    items = texts[index + len(mags) * np.signbit(floats)].tolist()
+    start = 0
+    for at, lst, inner in float_lists:
+        end = start + len(lst)
+        pieces[at] = inner + (",\n" + inner).join(items[start:end])
+        start = end
 
 
 def _render_markdown(payload: dict, indent: int = 0) -> list[str]:

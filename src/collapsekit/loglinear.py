@@ -58,7 +58,7 @@ def mobius(x: np.ndarray, masks: Collection[int]) -> dict[int, np.ndarray]:
 
     Each submask Z of a requested mask gets its mean xtilde_Z (``x``
     averaged over the axes outside Z, keepdims) computed once, by one
-    ``x.mean`` call; each mask A then gets sum over Z inside A of
+    ``_mean`` call; each mask A then gets sum over Z inside A of
     (-1)^(|A|-|Z|) xtilde_Z, accumulated in ``submasks`` order; that order
     fixes the last bits of every reported float.  A term with a minus sign
     is subtracted (a - b is a + (-b) bit for bit), so no negated copy is
@@ -111,7 +111,15 @@ def mobius(x: np.ndarray, masks: Collection[int]) -> dict[int, np.ndarray]:
 def _mean(x: np.ndarray, sub: int) -> np.ndarray:
     """xtilde_sub: ``x`` averaged over the axes outside ``sub``, keepdims."""
     comp = tuple(a for a in range(x.ndim) if not sub & (1 << a))
-    return x.mean(axis=comp, keepdims=True) if comp else x
+    return _mean_over(x, comp) if comp else x
+
+
+def _mean_over(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``x.mean(axis=axes, keepdims=True)`` bit for bit: the same sum divided
+    by the same count, without ``ndarray.mean``'s per-call overhead."""
+    out = np.add.reduce(x, axis=axes, keepdims=True)
+    out /= math.prod(x.shape[a] for a in axes)
+    return out
 
 
 def _centered(
@@ -126,7 +134,7 @@ def _centered(
     never hold more than prod(m_a + 1) floats over the span.
     """
     comp = tuple(a for a in range(x.ndim) if not span >> a & 1)
-    parts = {0: x.mean(axis=comp, keepdims=True) if comp else x}
+    parts = {0: _mean_over(x, comp) if comp else x}
     done = 0
     for a in axes_of(span):
         bit = 1 << a
@@ -134,7 +142,7 @@ def _centered(
         wanted = {mask & done for mask in masks}
         split: dict[int, np.ndarray] = {}
         for key, arr in parts.items():
-            mean = arr.mean(axis=a, keepdims=True)
+            mean = _mean_over(arr, (a,))
             if key in wanted:
                 split[key] = mean
             if key | bit in wanted:
@@ -189,10 +197,11 @@ class InteractionDecomposition:
         return out
 
     def to_json_dict(self) -> dict:
+        names = self.scheme.names
         return {
             "subsets": [
                 {
-                    "vars": list(self.scheme.subset_names(axes_of(mask))),
+                    "vars": [names[a] for a in axes_of(mask)],
                     "tau": self._tau[mask].reshape(-1).tolist(),
                 }
                 for mask in masks_by_size(self.scheme.n)
@@ -238,12 +247,15 @@ def is_hierarchical(
 
     A subset counts as nonzero when max |tau| exceeds ``tol``.  Violations
     are reported as (B, A) pairs with tau_B nonzero but tau_A ~ 0 for some
-    A strictly inside B.
+    A strictly inside B, B by size then mask and A in ``submasks`` order.
+    With every interaction nonzero there can be none, so no pair is visited.
     """
     n = dec.scheme.n
     nonzero = {
         mask: float(np.max(np.abs(dec._tau[mask]))) > tol for mask in range(1 << n)
     }
+    if all(nonzero.values()):
+        return HierarchyVerdict(hierarchical=True, violations=(), tol=tol)
     violations = []
     for mask in masks_by_size(n):
         if not nonzero[mask] or mask == 0:

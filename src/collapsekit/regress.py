@@ -30,6 +30,7 @@ from .tables import ci_deviation, probabilities
 
 DEFAULT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
+_SUBNORMAL = math.ulp(0.0)  # 2^-1074, the smallest positive float
 
 
 @dataclass(frozen=True)
@@ -205,6 +206,10 @@ def _decide(
     M sizes the products both sum: E[s_yx], Cov(mu_y, mu_x) and Var(X)
     times the slope, which bound the identity's too (alpha mu_x =
     mu_y mu_x - beta mu_x^2, beta s_xx = s_yx), hence the 2 and E|beta|.
+    A product that underflows errs by up to 2^-1075 whatever its size, and
+    on its way to either route such an error is multiplied by at most two
+    moments, each under B = 1 + the largest moment; so the bound adds
+    16 k 2^-1074 (B^2 / Var(X) + 1) over the k strata.
     """
     beta_marg, alpha_marg, var_x = _marginal_line(a)
     if not all(map(math.isfinite, (lhs, rhs, beta_marg, alpha_marg, var_x))):
@@ -215,7 +220,9 @@ def _decide(
     size = 2 * (_wmean(pi, np.abs(a["s_yx"])) + _wsize(pi, a["mu_y"], a["mu_x"])) + (
         abs(beta_marg) + _wmean(pi, np.abs(a["beta"]))
     ) * (_wmean(pi, a["s_xx"]) + _wsize(pi, a["mu_x"], a["mu_x"]))
-    if abs(scaled - abs(beta_marg - reference)) > 16 * _EPS * (size / var_x + abs(reference)):
+    big = 1 + max(float(np.max(np.abs(v))) for v in a.values())
+    underflow = len(pi) * _SUBNORMAL * (big * big / var_x + 1)
+    if abs(scaled - abs(beta_marg - reference)) > 16 * (_EPS * (size / var_x + abs(reference)) + underflow):
         raise RouteDisagreementError(
             f"identity gap / Var(X) {scaled!r} and beta gap {beta_marg - reference!r} "
             "differ by more than rounding"
@@ -255,7 +262,9 @@ def check_parallel_collapsibility(
     if not is_parallel(summary):
         raise DistributionError("strata have different slopes; not a parallel summary")
     a = summary.arrays()
-    beta = float(a["beta"][0])
+    # + 0.0 turns a -0.0 slope into 0.0: ``is_parallel`` counts them as one
+    # slope, so the reported one must not depend on the strata's order
+    beta = float(a["beta"][0]) + 0.0
     return _decide("parallel", a, _wcov(a["pi"], a["alpha"], a["mu_x"]), 0.0, beta, tol)
 
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapsekit import cli
 from collapsekit.cli import (
     EXIT_DETECTED,
     EXIT_ERROR,
@@ -29,7 +30,7 @@ from collapsekit.cli import (
 from collapsekit.errors import DistributionError, SchemeError, TableError
 from collapsekit.loglinear import LATTICE_BUDGET
 from collapsekit.regress import StratifiedRegressionSummary, _marginal_line, summary_from_records
-from collapsekit.tables import CategoricalScheme
+from collapsekit.tables import CategoricalScheme, ContingencyTable
 
 from conftest import ci_constructed_table, random_positive_table
 from test_golden import CASES as GOLDEN
@@ -1026,6 +1027,25 @@ class TestNearParallelSlopes:
         assert err.getvalue() == ""
 
 
+class TestSignedZeroSlope:
+    def test_stratum_order_does_not_sign_the_common_slope(self, tmp_path, capsys):
+        verdicts = []
+        for betas in ((0.0, -0.0), (-0.0, 0.0)):
+            p = tmp_path / "summary.json"
+            p.write_text(json.dumps(_slopes_summary(betas)))
+            assert main(["regress-audit", str(p)]) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert err == ""
+            # numbers kept as their text, so that -0 and 0 stay apart
+            report = json.loads(out, parse_int=str, parse_float=str)
+            del report["input_sha256"]  # the inputs differ, so their hashes do
+            levels = report["verdict"].pop("summary")["levels"]
+            assert [level["beta"] for level in levels] == [format(b, ".17g") for b in betas]
+            verdicts.append(report)
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0]["verdict"]["beta_reference"] == "0"
+
+
 _HELP = (("-h", "--help"), "_HelpAction", argparse.SUPPRESS, None, False, None, None)
 _INPUT = ((), "_StoreAction", None, None, True, None, None)
 _FORMAT = (("--format",), "_StoreAction", "json", ("json", "md"), False, None, None)
@@ -1340,6 +1360,12 @@ def _per_item_dumps(obj, indent=0):
     """Every value formatted on its own, as ``dumps_report`` did before its
     float-list path."""
     pad, inner = "  " * indent, "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, tuple):
+        obj = list(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -1353,7 +1379,10 @@ def _per_item_dumps(obj, indent=0):
             return "[]"
         items = ",\n".join(inner + _per_item_dumps(v, indent + 1) for v in obj)
         return "[\n" + items + "\n" + pad + "]"
-    items = ",\n".join(f'{inner}"{k}": ' + _per_item_dumps(obj[k], indent + 1) for k in sorted(obj))
+    items = ",\n".join(
+        inner + json.dumps(str(k), ensure_ascii=False) + ": " + _per_item_dumps(obj[k], indent + 1)
+        for k in sorted(obj, key=str)
+    )
     return "{\n" + items + "\n" + pad + "}"
 
 
@@ -1401,6 +1430,49 @@ class TestFloatListPath:
     def test_non_finite_raises(self, value):
         with pytest.raises(ValueError, match="NaN or infinity"):
             dumps_report(value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        x=st.floats(allow_nan=False, allow_infinity=False),
+        picks=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=30), min_size=1, max_size=6),
+    )
+    def test_repeats_across_lists(self, x, picks):
+        # each distinct magnitude is formatted once for the whole report
+        pool = [0.0, -0.0, x, -x, 5e-324, 1 / 3]
+        lists = [[pool[i] for i in pick] for pick in picks]
+        value = {"subsets": [{"tau": lst, "vars": ["a", "b"]} for lst in lists], "first": lists[0]}
+        assert dumps_report(value) == _per_item_dumps(value)
+
+    def test_nan_in_a_repeated_list_raises(self):
+        shared = [0.5, float("nan"), 0.5, -0.5]
+        for value in ([shared, shared], {"a": [0.5, -0.5], "b": {"tau": shared}, "c": shared}):
+            with pytest.raises(ValueError, match="NaN or infinity"):
+                dumps_report(value)
+
+
+def _bulk_table_path(directory):
+    """A seeded table of 7 binary and 3 ternary variables (3,456 cells)."""
+    shape = (2,) * 7 + (3,) * 3
+    cells = np.random.default_rng(19).uniform(0.05, 1.0, shape)
+    scheme = CategoricalScheme(tuple((f"v{a}", tuple(map(str, range(m)))) for a, m in enumerate(shape)))
+    path = directory / "table.json"
+    path.write_text(json.dumps(ContingencyTable(scheme, cells / cells.sum(), "probability").to_json_dict()))
+    return str(path)
+
+
+class TestBulkDecomposeBytes:
+    """Ten variables take ``loglinear._centered`` and print 139,968 floats;
+    the golden corpus stops at 3 variables."""
+
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_same_bytes_as_per_item(self, tmp_path, capsys, monkeypatch, fmt):
+        argv = ["decompose", "--format", fmt, _bulk_table_path(tmp_path)]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("\n") > 139_968
+        monkeypatch.setattr(cli, "dumps_report", _per_item_dumps)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == out
 
 
 class TestMarkdown:

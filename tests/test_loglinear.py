@@ -271,6 +271,48 @@ class TestHierarchy:
         t = build_table(scheme2x2(), [0.25] * 4, "probability")
         assert is_hierarchical(decompose(t)).hierarchical
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            ((0, 1, 2), (2, 3)),
+            ((0, 1), (1, 2, 3), (0, 4)),
+            ((0, 1, 2, 3, 4),),
+        ],
+    )
+    def test_violation_order(self, terms):
+        # ln p is a sum of centered product terms, one per listed subset:
+        # every other interaction, main effects included, vanishes
+        n = max(map(max, terms)) + 1
+        rng = np.random.default_rng(len(terms))
+        grids = np.meshgrid(*[np.array([-1.0, 1.0])] * n, indexing="ij")
+        logp = sum(rng.uniform(0.2, 0.8) * np.prod([grids[a] for a in axes], axis=0) for axes in terms)
+        cells = np.exp(logp)
+        scheme = CategoricalScheme(tuple((f"x{a}", ("0", "1")) for a in range(n)))
+        dec = decompose(ContingencyTable(scheme, cells / cells.sum(), "probability"))
+        verdict = is_hierarchical(dec)
+        assert not verdict.hierarchical
+        assert list(verdict.violations) == full_walk_violations(dec, verdict.tol)
+        # the smallest term comes first, with its largest proper submask
+        first = min(terms, key=lambda axes: (len(axes), sum(1 << a for a in axes)))
+        assert verdict.violations[0] == (
+            tuple(f"x{a}" for a in first), tuple(f"x{a}" for a in first[1:])
+        )
+
+
+def full_walk_violations(dec, tol):
+    """Every (mask, submask) pair in the lattice, walked as ``is_hierarchical``
+    always did: supersets by size then mask, subsets in ``submasks`` order."""
+    n = dec.scheme.n
+    nonzero = {mask: dec.max_abs(axes_of(mask)) > tol for mask in range(1 << n)}
+    out = []
+    for mask in masks_by_size(n):
+        if not nonzero[mask] or mask == 0:
+            continue
+        for sub in submasks(mask):
+            if sub != mask and not nonzero[sub]:
+                out.append((dec.scheme.subset_names(axes_of(mask)), dec.scheme.subset_names(axes_of(sub))))
+    return out
+
 
 class TestJsonExport:
     def test_subset_listing(self):

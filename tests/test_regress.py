@@ -223,6 +223,39 @@ class TestOneDecidingRoute:
         assert w.a_collapsible == (scaled <= tol)
 
 
+_TINY_OR_NOT = st.sampled_from([0.0, 5e-324, -1e-320, 2.2250738585072014e-308, -1e-300, 1e-160, 0.5, -2.0, 1e6])
+
+
+class TestUnderflowingMoments:
+    """A product that underflows errs by an absolute amount that no
+    relative bound covers; it must not read as a broken route."""
+
+    @pytest.mark.parametrize("beta", [5e-324, -1e-320, 2.2250738585072014e-308, 1e-160])
+    @pytest.mark.parametrize("check", [check_parallel_collapsibility, check_a_collapsibility])
+    def test_tiny_common_slope(self, check, beta):
+        summ = StratifiedRegressionSummary((S(0.5, 0.0, beta, 0.0, 1.0, 2.0), S(0.5, 0.0, beta, 1.0, 1.0, 2.0)))
+        assert check(summ).a_collapsible
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(_TINY_OR_NOT, _TINY_OR_NOT, _TINY_OR_NOT, st.sampled_from([1e-300, 1.0, 3.0])),
+                 min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_never_a_route_disagreement(self, moments, parallel):
+        betas = [moments[0][1] if parallel else beta for _, beta, _, _ in moments]
+        summ = StratifiedRegressionSummary(
+            tuple(
+                S(1 / len(moments), alpha, beta, mu_x, s_xx, beta * beta * s_xx + 2.0)
+                for (alpha, _, mu_x, s_xx), beta in zip(moments, betas)
+            )
+        )
+        try:
+            (check_parallel_collapsibility if parallel else check_a_collapsibility)(summ)
+        except DistributionError:
+            pass  # a marginal Var(X) that underflows to 0, or moments that overflow
+
+
 class TestBrokenRouteRaises:
     @pytest.mark.parametrize("check", [check_parallel_collapsibility, check_a_collapsibility])
     def test_shifted_marginal_slope(self, monkeypatch, check):
