@@ -15,9 +15,11 @@ Average collapsibility over W asks whether averaging the conditional
 dependence function against f(w | x) reproduces the marginal dependence
 function; equivalently, whether the integral of F(y | x, w) against the
 x-derivative of f(w | x) vanishes.  Both quantities are evaluated on a
-grid, with adaptive quadrature falling back to a fixed 201-point Simpson
-rule if the adaptive routine fails to converge.  scipy supplies both rules,
-and ``_integrate`` imports it, so importing this module loads no scipy.
+grid, with adaptive quadrature (QUADPACK, through ``quadpack.quad``) falling
+back to a fixed 201-point Simpson rule if the adaptive routine fails to
+converge.  Only QUADPACK's compiled extension loads, on the first integral;
+``scipy.integrate`` itself never loads, and importing this module loads no
+scipy.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ModelError, loads, malformed, number, numbers
+from .quadpack import quad
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -50,19 +53,14 @@ def _ndtr(z: float) -> float:
 
 def _integrate(f, lo: float, hi: float, points: Sequence[float] = ()) -> tuple[float, bool]:
     """Adaptive quadrature with a fixed-grid fallback; returns (value, converged)."""
-    from scipy import integrate
-
-    pts = sorted(p for p in points if lo < p < hi)
-    # with full_output, QUADPACK's message comes as a fourth item, only
-    # when it did not converge
-    val, _, _, *failed = integrate.quad(
-        f, lo, hi, points=pts or None, full_output=1, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400
-    )
-    if not failed:
+    val, converged = quad(f, lo, hi, QUAD_TOL, QUAD_TOL, 400, points)
+    if converged:
         return val, True
-    grid = np.linspace(lo, hi, 201)
-    vals = np.array([f(t) for t in grid.tolist()])  # Python floats: an overflow is inf, not a warning
-    return float(integrate.simpson(vals, x=grid)), False
+    # composite Simpson on 200 panels: (h/3)(f0 + 4 sum f_odd + 2 sum f_even + f200);
+    # f sees Python floats, so an overflow is inf, not a warning
+    vals = np.array([f(t) for t in np.linspace(lo, hi, 201).tolist()])
+    simpson = vals[0] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum() + vals[-1]
+    return float((hi - lo) / 200 / 3.0 * simpson), False
 
 
 def _integrate_w(model: "DependenceModel", y: float, x: float, f) -> tuple[float, bool]:

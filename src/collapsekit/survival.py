@@ -13,13 +13,17 @@ for all t, s > 0 exactly when bx + by rho < 0, i.e. rho > bx / |by|.
 
 ``check_condition`` evaluates those parameter inequalities;
 ``verify_numeric`` probes the monotonicity pattern on a finite grid with
-closed-form conditional ratios and quadrature marginals.  scipy is imported
-by the functions that use it (the normal tail, the quadrature and the
-tabulated K), so the condition check loads none of it.
+closed-form conditional ratios and quadrature marginals.  The normal tail
+comes from ``math.erfc`` and the tabulated K from a numpy monotone cubic, so
+neither loads scipy.  The marginal quadrature loads only QUADPACK's compiled
+extension (``quadpack.quad``), on the first integral, so ``scipy.integrate``,
+``scipy.special`` and ``scipy.interpolate`` never load.  The condition check
+loads no scipy at all.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -27,6 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ModelError, loads, malformed, number, numbers
+from .quadpack import quad
 
 W_LAWS = ("std-normal", "gumbel", "logistic")
 
@@ -37,13 +42,39 @@ DEFAULT_Y_PROBES = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 _DIRECTION_EPS = 1e-11
 
+_SQRT1_2 = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# above this z, ln P(N > z) comes from the asymptotic series: 0.5 erfc(z/sqrt 2)
+# turns subnormal near z = 37.5 and loses its digits
+_NORMAL_SERIES_FROM = 20.0
+
+
+def _normal_sf(z: float) -> float:
+    """P(N > z) for a standard normal N."""
+    return 0.5 * math.erfc(z * _SQRT1_2)
+
+
+def _log_normal_sf(z: float) -> float:
+    """ln P(N > z), accurate in both tails."""
+    if z > _NORMAL_SERIES_FROM:
+        # A&S 26.2.12: P(N > z) = phi(z)/z (1 - 1/z^2 + 1*3/z^4 - ...), summed
+        # until a term no longer moves the total; at z > 20 that takes <= 10 terms
+        q = 1.0 / (z * z)
+        total, term, k = 1.0, -q, 1
+        while total + term != total:
+            total += term
+            k += 1
+            term *= -(2 * k - 1) * q
+        return -0.5 * z * z - math.log(z) - _LOG_SQRT_2PI + math.log(total)
+    if z < 0.0:
+        return math.log1p(-_normal_sf(-z))
+    return math.log(_normal_sf(z))
+
 
 def _log_survival(z: float, law: str) -> float:
     """ln of the baseline survival function at z."""
     if law == "std-normal":
-        from scipy.special import log_ndtr
-
-        return float(log_ndtr(-z))
+        return _log_normal_sf(z)
     if law == "gumbel":  # S(z) = exp(-e^z); the extreme-value / hazard e^z case
         try:
             return -math.exp(z)
@@ -55,13 +86,39 @@ def _log_survival(z: float, law: str) -> float:
 
 
 def _survival_function(law: str):
-    """The baseline survival function z -> S(z).  A quadrature calls it at
-    every node, so scipy is imported when the function is made, not per value."""
+    """The baseline survival function z -> S(z)."""
     if law == "std-normal":
-        from scipy.special import ndtr
-
-        return lambda z: float(ndtr(-z))
+        return _normal_sf
     return lambda z: math.exp(_log_survival(z, law))
+
+
+def _monotone_cubic(ts: Sequence[float], ks: Sequence[float]) -> tuple[tuple[float, float, float], ...]:
+    """The Fritsch-Carlson (1980) monotone cubic through strictly increasing knots.
+
+    Knot derivatives follow scipy's ``PchipInterpolator``: the weighted
+    harmonic mean of the two secant slopes inside, the one-sided three-point
+    estimate at each end (zero where its sign differs from the end secant's;
+    every secant is positive, so that is the whole shape-preserving rule),
+    and the secant itself for two knots.  Row i holds (d, c2, c3) of
+    k_i + d s + c2 s^2 + c3 s^3 with s = t - t_i on [t_i, t_i+1].
+    """
+    t, k = np.array(ts), np.array(ks)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        h = np.diff(t)
+        m = np.diff(k) / h
+        d = np.full_like(t, m[0])
+        if len(t) > 2:
+            w1 = 2.0 * h[1:] + h[:-1]
+            w2 = h[1:] + 2.0 * h[:-1]
+            d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+            end, near = [0, -1], [1, -2]
+            one_sided = ((2.0 * h[end] + h[near]) * m[end] - h[end] * m[near]) / (h[end] + h[near])
+            d[end] = np.where(one_sided > 0.0, one_sided, 0.0)
+        bend = (d[:-1] + d[1:] - 2.0 * m) / h
+        rows = np.column_stack([d[:-1], (m - d[:-1]) / h - bend, bend / h])
+    if not np.isfinite(rows).all():
+        raise ModelError("k_transform is too steep: its cubic overflows the float range")
+    return tuple(map(tuple, rows.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +127,9 @@ class SurvivalSpec:
 
     ``k_transform`` is None for the identity, or a strictly increasing
     tabulation ((t_0, ..., t_m), (k_0, ..., k_m)) interpolated monotonically
-    (PCHIP) between the knots and continued linearly outside them with the
-    end segment's secant slope, so K stays strictly increasing everywhere.
+    (PCHIP, see ``_monotone_cubic``) between the knots and continued linearly
+    outside them with the end segment's secant slope, so K stays strictly
+    increasing everywhere.
     Only the standard normal second-covariate law is supported; the
     baseline W law may also be the Gumbel-type exp(-e^z) or the logistic
     1/(1+e^z) survival.
@@ -106,10 +164,8 @@ class SurvivalSpec:
                 b <= a for a, b in zip(ks, ks[1:])
             ):
                 raise ModelError("k_transform must be strictly increasing")
-            from scipy.interpolate import PchipInterpolator
-
             object.__setattr__(self, "k_transform", (ts, ks))
-            object.__setattr__(self, "_k_interp", PchipInterpolator(ts, ks))
+            object.__setattr__(self, "_k_interp", _monotone_cubic(ts, ks))
 
     def k(self, t: float) -> float:
         if self._k_interp is None:
@@ -119,7 +175,11 @@ class SurvivalSpec:
             return ks[0] + (t - ts[0]) * (ks[1] - ks[0]) / (ts[1] - ts[0])
         if t > ts[-1]:
             return ks[-1] + (t - ts[-1]) * (ks[-1] - ks[-2]) / (ts[-1] - ts[-2])
-        return float(self._k_interp(t))
+        i = min(bisect.bisect_right(ts, t), len(ts) - 1) - 1
+        d, c2, c3 = self._k_interp[i]
+        s = t - ts[i]
+        s2 = s * s
+        return float(ks[i] + d * s + c2 * s2 + c3 * (s2 * s))
 
     def eta(self, x: float) -> float:
         return self.eta_mu + self.eta_rho * x
@@ -187,8 +247,6 @@ def conditional_ratio(
 
 def marginal_survival(spec: SurvivalSpec, t: float, x: float) -> float:
     """P(T > t | X = x), integrating out Y ~ N(eta(x), 1)."""
-    from scipy.integrate import quad
-
     survival = _survival_function(spec.w_law)
     center = spec.eta(x)
     kt = spec.k(t)
@@ -197,12 +255,8 @@ def marginal_survival(spec: SurvivalSpec, t: float, x: float) -> float:
         z = y - center
         return survival(kt + spec.beta_x * x + spec.beta_y * y) * math.exp(-0.5 * z * z)
 
-    # with full_output, QUADPACK's message comes as a fourth item, only
-    # when it did not converge
-    val, _, _, *failed = quad(
-        f, center - 10.0, center + 10.0, full_output=1, epsabs=1e-12, epsrel=1e-12, limit=200
-    )
-    if failed:
+    val, converged = quad(f, center - 10.0, center + 10.0, 1e-12, 1e-12, 200)
+    if not converged:
         raise ModelError(f"the quadrature of P(T > {t} | x={x}) did not converge")
     return val / math.sqrt(2.0 * math.pi)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from collapsekit import depfun
 from collapsekit.depfun import (
     DEFAULT_GRID_VALUES,
     GaussianLinearInteraction,
@@ -183,11 +184,35 @@ class TestMarginals:
             )
 
 
+def expected_dep_integrand(model, y, x):
+    """expected_dep's integrand at (y, x) and W's interval given x."""
+    return (lambda w: model.dep(y, x, w) * model.w_density(w, x), *model.w_interval(x))
+
+
 class TestQuadrature:
     def test_fallback_on_nasty_integrand(self):
         val, converged = _integrate(lambda w: math.cos(3.7e5 * w), -8.0, 8.0)
         assert not converged
         assert math.isfinite(val)
+
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [
+            (lambda w: math.cos(3.7e5 * w), -8.0, 8.0),
+            (lambda w: math.sin(1e5 * w) ** 2, -8.0, 8.0),
+            (lambda w: math.exp(-w * w) * math.cos(2e5 * w), -8.0, 8.0),
+            expected_dep_integrand(GaussianLinearInteraction(1.0, 0.5, 0.8, 1.0, 0.6), 0.4, 0.7),
+            expected_dep_integrand(UniformQuadratic(), 0.4, 0.7),  # kinked
+        ],
+    )
+    def test_fallback_is_simpson(self, monkeypatch, f, lo, hi):
+        from scipy.integrate import simpson
+
+        monkeypatch.setattr(depfun, "quad", lambda *args: (math.nan, False))  # every integral falls back
+        val, converged = _integrate(f, lo, hi)
+        grid = np.linspace(lo, hi, 201)
+        assert not converged
+        assert val == pytest.approx(simpson([f(t) for t in grid.tolist()], x=grid), rel=1e-12, abs=0.0)
 
     def test_smooth_integrand_converges(self):
         val, converged = _integrate(

@@ -1,9 +1,12 @@
 """Import boundary: no import loads scipy, and the package exports its names.
 
-Only the dependence-function and survival code uses scipy, and each function
-that calls it imports it, so importing any module loads none of it; scipy
-costs several times the import of numpy.  The boundary checks run in fresh
-interpreters, because the test process has long since imported everything.
+Only the quadrature of the dependence-function and survival code uses scipy:
+``quadpack.quad`` loads QUADPACK's compiled extension from its file on the
+first integral, so importing any module loads none of scipy, and no call
+runs the package init of ``scipy.integrate``, ``scipy.special`` or
+``scipy.interpolate``, each of which costs several times the import of
+numpy.  The boundary checks run in fresh interpreters, because the test
+process has long since imported everything.
 """
 
 import importlib
@@ -35,7 +38,11 @@ MODEL_NAMES = {
     "check_condition": "survival",
     "verify_numeric": "survival",
 }
+# verbs that may load part of scipy, the cases of them that integrate, and
+# the scipy packages no case may load
 SCIPY_VERBS = ("dep-check", "survival-check")
+QUADRATURE_CASES = ("dep-check", "dep-check.md", "survival-check")
+SCIPY_PACKAGES = {"scipy.integrate", "scipy.special", "scipy.interpolate"}
 
 # imports the modules given as a JSON list, runs each golden case given as
 # JSON through cli.main in order, and prints the scipy modules loaded after
@@ -93,21 +100,25 @@ class TestImportBoundary:
         loaded = scipy_loaded_after(cases)
         assert loaded == dict.fromkeys(["import", *cases], [])
 
-    def test_dep_check_loads_integrate(self):
-        # the check above can see a load: the quadrature imports scipy.integrate
-        loaded = scipy_loaded_after({"dep-check": CASES["dep-check"]})
-        assert loaded["import"] == []
-        assert "scipy.integrate" in loaded["dep-check"]
+    def test_golden_cases_load_no_scipy_package(self):
+        loaded = scipy_loaded_after(dict(sorted(CASES.items())))
+        assert len(loaded) == 1 + len(CASES)
+        for name, modules in loaded.items():
+            assert SCIPY_PACKAGES.isdisjoint(modules), name
 
-    def test_survival_condition_skips_integrate_and_interpolate(self):
-        loaded = scipy_loaded_after(
-            {"condition": CASES["survival-check.md"], "numeric": CASES["survival-check"]}
-        )
+    @pytest.mark.parametrize("case", QUADRATURE_CASES)
+    def test_quadrature_loads_quadpack_alone(self, case):
+        # the check above can see a load: QUADPACK's extension imports
+        # scipy._lib._ccallback on its first call
+        loaded = scipy_loaded_after({case: CASES[case]})
+        assert loaded["import"] == []
+        assert "scipy._lib._ccallback" in loaded[case]
+        assert SCIPY_PACKAGES.isdisjoint(loaded[case])
+
+    def test_survival_condition_loads_no_scipy(self):
         # the condition is algebra on the coefficients: no scipy module at all
+        loaded = scipy_loaded_after({"condition": CASES["survival-check.md"]})
         assert loaded["condition"] == []
-        # the numeric probes do integrate
-        assert "scipy.integrate" in loaded["numeric"]
-        assert "scipy.special" in loaded["numeric"]
 
 
 class TestPackageNames:

@@ -1,12 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.interpolate import PchipInterpolator
+from scipy.special import log_ndtr, ndtr
 
 from collapsekit.errors import ModelError
 from collapsekit.survival import (
     SurvivalSpec,
+    _log_survival,
+    _survival_function,
     check_condition,
     conditional_hazard,
     conditional_ratio,
@@ -196,6 +200,14 @@ class TestKTransform:
                 k_transform=((0.0, 1.0, 2.0), (0.0, 2.0, 1.0)),
             )
 
+    @pytest.mark.parametrize(
+        "knots",
+        [((0.0, 1.0, 2.0), (-1e308, 0.0, 1e308)), ((0.0, 1e-300, 1.0), (0.0, 1e10, 2e10))],
+    )
+    def test_overflowing_cubic_rejected(self, knots):
+        with pytest.raises(ModelError, match="too steep"):
+            SurvivalSpec(beta_x=1.0, beta_y=-2.0, k_transform=knots)
+
     def test_interpolation_is_monotone(self):
         ts = (0.0, 0.5, 1.0, 2.0, 4.0)
         ks = (0.0, 0.1, 0.9, 1.0, 5.0)
@@ -212,6 +224,76 @@ class TestKTransform:
         assert spec.k(-1.0) == pytest.approx(-1.8, abs=1e-15)
         vals = np.array([spec.k(t) for t in np.linspace(-2.0, 6.0, 801)])
         assert np.all(np.diff(vals) > 0.0)
+
+
+def close(got: float, want: float, rel: float) -> bool:
+    """Within rel of want where want is a normal float.  Below the smallest
+    normal float the values are subnormal (scipy's ndtr flushes them to 0),
+    so there both must lie within that smallest normal of each other."""
+    return abs(got - want) <= max(rel * abs(want), sys.float_info.min)
+
+
+class TestNormalTail:
+    """The std-normal baseline from math.erfc and A&S 26.2.12 against scipy.special."""
+
+    ZS = [
+        *np.linspace(-40.0, 40.0, 8001).tolist(),
+        *np.geomspace(40.0, 1e3, 200).tolist(),
+        *(-np.geomspace(40.0, 1e3, 200)).tolist(),
+        19.999999999, 20.0, 20.000000001, 37.5, 38.5,
+    ]
+
+    def test_survival_function(self):
+        sf = _survival_function("std-normal")
+        bad = [z for z in self.ZS if not close(sf(z), float(ndtr(-z)), 1e-13)]
+        assert bad == []
+
+    def test_log_survival(self):
+        bad = [z for z in self.ZS if not close(_log_survival(z, "std-normal"), float(log_ndtr(-z)), 1e-13)]
+        assert bad == []
+
+    def test_log_survival_continuous_at_series_switch(self):
+        below, above = (_log_survival(z, "std-normal") for z in (20.0, math.nextafter(20.0, 21.0)))
+        assert above == pytest.approx(below, rel=1e-14)
+
+    def test_infinite_arguments(self):
+        assert _log_survival(math.inf, "std-normal") == -math.inf
+        assert _log_survival(-math.inf, "std-normal") == 0.0
+        assert _survival_function("std-normal")(-math.inf) == 1.0
+
+
+def pchip_k(ts, ks, t: float) -> float:
+    """K through scipy's PchipInterpolator, continued by the end secants."""
+    if t < ts[0]:
+        return ks[0] + (t - ts[0]) * (ks[1] - ks[0]) / (ts[1] - ts[0])
+    if t > ts[-1]:
+        return ks[-1] + (t - ts[-1]) * (ks[-1] - ks[-2]) / (ts[-1] - ts[-2])
+    return float(PchipInterpolator(ts, ks)(t))
+
+
+class TestMonotoneCubic:
+    """The numpy Fritsch-Carlson K transform against scipy's PchipInterpolator."""
+
+    @staticmethod
+    def tabulations():
+        rng = np.random.default_rng(2104)
+        yield (0.0, 1.0), (-1.0, 2.0)  # two knots: a straight line
+        yield (0.0, 0.5, 1.0), (0.0, 0.9, 1.0)  # end derivatives clamp to 0
+        yield (0.0, 0.5, 1.0, 2.0, 4.0), (0.0, 0.1, 0.9, 1.0, 5.0)
+        for m in range(3, 13):
+            ts = np.cumsum(rng.exponential(1.0, m)) - 2.0
+            ks = np.cumsum(rng.exponential(1.0, m) ** 3 + 1e-3)
+            yield tuple(ts.tolist()), tuple(ks.tolist())
+
+    def test_matches_pchip_at_knots_midpoints_and_outside(self):
+        for ts, ks in self.tabulations():
+            spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, k_transform=(ts, ks))
+            knots = np.array(ts)
+            mids = (knots[1:] + knots[:-1]) / 2.0
+            span = knots[-1] - knots[0]
+            outside = [knots[0] - span, knots[0] - 1e-3, knots[-1] + 1e-3, knots[-1] + 2.0 * span]
+            for t in [*knots.tolist(), *mids.tolist(), *outside]:
+                assert spec.k(t) == pytest.approx(pchip_k(ts, ks, t), rel=1e-12, abs=1e-12), (ts, t)
 
 
 class TestJson:
