@@ -6,11 +6,11 @@ log-linear interactions, event-level reversal reports, directional
 association relations, stratified regression summaries, distribution
 dependence functions, and the linear transformation survival model.
 
-Importing the package loads numpy but no scipy.  Only the quadrature of the
-dependence-function and survival code uses scipy: it loads QUADPACK's compiled
-extension from its file on the first integral, so ``scipy.integrate`` never
-loads.
-The survival normal tail and the tabulated K transform load no scipy at all.
+Importing the package loads numpy but no scipy.  The quadrature of the
+dependence-function and survival code loads QUADPACK's compiled extension
+from its file on the first integral, so ``scipy.integrate`` never loads.  The
+survival normal tail loads no scipy; a tabulated K transform imports
+``scipy.interpolate``.
 """
 
 from .assoc import (

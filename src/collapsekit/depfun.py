@@ -56,11 +56,21 @@ def _integrate(f, lo: float, hi: float, points: Sequence[float] = ()) -> tuple[f
     val, converged = quad(f, lo, hi, QUAD_TOL, QUAD_TOL, 400, points)
     if converged:
         return val, True
-    # composite Simpson on 200 panels: (h/3)(f0 + 4 sum f_odd + 2 sum f_even + f200);
-    # f sees Python floats, so an overflow is inf, not a warning
-    vals = np.array([f(t) for t in np.linspace(lo, hi, 201).tolist()])
-    simpson = vals[0] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum() + vals[-1]
-    return float((hi - lo) / 200 / 3.0 * simpson), False
+    # composite Simpson on 200 panels, in the panel-width form and summation
+    # order of scipy.integrate.simpson(vals, x=grid), so the fallback keeps
+    # its bits; f sees Python floats, so an overflow is inf, not a warning
+    grid = np.linspace(lo, hi, 201)
+    vals = np.array([f(t) for t in grid.tolist()])
+    h = np.diff(grid)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    panels = hsum / 6.0 * (
+        vals[0:-2:2] * (2.0 - 1.0 / ratio)
+        + vals[1:-1:2] * (hsum * (hsum / (h0 * h1)))
+        + vals[2::2] * (2.0 - ratio)
+    )
+    return float(np.sum(panels)), False
 
 
 def _integrate_w(model: "DependenceModel", y: float, x: float, f) -> tuple[float, bool]:

@@ -14,16 +14,15 @@ for all t, s > 0 exactly when bx + by rho < 0, i.e. rho > bx / |by|.
 ``check_condition`` evaluates those parameter inequalities;
 ``verify_numeric`` probes the monotonicity pattern on a finite grid with
 closed-form conditional ratios and quadrature marginals.  The normal tail
-comes from ``math.erfc`` and the tabulated K from a numpy monotone cubic, so
-neither loads scipy.  The marginal quadrature loads only QUADPACK's compiled
-extension (``quadpack.quad``), on the first integral, so ``scipy.integrate``,
-``scipy.special`` and ``scipy.interpolate`` never load.  The condition check
-loads no scipy at all.
+comes from ``math.erfc``.  The marginal quadrature loads only QUADPACK's
+compiled extension (``quadpack.quad``), on the first integral, so neither
+``scipy.integrate`` nor ``scipy.special`` loads.  A tabulated K is scipy's
+``PchipInterpolator``, imported when such a spec is made.  The condition
+check loads no scipy at all.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -50,7 +49,12 @@ _NORMAL_SERIES_FROM = 20.0
 
 
 def _normal_sf(z: float) -> float:
-    """P(N > z) for a standard normal N."""
+    """P(N > z) for a standard normal N, with scipy.special.ndtr's z * sqrt(1/2).
+
+    ``depfun._ndtr(-z)`` is the same tail with z / sqrt(2), which can land an
+    ulp away; erfc magnifies that to 3e-13 relative near z = 37.  The
+    dep-check bytes rest on that rounding, so depfun keeps its own.
+    """
     return 0.5 * math.erfc(z * _SQRT1_2)
 
 
@@ -92,44 +96,14 @@ def _survival_function(law: str):
     return lambda z: math.exp(_log_survival(z, law))
 
 
-def _monotone_cubic(ts: Sequence[float], ks: Sequence[float]) -> tuple[tuple[float, float, float], ...]:
-    """The Fritsch-Carlson (1980) monotone cubic through strictly increasing knots.
-
-    Knot derivatives follow scipy's ``PchipInterpolator``: the weighted
-    harmonic mean of the two secant slopes inside, the one-sided three-point
-    estimate at each end (zero where its sign differs from the end secant's;
-    every secant is positive, so that is the whole shape-preserving rule),
-    and the secant itself for two knots.  Row i holds (d, c2, c3) of
-    k_i + d s + c2 s^2 + c3 s^3 with s = t - t_i on [t_i, t_i+1].
-    """
-    t, k = np.array(ts), np.array(ks)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        h = np.diff(t)
-        m = np.diff(k) / h
-        d = np.full_like(t, m[0])
-        if len(t) > 2:
-            w1 = 2.0 * h[1:] + h[:-1]
-            w2 = h[1:] + 2.0 * h[:-1]
-            d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-            end, near = [0, -1], [1, -2]
-            one_sided = ((2.0 * h[end] + h[near]) * m[end] - h[end] * m[near]) / (h[end] + h[near])
-            d[end] = np.where(one_sided > 0.0, one_sided, 0.0)
-        bend = (d[:-1] + d[1:] - 2.0 * m) / h
-        rows = np.column_stack([d[:-1], (m - d[:-1]) / h - bend, bend / h])
-    if not np.isfinite(rows).all():
-        raise ModelError("k_transform is too steep: its cubic overflows the float range")
-    return tuple(map(tuple, rows.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class SurvivalSpec:
     """Linear transformation survival model with a linear covariate link.
 
     ``k_transform`` is None for the identity, or a strictly increasing
     tabulation ((t_0, ..., t_m), (k_0, ..., k_m)) interpolated monotonically
-    (PCHIP, see ``_monotone_cubic``) between the knots and continued linearly
-    outside them with the end segment's secant slope, so K stays strictly
-    increasing everywhere.
+    (PCHIP) between the knots and continued linearly outside them with the
+    end segment's secant slope, so K stays strictly increasing everywhere.
     Only the standard normal second-covariate law is supported; the
     baseline W law may also be the Gumbel-type exp(-e^z) or the logistic
     1/(1+e^z) survival.
@@ -164,8 +138,19 @@ class SurvivalSpec:
                 b <= a for a, b in zip(ks, ks[1:])
             ):
                 raise ModelError("k_transform must be strictly increasing")
+            from scipy.interpolate import PchipInterpolator
+
+            # a too-steep tabulation overflows the cubic: scipy rejects
+            # infinite knot derivatives, and infinite coefficients are caught here
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                try:
+                    interp = PchipInterpolator(ts, ks)
+                except ValueError:
+                    interp = None
+            if interp is None or not np.isfinite(interp.c).all():
+                raise ModelError("k_transform is too steep: its cubic overflows the float range")
             object.__setattr__(self, "k_transform", (ts, ks))
-            object.__setattr__(self, "_k_interp", _monotone_cubic(ts, ks))
+            object.__setattr__(self, "_k_interp", interp)
 
     def k(self, t: float) -> float:
         if self._k_interp is None:
@@ -175,11 +160,7 @@ class SurvivalSpec:
             return ks[0] + (t - ts[0]) * (ks[1] - ks[0]) / (ts[1] - ts[0])
         if t > ts[-1]:
             return ks[-1] + (t - ts[-1]) * (ks[-1] - ks[-2]) / (ts[-1] - ts[-2])
-        i = min(bisect.bisect_right(ts, t), len(ts) - 1) - 1
-        d, c2, c3 = self._k_interp[i]
-        s = t - ts[i]
-        s2 = s * s
-        return float(ks[i] + d * s + c2 * s2 + c3 * (s2 * s))
+        return float(self._k_interp(t))
 
     def eta(self, x: float) -> float:
         return self.eta_mu + self.eta_rho * x

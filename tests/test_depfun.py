@@ -212,7 +212,7 @@ class TestQuadrature:
         val, converged = _integrate(f, lo, hi)
         grid = np.linspace(lo, hi, 201)
         assert not converged
-        assert val == pytest.approx(simpson([f(t) for t in grid.tolist()], x=grid), rel=1e-12, abs=0.0)
+        assert val == simpson([f(t) for t in grid.tolist()], x=grid)
 
     def test_smooth_integrand_converges(self):
         val, converged = _integrate(

