@@ -5,6 +5,8 @@ association survives marginalization: contingency tables and their
 log-linear interactions, event-level reversal reports, directional
 association relations, stratified regression summaries, distribution
 dependence functions, and the linear transformation survival model.
+The package exports what the ``collapsekit`` verbs call, their readers and
+verdicts, and ``build_table`` for tables made in code.
 
 Importing the package loads numpy but no scipy.  The quadrature of the
 dependence-function and survival code loads QUADPACK's compiled extension
@@ -17,13 +19,11 @@ from .assoc import (
     AssocReversalReport,
     BivariateJoint,
     FiniteJoint,
-    LinearReversalReport,
     LinkageProfile,
     covariance,
     detect_assoc_reversal,
     double_linkage,
     holds_relation,
-    linear_r4_reversal,
 )
 from .collapse import CollapseVerdict, check_collapsibility, check_strict_collapsibility
 from .depfun import (
@@ -33,7 +33,6 @@ from .depfun import (
     UniformQuadratic,
     check_avg_collapsibility,
     check_homogeneity,
-    dep_fn,
     model_from_json,
 )
 from .errors import (
@@ -49,15 +48,12 @@ from .loglinear import (
     decompose,
     interaction,
     is_hierarchical,
-    tilde_l,
 )
 from .paradox import (
     CornfieldDiagnostics,
     ParadoxReport,
-    blyth_weights,
     cornfield,
     detect_reversal,
-    fraction_reversal,
     scan_strata,
 )
 from .regress import (
@@ -66,8 +62,6 @@ from .regress import (
     StratifiedRegressionSummary,
     check_a_collapsibility,
     check_parallel_collapsibility,
-    check_sufficient_conditions,
-    marginal_beta,
     summary_from_records,
 )
 from .survival import SurvivalSpec, SurvivalVerdict, check_condition, verify_numeric
@@ -90,7 +84,6 @@ __all__ = [
     "FiniteJoint",
     "GaussianLinearInteraction",
     "InteractionDecomposition",
-    "LinearReversalReport",
     "LinkageProfile",
     "ModelError",
     "ParadoxReport",
@@ -103,7 +96,6 @@ __all__ = [
     "SurvivalVerdict",
     "TableError",
     "UniformQuadratic",
-    "blyth_weights",
     "build_table",
     "check_a_collapsibility",
     "check_avg_collapsibility",
@@ -112,23 +104,17 @@ __all__ = [
     "check_homogeneity",
     "check_parallel_collapsibility",
     "check_strict_collapsibility",
-    "check_sufficient_conditions",
     "cornfield",
     "covariance",
     "decompose",
-    "dep_fn",
     "detect_assoc_reversal",
     "detect_reversal",
     "double_linkage",
-    "fraction_reversal",
     "holds_relation",
     "interaction",
     "is_hierarchical",
-    "linear_r4_reversal",
-    "marginal_beta",
     "model_from_json",
     "scan_strata",
     "summary_from_records",
-    "tilde_l",
     "verify_numeric",
 ]

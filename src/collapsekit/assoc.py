@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DistributionError, ModelError, loads, malformed, numbers
+from .errors import DistributionError, loads, malformed, numbers
 from .tables import ci_deviation, probabilities
 
 RELATIONS = ("r1", "r2", "r3", "r4")
@@ -57,9 +57,6 @@ class BivariateJoint:
         object.__setattr__(self, "x_levels", _check_levels(self.x_levels, "X"))
         shape = (len(self.y_levels), len(self.x_levels))
         object.__setattr__(self, "p", probabilities(self.p, DistributionError, "joint", shape))
-
-    def swapped(self) -> "BivariateJoint":
-        return BivariateJoint(self.x_levels, self.y_levels, self.p.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,59 +275,3 @@ def detect_assoc_reversal(
         tol=tol,
     )
 
-
-@dataclass(frozen=True)
-class LinearReversalReport:
-    """Covariance bookkeeping for the two-regressor linear conditional mean.
-
-    For E(Y|X,W) = b0 + b1 X + b2 W with b1 <= 0, the marginal covariance
-    is Cov(Y,X) = b1 Var(X) + eta with eta = b2 Cov(X,W); a positive
-    reversal needs b1 strictly negative yet Cov(Y,X) strictly positive.
-    ``boundary`` flags the degenerate b1 = 0 case, which never counts as a
-    reversal.
-    """
-
-    beta1: float
-    beta2: float
-    cov_xw: float
-    eta: float
-    cov_yx: float
-    var_y: float
-    reversal: bool
-    boundary: bool
-
-
-def linear_r4_reversal(
-    beta1: float,
-    beta2: float,
-    cov_xw: float,
-    var_x: float,
-    var_w: float,
-    var_eps: float,
-) -> LinearReversalReport:
-    """Covariance-sign reversal verdict for the linear two-regressor model."""
-    if var_x <= 0.0 or var_w <= 0.0 or var_eps <= 0.0:
-        raise ModelError("var_x, var_w, var_eps must all be positive")
-    if beta1 > 0.0:
-        raise ModelError("the conditional slope beta1 must be <= 0 for this check")
-    if cov_xw * cov_xw > var_x * var_w * (1.0 + 1e-12):
-        raise ModelError("cov_xw is infeasible for the given variances")
-    eta = beta2 * cov_xw
-    cov_yx = beta1 * var_x + eta
-    var_y = (
-        beta1 * beta1 * var_x
-        + beta2 * beta2 * var_w
-        + 2.0 * beta1 * beta2 * cov_xw
-        + var_eps
-    )
-    boundary = beta1 == 0.0
-    return LinearReversalReport(
-        beta1=beta1,
-        beta2=beta2,
-        cov_xw=cov_xw,
-        eta=eta,
-        cov_yx=cov_yx,
-        var_y=var_y,
-        reversal=(beta1 < 0.0) and (cov_yx > 0.0),
-        boundary=boundary,
-    )

@@ -474,6 +474,11 @@ _COLLAPSE_KEYS = ("target", "margin", "collapsible", "strict", "max_residual", "
 
 
 def _cmd_collapse_check(args):
+    # each form reads only its own subset flag; the other one would be ignored
+    if args.strict and args.margin is not None:
+        raise SchemeError("--margin is not read with --strict, which collapses over the complement")
+    if not args.strict and args.given is not None:
+        raise SchemeError("--given is read only with --strict")
     table = _probabilities(args)
     target = _subset_names(table.scheme, args.target)
     if args.strict:

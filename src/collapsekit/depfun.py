@@ -73,8 +73,20 @@ def _integrate(f, lo: float, hi: float, points: Sequence[float] = ()) -> tuple[f
     return float(np.sum(panels)), False
 
 
-def _integrate_w(model: "DependenceModel", y: float, x: float, f) -> tuple[float, bool]:
-    """``_integrate`` of f(w) over W's support given x, split at the model's breakpoints."""
+def _integrate_w(model: "DependenceModel", y: float, x: float, g, density) -> tuple[float, bool]:
+    """``_integrate`` of g(y, x, w) density(w, x) over W's support given x,
+    split at the model's breakpoints.
+
+    A non-finite integrand raises ModelError: QUADPACK fed NaN next to
+    finite values can read outside its interval list and crash the process.
+    """
+
+    def f(w: float) -> float:
+        v = g(y, x, w) * density(w, x)
+        if math.isfinite(v):
+            return v
+        raise ModelError(f"the integrand at (y={y!r}, x={x!r}) is not finite at w={w!r}")
+
     return _integrate(f, *model.w_interval(x), points=model.w_breakpoints(y, x))
 
 
@@ -117,19 +129,6 @@ class DependenceModel:
         raise NotImplementedError
 
     # marginal pieces ---------------------------------------------------------
-    def marginal_cdf(self, y: float, x: float) -> float:
-        return _integrate_w(self, y, x, lambda w: self.cdf(y, x, w) * self.w_density(w, x))[0]
-
-    def numerical_marginal_dep(self, y: float, x: float, h: float = 1e-2) -> float:
-        """Richardson-extrapolated central differencing of the marginal CDF.
-
-        A reference for the closed forms, accurate where the marginal CDF
-        is smooth in x; no verdict uses it.
-        """
-        d1 = (self.marginal_cdf(y, x + h) - self.marginal_cdf(y, x - h)) / (2.0 * h)
-        d2 = (self.marginal_cdf(y, x + h / 2.0) - self.marginal_cdf(y, x - h / 2.0)) / h
-        return (4.0 * d2 - d1) / 3.0
-
     def marginal_dep(self, y: float, x: float) -> float:
         """Closed-form x-derivative of the marginal CDF F(y | x)."""
         raise NotImplementedError
@@ -210,10 +209,6 @@ class GaussianLinearInteraction(DependenceModel):
             raise ModelError(f"(Y | x={x}) has zero spread: sigma {self.sigma!r} is too small")
         dv = self.alpha3 * g / v
         return mu, dmu, v, dv
-
-    def marginal_cdf(self, y: float, x: float) -> float:
-        mu, _, v, _ = self._marginal_params(x)
-        return _ndtr((y - mu) / v)
 
     def marginal_dep(self, y: float, x: float) -> float:
         mu, dmu, v, dv = self._marginal_params(x)
@@ -329,11 +324,6 @@ def model_from_json(text: str) -> DependenceModel:
     return model_from_json_dict(loads(text, ModelError, "model payload"))
 
 
-def dep_fn(model: DependenceModel, y: float, x: float, w: float) -> float:
-    """The dependence function dF(y | x, w)/dx of a registered family."""
-    return model.dep(y, x, w)
-
-
 @dataclass(frozen=True)
 class HomogeneityVerdict:
     homogeneous: bool
@@ -357,6 +347,9 @@ def check_homogeneity(
     max_gap = -1.0
     for y, x in grid:
         vals = [model.dep(y, x, w) for w in w_probes]
+        # a NaN gap fails ``gap > max_gap`` and would be skipped silently
+        if not all(map(math.isfinite, vals)):
+            raise ModelError(f"the dependence function at (y={y!r}, x={x!r}) is not finite")
         for i in range(len(w_probes)):
             for j in range(i + 1, len(w_probes)):
                 gap = abs(vals[i] - vals[j])
@@ -389,12 +382,12 @@ class DepVerdict:
 
 def expected_dep(model: DependenceModel, y: float, x: float) -> tuple[float, bool]:
     """Quadrature of the conditional dependence function against f(w | x)."""
-    return _integrate_w(model, y, x, lambda w: model.dep(y, x, w) * model.w_density(w, x))
+    return _integrate_w(model, y, x, model.dep, model.w_density)
 
 
 def mixing_correction(model: DependenceModel, y: float, x: float) -> tuple[float, bool]:
     """Quadrature of F(y | x, w) against the x-derivative of f(w | x)."""
-    return _integrate_w(model, y, x, lambda w: model.cdf(y, x, w) * model.w_density_dx(w, x))
+    return _integrate_w(model, y, x, model.cdf, model.w_density_dx)
 
 
 def check_avg_collapsibility(
@@ -415,6 +408,10 @@ def check_avg_collapsibility(
         lhs, ok1 = expected_dep(model, y, x)
         rhs = model.marginal_dep(y, x)
         corr, ok2 = mixing_correction(model, y, x)
+        if not all(map(math.isfinite, (lhs, rhs, corr))):  # a NaN res fails ``res > max_residual``
+            raise ModelError(
+                f"E[dF/dx | x], dF(y | x)/dx or the mixing correction at (y={y!r}, x={x!r}) is not finite"
+            )
         quad_ok = quad_ok and ok1 and ok2
         res = abs(lhs - rhs)
         if res > max_residual:

@@ -15,10 +15,10 @@ log-margins:
 ``decompose`` asks it for every subset, ``interaction`` for one, and the
 collapse routes apply it to ln p, to the marginal log cells and to their
 residual, asking only for the subsets they compare; ``_mean`` is the one
-subset mean, which ``tilde_l`` reports.  Every subset-indexed array keeps
-full rank with singleton axes on the averaged-out variables, so the
-alternating sums are plain broadcasts.  A request spanning 7 or more variables is
-computed instead by per-axis centering,
+subset mean.  Every subset-indexed array keeps full rank with singleton
+axes on the averaged-out variables, so the alternating sums are plain
+broadcasts.  A request spanning 7 or more variables is computed instead by
+per-axis centering,
 
     tau_A = prod over a in A of (I - M_a) prod over a outside A of M_a  ln p,
 
@@ -176,26 +176,6 @@ class InteractionDecomposition:
         mask = mask_of(self.scheme.resolve_subset(subset))
         return squeeze_mask(self._tau[mask], mask)
 
-    def max_abs(self, subset: SubsetSpec) -> float:
-        mask = mask_of(self.scheme.resolve_subset(subset))
-        return float(np.max(np.abs(self._tau[mask])))
-
-    def forward_tilde(self, subset: SubsetSpec) -> np.ndarray:
-        """Reconstruct ltilde_A as sum of tau_Z over Z subset of A (inversion pair)."""
-        mask = mask_of(self.scheme.resolve_subset(subset))
-        out: np.ndarray | None = None
-        for sub in submasks(mask):
-            out = self._tau[sub] if out is None else out + self._tau[sub]
-        assert out is not None
-        return squeeze_mask(out, mask)
-
-    def reconstruct_log(self) -> np.ndarray:
-        """Sum of every interaction array, cell by cell: should equal ln p."""
-        out = np.zeros(self.scheme.shape)
-        for arr in self._tau.values():
-            out = out + arr
-        return out
-
     def to_json_dict(self) -> dict:
         names = self.scheme.names
         return {
@@ -207,16 +187,6 @@ class InteractionDecomposition:
                 for mask in masks_by_size(self.scheme.n)
             ]
         }
-
-
-def tilde_l(table: ContingencyTable, subset: SubsetSpec) -> np.ndarray:
-    """Mean of ln p over the complement coordinates, at each fixed i_A.
-
-    The empty subset gives the grand mean of the log cells (0-d array); the
-    full set gives ln p itself.
-    """
-    mask = mask_of(table.scheme.resolve_subset(subset))
-    return squeeze_mask(_mean(log_cells(table), mask), mask)
 
 
 def interaction(table: ContingencyTable, subset: SubsetSpec) -> np.ndarray:

@@ -10,7 +10,9 @@ Each call reduces the table once to an exact event array of integers (the
 float cell sums on one power-of-two scale; a counts table's own counts).
 Signs, the reversal verdict and the Cornfield conditions compare exact
 ratios; each reported probability is the nearest float of its exact ratio.
-The raw fraction-reversal fact is checked in exact integer arithmetic.
+A raw fraction reversal (k/l < K/L and m/n < M/N while the pooled
+fractions flip) is ``detect_reversal`` on the 2x2x2 counts table of those
+successes and trials.
 """
 
 from __future__ import annotations
@@ -210,21 +212,6 @@ def detect_reversal(
     )
 
 
-def blyth_weights(
-    table: ContingencyTable,
-    response: Event,
-    exposure: Event,
-    covariate: "str | int",
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Stratum weights P(c|exposure) and P(c|non-exposure).
-
-    These are the mixing weights that express each marginal conditional
-    probability as a weighted average of the stratum conditionals.
-    """
-    rep = detect_reversal(table, response, exposure, covariate)
-    return rep.weights_exposed, rep.weights_unexposed
-
-
 def cornfield(
     table: ContingencyTable,
     response: Event,
@@ -253,28 +240,6 @@ def cornfield(
         riskdiff_lhs=float(p_a_c) - float(p_a_cc),
         riskdiff_rhs=float(p_a_b) - float(p_a_bc),
         riskdiff_condition=p_a_c - p_a_cc >= p_a_b - p_a_bc,
-    )
-
-
-def fraction_reversal(
-    k: int, l: int, K: int, L: int, m: int, n: int, M: int, N: int
-) -> bool:
-    """Exact check that k/l < K/L and m/n < M/N while the pooled fractions flip.
-
-    Comparisons use integer cross-multiplication, which is exact rational
-    arithmetic.  Denominators must be positive integers; numerators must be
-    nonnegative integers.
-    """
-    for name, v in (("k", k), ("K", K), ("m", m), ("M", M)):
-        if not isinstance(v, (int, np.integer)) or v < 0:
-            raise TableError(f"numerator {name} must be a nonnegative integer")
-    for name, v in (("l", l), ("L", L), ("n", n), ("N", N)):
-        if not isinstance(v, (int, np.integer)) or v <= 0:
-            raise TableError(f"denominator {name} must be a positive integer")
-    return (
-        k * L < K * l
-        and m * N < M * n
-        and (k + m) * (L + N) > (K + M) * (l + n)
     )
 
 

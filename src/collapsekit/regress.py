@@ -20,13 +20,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .assoc import FiniteJoint
 from .errors import DistributionError, RouteDisagreementError, array, loads, malformed, number
-from .tables import ci_deviation, probabilities
+from .tables import probabilities
 
 DEFAULT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -161,11 +160,6 @@ def _marginal_line(a: dict[str, np.ndarray]) -> tuple[float, float, float]:
     return beta, _wmean(pi, a["mu_y"]) - beta * _wmean(pi, a["mu_x"]), var_x
 
 
-def marginal_beta(summary: StratifiedRegressionSummary) -> float:
-    """Marginal least-squares slope implied by the per-stratum moments."""
-    return _marginal_line(summary.arrays())[0]
-
-
 @dataclass(frozen=True)
 class RegressVerdict:
     """Outcome of a collapsibility or average-collapsibility check.
@@ -284,85 +278,6 @@ def check_a_collapsibility(
     lhs = e_beta * _wcov(a["pi"], a["mu_x"], a["mu_x"])
     rhs = _wcov(a["pi"], a["beta"], a["s_xx"]) + _wcov(a["pi"], a["mu_y"], a["mu_x"])
     return _decide("average", a, lhs, rhs, e_beta, tol)
-
-
-@dataclass(frozen=True)
-class SufficientConditionFlags:
-    """Independence/moment conditions that imply collapsibility conclusions.
-
-    The CI flags are exact factorization checks on a finite joint of
-    (Y, X, A).  ``variance_identity`` tests
-    Var(mu_y) E[s_yy] = Var(mu_x) E[s_xx]; ``mean_independent`` tests
-    E(Y | X, A) = E(Y | X) at every cell.  The implied flags spell out the
-    conclusions these conditions license: ``collapsible_implied`` for the
-    parallel slope, ``a_collapsible_implied`` for both random coefficients,
-    and the two logistic flags for the log-odds model with the same
-    background variable.
-    """
-
-    y_indep_a_given_x: bool
-    x_indep_a_given_y: bool
-    variance_identity: bool
-    variance_identity_gap: float
-    mean_independent: bool
-    mean_independence_gap: float
-    collapsible_implied: bool
-    a_collapsible_implied: bool
-    logistic_both_implied: bool
-    logistic_beta_implied: bool
-    tol: float
-
-
-def check_sufficient_conditions(
-    joint: FiniteJoint, tol: float = DEFAULT_TOL
-) -> SufficientConditionFlags:
-    """Evaluate the sufficient conditions on an exact joint of (Y, X, A).
-
-    The third axis of the joint plays the background variable.  Only the
-    full stated conditions imply a conclusion; the variance identity alone
-    is reported but licenses nothing.
-    """
-    p = joint.p  # axes: y=0, x=1, a=2
-    yv = np.asarray(joint.y_levels)[:, None, None]
-    xv = np.asarray(joint.x_levels)[None, :, None]
-
-    dev_ya_x, _ = ci_deviation(p, (0,), (2,), (1,))
-    dev_xa_y, _ = ci_deviation(p, (1,), (2,), (0,))
-
-    # per-level moments over a
-    p_a = p.sum(axis=(0, 1))
-    mu_y = (yv * p).sum(axis=(0, 1)) / p_a
-    mu_x = (xv * p).sum(axis=(0, 1)) / p_a
-    s_yy = (yv * yv * p).sum(axis=(0, 1)) / p_a - mu_y**2
-    s_xx = (xv * xv * p).sum(axis=(0, 1)) / p_a - mu_x**2
-    var_mu_y = _wcov(p_a, mu_y, mu_y)
-    var_mu_x = _wcov(p_a, mu_x, mu_x)
-    vgap = abs(var_mu_y * _wmean(p_a, s_yy) - var_mu_x * _wmean(p_a, s_xx))
-
-    # E(Y | X, A) versus E(Y | X)
-    p_xa = p.sum(axis=0)
-    e_y_xa = (yv * p).sum(axis=0) / p_xa
-    p_x = p.sum(axis=(0, 2))
-    e_y_x = (yv[:, :, 0] * p.sum(axis=2)).sum(axis=0) / p_x
-    mgap = float(np.max(np.abs(e_y_xa - e_y_x[:, None])))
-
-    y_ci = dev_ya_x <= tol
-    x_ci = dev_xa_y <= tol
-    v_ok = vgap <= tol
-    m_ok = mgap <= tol
-    return SufficientConditionFlags(
-        y_indep_a_given_x=y_ci,
-        x_indep_a_given_y=x_ci,
-        variance_identity=v_ok,
-        variance_identity_gap=float(vgap),
-        mean_independent=m_ok,
-        mean_independence_gap=mgap,
-        collapsible_implied=y_ci or (x_ci and v_ok),
-        a_collapsible_implied=m_ok,
-        logistic_both_implied=y_ci,
-        logistic_beta_implied=x_ci,
-        tol=tol,
-    )
 
 
 # a moment that overflows comes out inf or nan, which the summary rejects

@@ -28,10 +28,6 @@ def axes_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of `mask`, including 0 and `mask` itself.
 
@@ -47,4 +43,4 @@ def submasks(mask: int) -> Iterator[int]:
 
 def masks_by_size(n: int) -> list[int]:
     """Every mask over n axes, sorted by popcount then numeric value."""
-    return sorted(range(1 << n), key=lambda m: (popcount(m), m))
+    return sorted(range(1 << n), key=lambda m: (m.bit_count(), m))

@@ -13,12 +13,13 @@ for all t, s > 0 exactly when bx + by rho < 0, i.e. rho > bx / |by|.
 
 ``check_condition`` evaluates those parameter inequalities;
 ``verify_numeric`` probes the monotonicity pattern on a finite grid with
-closed-form conditional ratios and quadrature marginals.  The normal tail
-comes from ``math.erfc``.  The marginal quadrature loads only QUADPACK's
-compiled extension (``quadpack.quad``), on the first integral, so neither
-``scipy.integrate`` nor ``scipy.special`` loads.  A tabulated K is scipy's
-``PchipInterpolator``, imported when such a spec is made.  The condition
-check loads no scipy at all.
+closed-form conditional ratios and quadrature marginals.  The reversal
+is read on residual survival only; its hazard form is not computed.  The
+normal tail comes from ``math.erfc``.  The marginal quadrature loads only
+QUADPACK's compiled extension (``quadpack.quad``), on the first integral,
+so neither ``scipy.integrate`` nor ``scipy.special`` loads.  A tabulated K
+is scipy's ``PchipInterpolator``, imported when such a spec is made.  The
+condition check loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -204,11 +205,6 @@ class SurvivalSpec:
 # -- conditional quantities (closed form) -----------------------------------
 
 
-def conditional_survival(spec: SurvivalSpec, t: float, x: float, y: float) -> float:
-    """P(T > t | X = x, Y = y)."""
-    return _survival_function(spec.w_law)(spec.k(t) + spec.beta_x * x + spec.beta_y * y)
-
-
 def conditional_ratio(
     spec: SurvivalSpec, t: float, s: float, x: float, y: float
 ) -> float:
@@ -248,26 +244,6 @@ def marginal_ratio(spec: SurvivalSpec, t: float, s: float, x: float) -> float:
     if denom <= 0.0:
         raise ModelError(f"P(T > {t} | x={x}) vanished; grid point unusable")
     return marginal_survival(spec, t + s, x) / denom
-
-
-# -- hazards (finite differences) --------------------------------------------
-
-
-def conditional_hazard(
-    spec: SurvivalSpec, t: float, x: float, y: float, step: float = 1e-4
-) -> float:
-    """h(t | x, y) = -d/dt ln S(t | x, y), by central differencing."""
-    shift = spec.beta_x * x + spec.beta_y * y
-    lo = _log_survival(spec.k(t - step) + shift, spec.w_law)
-    hi = _log_survival(spec.k(t + step) + shift, spec.w_law)
-    return (lo - hi) / (2.0 * step)
-
-
-def marginal_hazard(spec: SurvivalSpec, t: float, x: float, step: float = 1e-4) -> float:
-    """h(t | x) by central differencing of the quadrature marginal."""
-    lo = math.log(marginal_survival(spec, t - step, x))
-    hi = math.log(marginal_survival(spec, t + step, x))
-    return (lo - hi) / (2.0 * step)
 
 
 # -- verdicts -----------------------------------------------------------------

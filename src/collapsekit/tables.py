@@ -220,17 +220,6 @@ class ContingencyTable:
     def total(self) -> float:
         return float(self.cells.sum())
 
-    def cell(self, where: Mapping[str, str]) -> float:
-        """Cell value at the given variable -> level assignment (all variables)."""
-        if set(where) != set(self.scheme.names):
-            raise SchemeError(
-                f"cell lookup must assign every variable; got {sorted(where)}"
-            )
-        idx = tuple(
-            self.scheme.level_index(name, where[name]) for name in self.scheme.names
-        )
-        return float(self.cells[idx])
-
     # -- operations --------------------------------------------------------
 
     def normalize(self, smoothing: float | None = None) -> "ContingencyTable":
@@ -285,30 +274,6 @@ class ContingencyTable:
         cells = self.cells.sum(axis=drop) if drop else self.cells
         sub = CategoricalScheme(tuple(self.scheme.variables[a] for a in keep_axes))
         return ContingencyTable(sub, cells, self.form)
-
-    def condition_on(self, var: "str | int", level: str) -> "ContingencyTable":
-        """Slice at var=level and drop the variable.
-
-        Probability tables are renormalized by the slice mass; counts tables
-        keep the raw slice counts (which are proportional to the conditional
-        distribution).
-        """
-        ax = self.scheme.axis(var)
-        if self.scheme.n < 2:
-            raise SchemeError("cannot condition a one-variable table")
-        li = self.scheme.level_index(var, level)
-        sl = np.take(self.cells, li, axis=ax)
-        mass = float(sl.sum())
-        if mass <= 0.0:
-            raise TableError(
-                f"conditioning event {self.scheme.names[ax]}={level!r} has zero mass"
-            )
-        sub = CategoricalScheme(
-            tuple(v for a, v in enumerate(self.scheme.variables) if a != ax)
-        )
-        if self.form == "probability":
-            return ContingencyTable(sub, sl / mass, "probability")
-        return ContingencyTable(sub, sl, "counts")
 
     def check_ci(
         self,

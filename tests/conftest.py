@@ -58,3 +58,8 @@ def ci_constructed_table(rng, m1=None, m2=None, m3=None):
         )
     )
     return ContingencyTable(scheme, cells / cells.sum(), "probability")
+
+
+def max_abs(dec, subset):
+    """max |tau_A| of a decomposition over the subset A."""
+    return float(np.max(np.abs(dec.tau(subset))))

@@ -28,20 +28,20 @@ from collapsekit.depfun import (
     expected_dep,
     mixing_correction,
 )
-from collapsekit.loglinear import decompose, tilde_l
-from collapsekit.paradox import cornfield, detect_reversal, fraction_reversal
+from collapsekit.loglinear import decompose
+from collapsekit.paradox import cornfield, detect_reversal
 from collapsekit.regress import (
     RegressionStratum,
     StratifiedRegressionSummary,
     check_a_collapsibility,
     check_parallel_collapsibility,
-    marginal_beta,
 )
 from collapsekit.survival import SurvivalSpec, check_condition, verify_numeric
 from collapsekit.tables import ContingencyTable
 
 from conftest import ci_constructed_table, random_positive_table
 from test_assoc import covariance_flip_witness, protected_construction
+from test_paradox import _abd_table
 from test_regress import brute_force_slope, random_summary
 
 
@@ -85,51 +85,61 @@ def test_death_penalty_data_reproduction(death_penalty_table):
 
 
 def test_fraction_reversal_exhaustive():
-    ok = fraction_reversal(1, 6, 2, 9, 5, 7, 3, 4) is True
+    # proportions k/l with l <= 4: k/l and m/n among the exposed (X=M), K/L
+    # and M/N among the rest, in strata D=0 and D=1.  The exact Fraction
+    # oracle runs on every such table; the verb runs on the 10^4 tables with
+    # every numerator >= 1, none of which reverses, and on each of the 28
+    # reversals, all of which need a zero numerator
+    def verdict(k, l, K, L, m, n, M, N):
+        table = _abd_table([k, m, K, M, l - k, n - m, L - K, N - M])
+        return detect_reversal(table, ("A", "Y"), ("X", "M"), "D").reversal
 
-    # exhaustive oracle: proportions with denominators <= 9
-    pairs = [(k, l) for l in range(1, 10) for k in range(1, l + 1)]
-    n = len(pairs)
-    fr = [Fraction(k, l) for k, l in pairs]
-    lt = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            lt[i, j] = fr[i] < fr[j]
-    pooled = [
-        [Fraction(pairs[i][0] + pairs[j][0], pairs[i][1] + pairs[j][1]) for j in range(n)]
-        for i in range(n)
-    ]
-    flat = [pooled[i][j] for i in range(n) for j in range(n)]
-    order = sorted(range(len(flat)), key=lambda ix: flat[ix])
-    rank = np.empty(len(flat), dtype=np.int64)
-    # dense ranks via exact Fraction ordering let the pooled comparison
-    # become an integer comparison of ranks
-    r = 0
-    rank[order[0]] = 0
-    for prev, cur in zip(order, order[1:]):
-        if flat[cur] != flat[prev]:
-            r += 1
-        rank[cur] = r
-    rank2d = rank.reshape(n, n)
-
+    ok = verdict(1, 6, 2, 9, 5, 7, 3, 4) is True
+    pairs = [(k, l) for l in range(1, 5) for k in range(l + 1)]
+    found = {"up": 0, "down": 0}
     mismatches = 0
     checked = 0
-    for i, (k, l) in enumerate(pairs):
-        for j, (K, L) in enumerate(pairs):
-            c1 = lt[i, j]
-            for a, (m, nn) in enumerate(pairs):
-                ra = rank2d[i, a]
-                for b, (M, N) in enumerate(pairs):
-                    expected = bool(c1 and lt[a, b] and ra > rank2d[j, b])
-                    got = fraction_reversal(k, l, K, L, m, nn, M, N)
-                    checked += 1
-                    if got != expected:
-                        mismatches += 1
+    for (k, l), (K, L), (m, n), (M, N) in itertools.product(pairs, repeat=4):
+        a, b, c, d = Fraction(k, l), Fraction(K, L), Fraction(m, n), Fraction(M, N)
+        pooled, pooled_rest = Fraction(k + m, l + n), Fraction(K + M, L + N)
+        # the exposed lose in both strata and win pooled, or the other way round
+        up = a < b and c < d and pooled > pooled_rest
+        down = a > b and c > d and pooled < pooled_rest
+        if up or down or min(k, K, m, M) >= 1:
+            found["up"] += up
+            found["down"] += down
+            mismatches += verdict(k, l, K, L, m, n, M, N) != (up or down)
+            checked += 1
     report(
         "fraction-reversal-exhaustive",
-        ok and mismatches == 0 and checked == n**4,
-        f"checked={checked} mismatches={mismatches}",
+        ok and mismatches == 0 and checked == 10**4 + 28 and found == {"up": 14, "down": 14},
+        f"checked={checked} mismatches={mismatches} reversals={found}",
     )
+
+
+def tilde_l(t, axes):
+    """ltilde_A: ln p averaged over the axes outside A, keepdims."""
+    comp = tuple(a for a in range(t.scheme.n) if a not in axes)
+    return np.log(t.cells).mean(axis=comp, keepdims=True)
+
+
+def keepdims_taus(dec):
+    """Every tau_A of a decomposition, shaped over all axes with singletons outside A."""
+    shape = dec.scheme.shape
+    return {
+        axes: dec.tau(axes).reshape([m if a in axes else 1 for a, m in enumerate(shape)])
+        for axes in dec.subsets()
+    }
+
+
+def forward_tilde(taus, axes):
+    """ltilde_A rebuilt as the sum of tau_Z over Z inside A (the inversion pair)."""
+    return sum(tau for z, tau in taus.items() if set(z) <= set(axes))
+
+
+def reconstruct_log(taus):
+    """The sum of every interaction array, cell by cell: ln p."""
+    return sum(taus.values())
 
 
 def test_mobius_roundtrip():
@@ -140,12 +150,11 @@ def test_mobius_roundtrip():
     for _ in range(500):
         t = random_positive_table(rng, n=int(rng.integers(2, 5)), max_levels=4)
         dec = decompose(t)
+        taus = keepdims_taus(dec)
         logp = np.log(t.cells)
-        worst_recon = max(worst_recon, float(np.max(np.abs(dec.reconstruct_log() - logp))))
+        worst_recon = max(worst_recon, float(np.max(np.abs(reconstruct_log(taus) - logp))))
         for subset in dec.subsets():
-            gap = np.max(
-                np.abs(np.asarray(dec.forward_tilde(subset)) - np.asarray(tilde_l(t, subset)))
-            )
+            gap = np.max(np.abs(forward_tilde(taus, subset) - tilde_l(t, subset)))
             worst_tilde = max(worst_tilde, float(gap))
             if subset:
                 tau = dec.tau(subset)
@@ -235,7 +244,8 @@ def test_regression_route_agreement():
     worst_oracle = 0.0
     for _ in range(100):
         summ = random_summary(rng)
-        worst_oracle = max(worst_oracle, abs(marginal_beta(summ) - brute_force_slope(summ)))
+        beta = check_a_collapsibility(summ).beta_marginal
+        worst_oracle = max(worst_oracle, abs(beta - brute_force_slope(summ)))
     ok = disagreements == 0 and worst_oracle <= 1e-9
     report(
         "regression-route-agreement",

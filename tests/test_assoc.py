@@ -10,9 +10,8 @@ from collapsekit.assoc import (
     detect_assoc_reversal,
     double_linkage,
     holds_relation,
-    linear_r4_reversal,
 )
-from collapsekit.errors import DistributionError, ModelError
+from collapsekit.errors import DistributionError
 
 
 def rand_probs(rng, shape, lo=0.05):
@@ -197,8 +196,9 @@ class TestRelations:
             )
             for rel in ("r3", "r4"):
                 for direction in ("up", "down"):
+                    swapped = BivariateJoint(b.x_levels, b.y_levels, b.p.T)
                     assert holds_relation(b, rel, direction) == holds_relation(
-                        b.swapped(), rel, direction
+                        swapped, rel, direction
                     )
 
     def test_single_x_level_rejected(self):
@@ -281,36 +281,3 @@ class TestReversalDetection:
         assert covariance(j) == pytest.approx(19 / 480, abs=1e-12)
         for k in range(2):
             assert covariance(j.conditional_yx(k)) < -0.01
-
-
-class TestLinearModel:
-    def test_reversal_case(self):
-        r = linear_r4_reversal(-1.0, 2.0, 1.0, 1.0, 2.0, 1.0)
-        assert r.cov_yx == pytest.approx(1.0)
-        assert r.eta == pytest.approx(2.0)
-        assert r.reversal and not r.boundary
-
-    def test_uncorrelated_regressors(self):
-        r = linear_r4_reversal(-1.0, 2.0, 0.0, 1.0, 2.0, 1.0)
-        assert r.eta == 0.0
-        assert r.cov_yx <= 0.0
-        assert not r.reversal
-
-    def test_boundary_slope(self):
-        r = linear_r4_reversal(0.0, 2.0, 0.5, 1.0, 2.0, 1.0)
-        assert r.boundary
-        assert r.cov_yx > 0.0
-        assert not r.reversal
-
-    def test_var_y_formula(self):
-        r = linear_r4_reversal(-1.0, 2.0, 0.5, 1.5, 2.0, 0.7)
-        expected = 1.0 * 1.5 + 4.0 * 2.0 + 2.0 * (-1.0) * 2.0 * 0.5 + 0.7
-        assert r.var_y == pytest.approx(expected)
-
-    def test_validation(self):
-        with pytest.raises(ModelError):
-            linear_r4_reversal(-1.0, 2.0, 0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ModelError):
-            linear_r4_reversal(0.5, 2.0, 0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ModelError):
-            linear_r4_reversal(-1.0, 2.0, 5.0, 1.0, 1.0, 1.0)

@@ -110,8 +110,8 @@ class TestIngestCsv:
         p.write_text("a,b\n1,u\n")
         t = ingest_csv(str(p), scheme=scheme)
         assert t.total == 1.0
-        assert t.cell({"a": "1", "b": "u"}) == 1.0
-        assert t.cell({"a": "0", "b": "v"}) == 0.0
+        assert t.cells[1, 0] == 1.0  # a=1, b=u
+        assert t.cells[0, 1] == 0.0  # a=0, b=v
 
     def test_single_row_without_scheme(self, tmp_path):
         p = tmp_path / "one.csv"
@@ -445,6 +445,43 @@ class TestExitCodes:
         )
         assert main(["dep-check", str(p)]) == EXIT_ERROR
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ModelError"
+
+    @pytest.mark.parametrize(
+        "alpha, mean_slope",
+        [
+            # g*g overflows the marginal spread at 30 of the 36 grid points
+            ("[1e300,1e300,1e300]", "0.5"),
+            # dep is NaN at 60 of the 144 homogeneity probes, and an integrand
+            # that is NaN beside finite values used to crash QUADPACK
+            ("[1e308,0,1e308]", "0.0"),
+        ],
+    )
+    def test_non_finite_dep_point_is_structured(self, tmp_path, capsys, alpha, mean_slope):
+        p = tmp_path / "gauss.json"
+        p.write_text(
+            f'{{"family":"gaussian-linear-interaction","alpha":{alpha},'
+            f'"sigma":1,"w_law":{{"type":"normal","mean_slope":{mean_slope}}}}}'
+        )
+        assert main(["dep-check", str(p)]) == EXIT_ERROR
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "ModelError"
+        assert "(y=-2.0, x=-2.0)" in error["message"] and "not finite" in error["message"]
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--strict", "--target", "A", "--margin", "A,X"], "--margin"),
+            (["--strict", "--target", "A", "--given", "X", "--margin", "A,X"], "--margin"),
+            (["--target", "A,X", "--margin", "A,X", "--given", "D"], "--given"),
+            (["--target", "A,X", "--margin", "A,X", "--given", ""], "--given"),
+        ],
+        ids=["strict-margin", "strict-given-margin", "plain-given", "plain-empty-given"],
+    )
+    def test_collapse_check_flag_of_the_other_form_is_an_error(self, capsys, flags, named):
+        # each form reads one subset flag and would silently ignore the other
+        assert main(["collapse-check", *flags, str(CORPUS / "admission.json")]) == EXIT_ERROR
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "SchemeError" and error["message"].startswith(named)
 
     def test_lattice_over_budget_is_structured(self, tmp_path, capsys):
         # 16 binary variables: 2^16 cells load fine, but the subset means

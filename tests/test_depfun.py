@@ -9,10 +9,10 @@ from collapsekit.depfun import (
     GaussianLinearInteraction,
     UniformQuadratic,
     _integrate,
+    _integrate_w,
     _ndtr,
     check_avg_collapsibility,
     check_homogeneity,
-    dep_fn,
     expected_dep,
     mixing_correction,
     model_from_json,
@@ -22,26 +22,44 @@ from collapsekit.errors import ModelError
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+
+def marginal_cdf(model, y, x):
+    """F(y | x): the Gaussian family's closed form, else the quadrature of
+    F(y | x, w) against f(w | x)."""
+    if isinstance(model, GaussianLinearInteraction):
+        mu, _, v, _ = model._marginal_params(x)
+        return _ndtr((y - mu) / v)
+    return _integrate_w(model, y, x, model.cdf, model.w_density)[0]
+
+
+def numerical_marginal_dep(model, y, x, h=1e-2):
+    """Richardson-extrapolated central differencing of ``marginal_cdf`` in x,
+    accurate where the marginal CDF is smooth in x."""
+    d1 = (marginal_cdf(model, y, x + h) - marginal_cdf(model, y, x - h)) / (2.0 * h)
+    d2 = (marginal_cdf(model, y, x + h / 2.0) - marginal_cdf(model, y, x - h / 2.0)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
 class TestDepFn:
     def test_gaussian_no_x_effect_is_zero(self):
         m = GaussianLinearInteraction(0.0, 1.0, 0.0, 1.0)
         for y, x, w in ((0.0, 0.0, 0.0), (1.0, -1.0, 0.5), (2.0, 0.3, -0.7)):
-            assert dep_fn(m, y, x, w) == 0.0
+            assert m.dep(y, x, w) == 0.0
 
     def test_gaussian_standard_point(self):
         m = GaussianLinearInteraction(1.0, 0.0, 0.0, 1.0)
-        assert dep_fn(m, 0.0, 0.0, 0.0) == pytest.approx(-PHI0, abs=1e-15)
+        assert m.dep(0.0, 0.0, 0.0) == pytest.approx(-PHI0, abs=1e-15)
 
     def test_uniform_inside_support(self):
         m = UniformQuadratic()
         y, x, w = 0.2, 0.5, 1.0
         assert y * (x * x + (w - x) ** 2) < 1.0
-        assert dep_fn(m, y, x, w) == pytest.approx(y * (4 * x - 2 * w), abs=1e-15)
+        assert m.dep(y, x, w) == pytest.approx(y * (4 * x - 2 * w), abs=1e-15)
 
     def test_uniform_outside_support_zero(self):
         m = UniformQuadratic()
-        assert dep_fn(m, 100.0, 1.0, 3.0) == 0.0
-        assert dep_fn(m, -0.5, 1.0, 3.0) == 0.0
+        assert m.dep(100.0, 1.0, 3.0) == 0.0
+        assert m.dep(-0.5, 1.0, 3.0) == 0.0
 
     def test_gaussian_finite_difference(self):
         rng = np.random.default_rng(0)
@@ -87,6 +105,13 @@ class TestHomogeneity:
 
     def test_uniform_not_homogeneous(self):
         assert not check_homogeneity(UniformQuadratic()).homogeneous
+
+    def test_nan_dep_rejected(self):
+        # a1 + a3 w overflows where phi vanishes: dep is inf * 0 = NaN at 60 of
+        # the 144 probes, and a NaN gap used to be skipped
+        m = GaussianLinearInteraction(1e308, 0.0, 1e308, 1.0, 0.0)
+        with pytest.raises(ModelError, match=r"at \(y=-2\.0, x=-2\.0\) is not finite"):
+            check_homogeneity(m)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ModelError):
@@ -150,6 +175,7 @@ class TestMixingIdentity:
             assert lhs == pytest.approx(e + c, abs=1e-6)
 
 
+
 class TestMarginals:
     def test_gaussian_marginal_law(self):
         # with independent standard normal W the marginal is normal with
@@ -159,7 +185,7 @@ class TestMarginals:
             for x in (-1.5, 0.0, 1.0):
                 v2 = (0.5 + 0.8 * x) ** 2 + 1.0
                 direct = _ndtr((y - 1.0 * x) / math.sqrt(v2))
-                assert m.marginal_cdf(y, x) == pytest.approx(direct, abs=1e-9)
+                assert marginal_cdf(m, y, x) == pytest.approx(direct, abs=1e-9)
 
     def test_uniform_closed_marginal_vs_quadrature_cdf(self):
         # integrate the closed-form derivative back up and compare CDF gaps
@@ -169,17 +195,17 @@ class TestMarginals:
             grid = np.linspace(x0, x1, 2001)
             vals = np.array([m.marginal_dep(y, x) for x in grid])
             integral = np.trapezoid(vals, grid)
-            gap = m.marginal_cdf(y, x1) - m.marginal_cdf(y, x0)
+            gap = marginal_cdf(m, y, x1) - marginal_cdf(m, y, x0)
             assert integral == pytest.approx(gap, abs=1e-7)
 
     def test_numerical_fallback_matches_closed_forms(self):
         g = GaussianLinearInteraction(1.0, 0.5, 0.8, 1.0, rho=0.4)
         u = UniformQuadratic()
         for y, x in ((0.5, -0.5), (1.0, 0.5), (2.0, 0.25)):
-            assert g.numerical_marginal_dep(y, x) == pytest.approx(
+            assert numerical_marginal_dep(g, y, x) == pytest.approx(
                 g.marginal_dep(y, x), abs=1e-6
             )
-            assert u.numerical_marginal_dep(y, x) == pytest.approx(
+            assert numerical_marginal_dep(u, y, x) == pytest.approx(
                 u.marginal_dep(y, x), abs=1e-6
             )
 

@@ -10,7 +10,9 @@ The boundary checks run in fresh interpreters, because the test process has
 long since imported everything.
 """
 
+import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -32,7 +34,6 @@ MODEL_NAMES = {
     "UniformQuadratic": "depfun",
     "check_avg_collapsibility": "depfun",
     "check_homogeneity": "depfun",
-    "dep_fn": "depfun",
     "model_from_json": "depfun",
     "SurvivalSpec": "survival",
     "SurvivalVerdict": "survival",
@@ -122,6 +123,14 @@ class TestPackageNames:
         module = importlib.import_module(f"collapsekit.{MODEL_NAMES[name]}")
         assert getattr(collapsekit, name) is getattr(module, name)
 
+    def test_all_is_exactly_the_exported_names(self):
+        exported = {
+            name for name, value in vars(collapsekit).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        }
+        assert sorted(collapsekit.__all__) == collapsekit.__all__
+        assert set(collapsekit.__all__) == exported
+
     def test_dir_lists_all(self):
         assert set(collapsekit.__all__) <= set(dir(collapsekit))
 
@@ -134,3 +143,19 @@ class TestPackageNames:
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="'collapsekit'.*'no_such_name'"):
             collapsekit.no_such_name
+
+
+def test_readme_quick_start():
+    """The README's library quick start runs and gives its commented results."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick start\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    scope, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), scope))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+    reversal, weights, _, strict = values
+    assert reversal is True
+    assert weights == (5 / 13, 8 / 13)
+    assert strict is False

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsekit.errors import SchemeError, TableError
-from collapsekit.paradox import (
-    blyth_weights,
-    cornfield,
-    detect_reversal,
-    fraction_reversal,
-    scan_strata,
-)
+from collapsekit.paradox import cornfield, detect_reversal, scan_strata
 from collapsekit.tables import CategoricalScheme, ContingencyTable, build_table
 
 
@@ -85,9 +79,10 @@ class TestNoReversalUnderIndependence:
 
 class TestBlythWeights:
     def test_admission_weights(self, admission_table):
-        w_b, w_bc = blyth_weights(admission_table, ("A", "Y"), ("X", "M"), "D")
-        assert w_b == (5 / 13, 8 / 13)
-        assert w_bc == (8 / 13, 5 / 13)
+        # the mixing weights P(c | exposure) and P(c | non-exposure)
+        rep = detect_reversal(admission_table, ("A", "Y"), ("X", "M"), "D")
+        assert rep.weights_exposed == (5 / 13, 8 / 13)
+        assert rep.weights_unexposed == (8 / 13, 5 / 13)
 
     def test_mixture_reproduces_marginal_random(self):
         rng = np.random.default_rng(1)
@@ -141,57 +136,6 @@ class TestCornfield:
         d = cornfield(t, ("a", "0"), ("b", "0"), ("c", "0"))
         assert d.ratio_condition is None
         assert isinstance(d.riskdiff_condition, bool)
-
-
-class TestFractionReversal:
-    def test_textbook_instance(self):
-        assert fraction_reversal(1, 6, 2, 9, 5, 7, 3, 4)
-        assert Fraction(1, 6) < Fraction(2, 9)
-        assert Fraction(5, 7) < Fraction(3, 4)
-        assert Fraction(6, 13) > Fraction(5, 13)
-
-    def test_equal_fractions(self):
-        assert not fraction_reversal(1, 2, 1, 2, 1, 2, 1, 2)
-
-    def test_zero_denominator(self):
-        with pytest.raises(TableError):
-            fraction_reversal(1, 0, 2, 9, 5, 7, 3, 4)
-
-    def test_non_integer(self):
-        with pytest.raises(TableError):
-            fraction_reversal(1.5, 6, 2, 9, 5, 7, 3, 4)
-
-    def test_agrees_with_fraction_oracle_sampled(self):
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            k, K, m, M = (int(v) for v in rng.integers(0, 10, 4))
-            l, L, n, N = (int(v) for v in rng.integers(1, 10, 4))
-            expected = (
-                Fraction(k, l) < Fraction(K, L)
-                and Fraction(m, n) < Fraction(M, N)
-                and Fraction(k + m, l + n) > Fraction(K + M, L + N)
-            )
-            assert fraction_reversal(k, l, K, L, m, n, M, N) == expected
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.integers(1, 50), st.integers(1, 50), st.integers(1, 50), st.integers(1, 50),
-        st.integers(1, 50), st.integers(1, 50), st.integers(1, 50), st.integers(1, 50),
-        st.integers(1, 7),
-    )
-    def test_invariant_under_common_scaling(self, k, l, K, L, m, n, M, N, c):
-        # scaling one fraction alone moves the pooled fractions, so the only
-        # scaling the verdict is invariant under is a common one
-        base = fraction_reversal(k, l, K, L, m, n, M, N)
-        scaled = fraction_reversal(
-            c * k, c * l, c * K, c * L, c * m, c * n, c * M, c * N
-        )
-        assert scaled == base
-
-    def test_not_invariant_under_single_fraction_scaling(self):
-        # pooling breaks per-fraction scale invariance; keep a concrete witness
-        assert fraction_reversal(1, 6, 2, 9, 5, 7, 3, 4)
-        assert not fraction_reversal(4, 24, 2, 9, 5, 7, 3, 4)
 
 
 class TestScanStrata:

@@ -7,15 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsekit import regress
-from collapsekit.assoc import FiniteJoint
 from collapsekit.errors import DistributionError, RouteDisagreementError
 from collapsekit.regress import (
     RegressionStratum,
     StratifiedRegressionSummary,
     check_a_collapsibility,
     check_parallel_collapsibility,
-    check_sufficient_conditions,
-    marginal_beta,
     summary_from_records,
 )
 
@@ -112,19 +109,19 @@ class TestValidation:
 class TestMarginalBeta:
     def test_single_level(self):
         summ = StratifiedRegressionSummary((S(1.0, 0.5, 1.7, 0.3, 1.2, 4.0),))
-        assert marginal_beta(summ) == pytest.approx(1.7, abs=1e-15)
+        assert check_a_collapsibility(summ).beta_marginal == pytest.approx(1.7, abs=1e-15)
 
     def test_constant_mu_x_parallel(self):
         summ = StratifiedRegressionSummary(
             (S(0.4, 1.0, 2.0, 0.7, 1.0, 5.0), S(0.6, -1.0, 2.0, 0.7, 2.0, 9.0))
         )
-        assert marginal_beta(summ) == pytest.approx(2.0, abs=1e-12)
+        assert check_a_collapsibility(summ).beta_marginal == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_brute_force_mixture(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             summ = random_summary(rng)
-            assert marginal_beta(summ) == pytest.approx(
+            assert check_a_collapsibility(summ).beta_marginal == pytest.approx(
                 brute_force_slope(summ), abs=1e-9
             )
 
@@ -342,73 +339,6 @@ class TestACollapsibility:
         v2 = check_a_collapsibility(shuffled)
         assert v2.a_collapsible == v.a_collapsible
         assert v2.beta_marginal == pytest.approx(v.beta_marginal, abs=1e-12)
-
-
-def joint_y_ci_a_given_x(rng, ny=3, nx=2, na=3):
-    pxa = rng.uniform(0.1, 1.0, (nx, na))
-    pxa /= pxa.sum()
-    pygx = rng.uniform(0.1, 1.0, (ny, nx))
-    pygx /= pygx.sum(axis=0, keepdims=True)
-    p = pygx[:, :, None] * pxa[None, :, :]
-    return FiniteJoint(
-        tuple(float(v) for v in range(ny)),
-        tuple(float(v) for v in range(nx)),
-        tuple(float(v) for v in range(na)),
-        p / p.sum(),
-    )
-
-
-class TestSufficientConditions:
-    def test_y_ci_construction(self):
-        rng = np.random.default_rng(6)
-        flags = check_sufficient_conditions(joint_y_ci_a_given_x(rng))
-        assert flags.y_indep_a_given_x
-        assert flags.mean_independent
-        assert flags.collapsible_implied
-        assert flags.a_collapsible_implied
-        assert flags.logistic_both_implied
-
-    def test_background_independent_of_pair(self):
-        rng = np.random.default_rng(7)
-        pxy = rng.uniform(0.1, 1.0, (3, 2))
-        pxy /= pxy.sum()
-        qa = rng.uniform(0.1, 1.0, 3)
-        qa /= qa.sum()
-        j = FiniteJoint(
-            (0.0, 1.0, 2.0), (0.0, 1.0), (0.0, 1.0, 2.0),
-            pxy[:, :, None] * qa[None, None, :],
-        )
-        flags = check_sufficient_conditions(j)
-        assert flags.y_indep_a_given_x and flags.x_indep_a_given_y
-        assert flags.variance_identity
-        assert flags.variance_identity_gap <= 1e-12
-
-    def test_generic_joint_fails_flags(self):
-        rng = np.random.default_rng(8)
-        p = rng.uniform(0.05, 1.0, (3, 2, 3))
-        j = FiniteJoint(
-            (0.0, 1.0, 2.0), (0.0, 1.0), (0.0, 1.0, 2.0), p / p.sum()
-        )
-        flags = check_sufficient_conditions(j)
-        assert not flags.y_indep_a_given_x
-        assert not flags.x_indep_a_given_y
-        assert not flags.mean_independent
-
-    def test_flags_match_direct_factorization(self):
-        rng = np.random.default_rng(9)
-        j = joint_y_ci_a_given_x(rng)
-        p = j.p
-        # direct check: p(y, a | x) == p(y | x) p(a | x) cellwise
-        worst = 0.0
-        for xi in range(p.shape[1]):
-            sl = p[:, xi, :] / p[:, xi, :].sum()
-            worst = max(
-                worst,
-                float(
-                    np.max(np.abs(sl - np.outer(sl.sum(axis=1), sl.sum(axis=0))))
-                ),
-            )
-        assert (worst <= 1e-9) == check_sufficient_conditions(j).y_indep_a_given_x
 
 
 class TestRecordsIngestion:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from collapsekit.assoc import FiniteJoint, detect_assoc_reversal, double_linkage, linear_r4_reversal
+from collapsekit.assoc import FiniteJoint, detect_assoc_reversal, double_linkage
 from collapsekit.cli import as_report, dumps_report
 from collapsekit.collapse import check_collapsibility, check_strict_collapsibility
 from collapsekit.depfun import GaussianLinearInteraction, check_avg_collapsibility, check_homogeneity
@@ -17,7 +17,6 @@ from collapsekit.regress import (
     StratifiedRegressionSummary,
     check_a_collapsibility,
     check_parallel_collapsibility,
-    check_sufficient_conditions,
 )
 from collapsekit.survival import SurvivalSpec, verify_numeric
 from collapsekit.tables import CategoricalScheme, build_table
@@ -57,10 +56,6 @@ VERDICTS = {
             "marginal_down_strict", "per_w", "reversal", "tol",
         },
     ),
-    "LinearReversalReport": (
-        lambda: linear_r4_reversal(-1.0, 2.0, 0.8, 1.0, 1.0, 1.0),
-        {"beta1", "beta2", "cov_xw", "eta", "cov_yx", "var_y", "reversal", "boundary"},
-    ),
     "RegressVerdict": (
         lambda: check_parallel_collapsibility(SUMMARY),
         {
@@ -73,14 +68,6 @@ VERDICTS = {
         {
             "mode", "beta_marginal", "alpha_marginal", "beta_reference", "collapsible",
             "a_collapsible", "lhs", "rhs", "identity_gap", "beta_gap", "tol",
-        },
-    ),
-    "SufficientConditionFlags": (
-        lambda: check_sufficient_conditions(JOINT),
-        {
-            "y_indep_a_given_x", "x_indep_a_given_y", "variance_identity", "variance_identity_gap",
-            "mean_independent", "mean_independence_gap", "collapsible_implied",
-            "a_collapsible_implied", "logistic_both_implied", "logistic_beta_implied", "tol",
         },
     ),
     "CollapseVerdict": (

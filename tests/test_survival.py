@@ -11,9 +11,7 @@ from collapsekit.survival import (
     _log_survival,
     _survival_function,
     check_condition,
-    conditional_hazard,
     conditional_ratio,
-    marginal_hazard,
     marginal_ratio,
     marginal_survival,
     verify_numeric,
@@ -118,59 +116,11 @@ class TestVerifyNumeric:
         assert all(p.marginal_direction == "down" for p in v.probes)
 
 
-class TestHazardRates:
-    def test_hazard_reversal_pattern_when_condition_holds(self):
-        # conditional hazard increases in x for every y while the y-marginal
-        # hazard decreases in x, mirroring the survival-probability pattern
-        spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, eta_rho=0.8)
-        xs = (-1.0, -0.5, 0.0, 0.5, 1.0)
-        for t in (0.25, 1.0):
-            for y in (-1.0, 0.0, 1.0):
-                vals = [conditional_hazard(spec, t, x, y) for x in xs]
-                assert all(b > a for a, b in zip(vals, vals[1:]))
-            marg = [marginal_hazard(spec, t, x) for x in xs]
-            assert all(b < a for a, b in zip(marg, marg[1:]))
-
-    def test_no_hazard_reversal_when_condition_fails(self):
-        spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, eta_rho=0.4)
-        xs = (-1.0, 0.0, 1.0)
-        for t in (0.25, 1.0):
-            marg = [marginal_hazard(spec, t, x) for x in xs]
-            assert all(b > a for a, b in zip(marg, marg[1:]))
-
-    def test_marginal_hazard_matches_gaussian_closed_form(self):
-        # the marginal is a normal survival, so its hazard has a closed form
-        spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, eta_mu=0.0, eta_rho=0.8)
-        sd = math.sqrt(1.0 + 4.0)
-        for t, x in ((0.5, 0.0), (1.0, -0.5), (2.0, 1.0)):
-            arg = (t + (1.0 - 1.6) * x) / sd
-            closed = (
-                math.exp(-0.5 * arg * arg) / math.sqrt(2 * math.pi) / ndtr(-arg) / sd
-            )
-            assert marginal_hazard(spec, t, x) == pytest.approx(closed, rel=1e-6)
-
-
 class TestBaselineLaws:
-    def test_cox_proportional_hazards_ratio(self):
-        spec = SurvivalSpec(beta_x=0.7, beta_y=-0.3, eta_rho=0.2, w_law="gumbel")
-        base = conditional_hazard(spec, 1.0, 0.0, 0.0)
-        for t, x, y in (
-            (0.3, 0.5, 1.0),
-            (1.0, -1.0, 0.5),
-            (2.0, 1.0, -1.0),
-            (0.5, 0.0, 2.0),
-            (1.5, -0.5, -0.5),
-        ):
-            ratio = conditional_hazard(spec, t, x, y) / conditional_hazard(spec, t, 0.0, 0.0)
-            assert ratio == pytest.approx(math.exp(0.7 * x - 0.3 * y), abs=1e-8)
-        assert base > 0.0
-
     def test_logistic_law_values(self):
         spec = SurvivalSpec(beta_x=1.0, beta_y=-1.0, w_law="logistic")
-        # S(0 | 0, 0) = 1/2 under the logistic baseline
-        from collapsekit.survival import conditional_survival
-
-        assert conditional_survival(spec, 0.0, 0.0, 0.0) == pytest.approx(0.5)
+        # S(0 | 0, 0) = S_W(K(0)) = 1/2 under the logistic baseline
+        assert _survival_function(spec.w_law)(spec.k(0.0)) == pytest.approx(0.5)
 
     def test_unknown_law_rejected(self):
         with pytest.raises(ModelError):

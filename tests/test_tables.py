@@ -84,7 +84,7 @@ class TestBuildTable:
 class TestNormalize:
     def test_admission_cell(self, admission_table):
         p = admission_table.normalize()
-        assert p.cell({"A": "Y", "X": "M", "D": "H"}) == 1.0 / 26.0
+        assert p.cells[0, 0, 0] == 1.0 / 26.0  # A=Y, X=M, D=H
         assert abs(p.cells.sum() - 1.0) <= 1e-12
 
     def test_two_cells(self):
@@ -164,38 +164,6 @@ class TestMarginalize:
 
     def test_mass_preserved(self, admission_table):
         assert admission_table.marginalize(["D"]).total == admission_table.total
-
-
-class TestConditionOn:
-    def test_admission_condition_on_department(self, admission_table):
-        c = admission_table.condition_on("D", "H")
-        assert c.cells[0, 0] / c.cells[:, 0].sum() == 1.0 / 5.0
-
-    def test_death_penalty_condition_on_victim(self, death_penalty_table):
-        c = death_penalty_table.condition_on("V", "W")
-        # remaining variables (A, D); P(D=Y | A=W) within the V=W slice
-        assert c.cells[0, 0] / c.cells[0, :].sum() == 19.0 / 151.0
-
-    def test_product_table_margin_unchanged(self):
-        p = np.outer([0.3, 0.7], [0.2, 0.8])
-        t = ContingencyTable(scheme2x2(), p, "probability")
-        c = t.condition_on("a", "0")
-        assert np.allclose(c.cells, [0.2, 0.8], atol=1e-15)
-
-    def test_zero_mass_slice(self):
-        t = build_table(scheme2x2(), [0, 0, 1, 2], "counts")
-        with pytest.raises(TableError, match="zero mass"):
-            t.condition_on("a", "0")
-
-    def test_commutes_with_marginalize(self):
-        rng = np.random.default_rng(2)
-        t = random_positive_table(rng, n=3)
-        name = t.scheme.names
-        a = t.condition_on(name[2], t.scheme.levels(name[2])[0]).marginalize([name[0]])
-        b = t.marginalize([name[0], name[2]]).condition_on(
-            name[2], t.scheme.levels(name[2])[0]
-        )
-        assert np.max(np.abs(a.cells - b.cells)) <= 1e-12
 
 
 def brute_ci_deviation(p, a_axes, c_axes, b_axes):
