@@ -41,7 +41,7 @@ from collapsekit.tables import ContingencyTable
 
 from conftest import ci_constructed_table, random_positive_table
 from test_assoc import covariance_flip_witness, protected_construction
-from test_paradox import _abd_table
+from test_paradox import fraction_report
 from test_regress import brute_force_slope, random_summary
 
 
@@ -90,9 +90,8 @@ def test_fraction_reversal_exhaustive():
     # oracle runs on every such table; the verb runs on the 10^4 tables with
     # every numerator >= 1, none of which reverses, and on each of the 28
     # reversals, all of which need a zero numerator
-    def verdict(k, l, K, L, m, n, M, N):
-        table = _abd_table([k, m, K, M, l - k, n - m, L - K, N - M])
-        return detect_reversal(table, ("A", "Y"), ("X", "M"), "D").reversal
+    def verdict(*args):
+        return fraction_report(*args).reversal
 
     ok = verdict(1, 6, 2, 9, 5, 7, 3, 4) is True
     pairs = [(k, l) for l in range(1, 5) for k in range(l + 1)]

@@ -48,6 +48,13 @@ class TestInteraction:
         expected = sum(math.log(v) for v in (0.4, 0.1, 0.2, 0.3)) / 4.0
         assert float(interaction(t, [])) == pytest.approx(expected, abs=1e-15)
 
+    def test_product_table_main_effect(self):
+        # p(u, v) = a(u) b(v): tau_u is ln a centered over u's levels
+        a, b = np.array([0.3, 0.7]), np.array([0.2, 0.8])
+        t = ContingencyTable(scheme2x2(), np.outer(a, b), "probability")
+        expected = np.log(a) - np.log(a).mean()
+        assert np.max(np.abs(interaction(t, ["u"]) - expected)) <= 1e-15
+
     def test_counts_rejected(self):
         t = build_table(scheme2x2(), [1, 2, 3, 4], "counts")
         with pytest.raises(TableError):
@@ -95,6 +102,36 @@ class TestDecompose:
         dec = decompose(t2)
         assert max_abs(dec, ["x1", "x2", "x3"]) <= 1e-10
         assert max_abs(dec, ["x1", "x3"]) <= 1e-10
+
+    def test_factor_on_a_subset_moves_only_its_subsets(self):
+        # ln p gains ln f(x0, x1) less a constant, whose centred parts land
+        # on the subsets of {x0, x1} alone
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            t = random_positive_table(rng, n=3, max_levels=3)
+            f = rng.uniform(0.2, 5.0, t.cells.shape[:2] + (1,))
+            cells = t.cells * f
+            dec = decompose(t)
+            moved = decompose(ContingencyTable(t.scheme, cells / cells.sum(), "probability"))
+            for subset in dec.subsets():
+                gap = np.max(np.abs(moved.tau(subset) - dec.tau(subset)))
+                if not set(subset) <= {0, 1}:
+                    assert gap <= 1e-12
+                elif len(subset) == 2:
+                    assert gap > 1e-3
+
+    def test_level_permutation_permutes_tau(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            t = random_positive_table(rng, n=3, max_levels=4)
+            perm = rng.permutation(t.cells.shape[1])
+            dec = decompose(t)
+            permuted = decompose(ContingencyTable(t.scheme, t.cells[:, perm, :], "probability"))
+            for subset in dec.subsets():
+                expect = dec.tau(subset)
+                if 1 in subset:
+                    expect = np.take(expect, perm, axis=subset.index(1))
+                assert np.max(np.abs(permuted.tau(subset) - expect)) <= 1e-12
 
     def test_guard_on_too_many_variables(self):
         # 16 binary axes span 3^16 subset-mean floats, over the budget; the

@@ -367,3 +367,112 @@ class TestExactOracle:
         assert (d1.ratio_condition, d1.riskdiff_condition) == (
             d0.ratio_condition, d0.riskdiff_condition
         )
+
+
+def fraction_report(k, l, K, L, m, n, M, N):
+    """detect_reversal on k/l and m/n (exposed, strata 0 and 1) against K/L
+    and M/N (unexposed): the raw fraction-reversal question as counts."""
+    table = _abd_table([k, m, K, M, l - k, n - m, L - K, N - M])
+    return detect_reversal(table, ("A", "Y"), ("X", "M"), "D")
+
+
+def _fraction_oracle(k, l, K, L, m, n, M, N):
+    """Exact reversal of the fractions, in either direction."""
+    a, b, c, d = Fraction(k, l), Fraction(K, L), Fraction(m, n), Fraction(M, N)
+    pooled, pooled_rest = Fraction(k + m, l + n), Fraction(K + M, L + N)
+    return (a < b and c < d and pooled > pooled_rest) or (
+        a > b and c > d and pooled < pooled_rest
+    )
+
+
+def _random_fractions(rng, hi=10):
+    """(k, l, K, L, m, n, M, N) with 1 <= denominator < hi, 0 <= numerator <= it."""
+    out = []
+    for _ in range(4):
+        den = int(rng.integers(1, hi))
+        out += [int(rng.integers(0, den + 1)), den]
+    return out
+
+
+class TestFractionReversal:
+    def test_textbook_instance(self):
+        rep = fraction_report(1, 6, 2, 9, 5, 7, 3, 4)
+        assert rep.reversal
+        assert rep.stratum_signs == (-1, -1)
+        assert rep.marginal_sign == 1
+        assert rep.conditional_pairs == ((1 / 6, 2 / 9), (5 / 7, 3 / 4))
+        assert rep.marginal_pair == (6 / 13, 5 / 13)
+
+    def test_equal_fractions(self):
+        rep = fraction_report(1, 2, 1, 2, 1, 2, 1, 2)
+        assert not rep.reversal
+        assert rep.stratum_signs == (0, 0)
+        assert rep.marginal_sign == 0
+
+    def test_zero_denominator(self):
+        with pytest.raises(TableError, match="zero mass"):
+            fraction_report(0, 0, 2, 9, 5, 7, 3, 4)
+
+    def test_half_counts_compare_exactly(self):
+        # non-integer counts reduce on one power-of-two scale: halving every
+        # count changes no ratio, so the report is the same bit for bit
+        for cells in ([1, 5, 2, 3, 5, 2, 7, 1], TestExactDecisions.NEAR_TIE):
+            args = (("A", "Y"), ("X", "M"), "D")
+            whole = detect_reversal(_abd_table(cells), *args)
+            half = detect_reversal(_abd_table([v / 2 for v in cells]), *args)
+            assert half == whole
+
+    def test_agrees_with_fraction_oracle_sampled(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            args = _random_fractions(rng)
+            assert fraction_report(*args).reversal == _fraction_oracle(*args)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 50), min_size=8, max_size=8), st.integers(1, 7))
+    def test_invariant_under_common_scaling(self, draws, c):
+        # scaling one fraction alone moves the pooled fractions, so the only
+        # scaling the verdict is invariant under is a common one
+        args = [v for den, num in zip(draws[::2], draws[1::2]) for v in (num % (den + 1), den)]
+        base = fraction_report(*args)
+        scaled = fraction_report(*(c * v for v in args))
+        assert (scaled.stratum_signs, scaled.marginal_sign, scaled.reversal) == (
+            base.stratum_signs, base.marginal_sign, base.reversal
+        )
+
+    def test_not_invariant_under_single_fraction_scaling(self):
+        # pooling breaks per-fraction scale invariance; keep a concrete witness
+        assert fraction_report(1, 6, 2, 9, 5, 7, 3, 4).reversal
+        assert not fraction_report(4, 24, 2, 9, 5, 7, 3, 4).reversal
+
+    def test_stratum_order_irrelevant(self):
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            args = _random_fractions(rng)
+            rep = fraction_report(*args)
+            swapped = fraction_report(*args[4:], *args[:4])
+            assert swapped.reversal == rep.reversal
+            assert swapped.stratum_signs == rep.stratum_signs[::-1]
+            assert swapped.conditional_pairs == rep.conditional_pairs[::-1]
+            assert swapped.marginal_pair == rep.marginal_pair
+
+    @pytest.mark.parametrize("flip", ["response", "exposure"])
+    def test_complement_event_mirrors_signs(self, flip):
+        # naming the other level of the response or of the exposure negates
+        # every comparison, so a reversal stays a reversal
+        rng = np.random.default_rng(5)
+        response, exposure = ("A", "N" if flip == "response" else "Y"), (
+            "X", "F" if flip == "exposure" else "M"
+        )
+        for trial in range(100):
+            args = [1, 6, 2, 9, 5, 7, 3, 4] if trial == 0 else _random_fractions(rng)
+            k, l, K, L, m, n, M, N = args
+            table = _abd_table([k, m, K, M, l - k, n - m, L - K, N - M])
+            rep = detect_reversal(table, ("A", "Y"), ("X", "M"), "D")
+            other = detect_reversal(table, response, exposure, "D")
+            assert other.reversal == rep.reversal
+            assert other.stratum_signs == tuple(-s for s in rep.stratum_signs)
+            assert other.marginal_sign == -rep.marginal_sign
+            if flip == "exposure":
+                assert other.conditional_pairs == tuple(p[::-1] for p in rep.conditional_pairs)
+                assert other.weights_exposed == rep.weights_unexposed

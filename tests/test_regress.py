@@ -135,6 +135,21 @@ class TestParallelCollapsibility:
         assert v.collapsible and v.a_collapsible
         assert v.beta_gap <= 1e-12
 
+    def test_shared_line_collapsible_random(self):
+        # E[Y | X, A] = alpha + beta X in every stratum makes Y mean-independent
+        # of A given X, so the marginal slope is beta whatever X's law per stratum
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            summ = random_summary(rng, parallel=True)
+            alpha, beta = summ.strata[0].alpha, summ.strata[0].beta
+            shared = StratifiedRegressionSummary(
+                tuple(S(s.pi, alpha, beta, s.mu_x, s.s_xx, s.s_yy) for s in summ.strata)
+            )
+            v = check_parallel_collapsibility(shared)
+            assert v.collapsible and v.a_collapsible
+            assert v.beta_marginal == pytest.approx(beta, abs=1e-12)
+            assert v.beta_marginal == pytest.approx(brute_force_slope(shared), abs=1e-9)
+
     def test_proportional_means_collapsible(self):
         # beta = mu_y / mu_x for every level means alpha vanishes identically
         summ = StratifiedRegressionSummary(

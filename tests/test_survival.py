@@ -3,10 +3,12 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import log_ndtr, ndtr
 
 from collapsekit.errors import ModelError
 from collapsekit.survival import (
+    W_LAWS,
     SurvivalSpec,
     _log_survival,
     _survival_function,
@@ -76,12 +78,43 @@ class TestMarginal:
                 conditional_ratio(spec, t, s, x, 0.0), rel=1e-10
             )
 
+    @pytest.mark.parametrize("law", W_LAWS)
+    def test_beta_y_zero_marginal_is_the_baseline(self, law):
+        # with no Y effect the quadrature only integrates the normal density
+        spec = SurvivalSpec(beta_x=0.7, beta_y=0.0, eta_mu=0.4, eta_rho=0.8, w_law=law)
+        survival = _survival_function(law)
+        for t in (0.25, 1.0, 2.0):
+            for x in (-1.0, 0.0, 1.0):
+                assert marginal_survival(spec, t, x) == pytest.approx(
+                    survival(t + 0.7 * x), rel=1e-12
+                )
+
+    @pytest.mark.parametrize("law", W_LAWS)
+    def test_matches_gauss_hermite(self, law):
+        # an independent rule for E_Y S(t | x, Y) with Y ~ N(eta(x), 1)
+        spec = SurvivalSpec(beta_x=0.7, beta_y=-1.3, eta_mu=0.2, eta_rho=0.6, w_law=law)
+        survival = _survival_function(law)
+        nodes, weights = hermegauss(120)
+        weights = weights / math.sqrt(2.0 * math.pi)
+        for t in (0.25, 1.0, 2.0):
+            for x in (-1.0, 0.0, 1.0):
+                ys = spec.eta(x) + nodes
+                rule = float(np.dot(weights, [survival(t + 0.7 * x - 1.3 * y) for y in ys]))
+                assert marginal_survival(spec, t, x) == pytest.approx(rule, rel=1e-9)
+
 
 class TestVerifyNumeric:
     def test_reversal_confirmed(self):
         v = verify_numeric(SurvivalSpec(beta_x=1.0, beta_y=-2.0, eta_rho=0.8))
         assert v.reversal_on_grid
         assert v.matches_prediction
+        assert all(p.conditional_direction == "down" for p in v.probes)
+        assert all(p.marginal_direction == "up" for p in v.probes)
+
+    def test_logistic_reversal_confirmed(self):
+        spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, eta_rho=0.8, w_law="logistic")
+        v = verify_numeric(spec)
+        assert v.condition and v.reversal_on_grid and v.matches_prediction
         assert all(p.conditional_direction == "down" for p in v.probes)
         assert all(p.marginal_direction == "up" for p in v.probes)
 
@@ -121,6 +154,31 @@ class TestBaselineLaws:
         spec = SurvivalSpec(beta_x=1.0, beta_y=-1.0, w_law="logistic")
         # S(0 | 0, 0) = S_W(K(0)) = 1/2 under the logistic baseline
         assert _survival_function(spec.w_law)(spec.k(0.0)) == pytest.approx(0.5)
+
+    def test_gumbel_residual_survival_is_proportional_hazards(self):
+        # S(t | x, y) = exp(-e^(K(t) + bx x + by y)): the covariates scale
+        # the cumulative hazard, so ln P(T > t+s | T > t, x, y) does too
+        spec = SurvivalSpec(beta_x=0.7, beta_y=-0.3, eta_rho=0.2, w_law="gumbel")
+        for t, s, x, y in (
+            (0.3, 0.5, 0.5, 1.0),
+            (1.0, 1.0, -1.0, 0.5),
+            (2.0, 0.25, 1.0, -1.0),
+            (0.5, 0.5, 0.0, 2.0),
+            (1.5, 0.1, -0.5, -0.5),
+        ):
+            ratio = math.log(conditional_ratio(spec, t, s, x, y)) / math.log(
+                conditional_ratio(spec, t, s, 0.0, 0.0)
+            )
+            assert ratio == pytest.approx(math.exp(0.7 * x - 0.3 * y), rel=1e-12)
+
+    def test_logistic_survival_is_proportional_odds(self):
+        # S = 1 / (1 + e^z) and 1 - S(z) = S(-z): the survival odds are e^-z
+        # on both branches of its log, so a shift of z scales them by e^-shift
+        survival = _survival_function("logistic")
+        for z in (-30.0, -2.5, -0.1, 0.0, 0.1, 2.5, 30.0):
+            for shift in (-1.0, 0.5, 2.0):
+                odds = [survival(v) / survival(-v) for v in (z, z + shift)]
+                assert odds[1] / odds[0] == pytest.approx(math.exp(-shift), rel=1e-12)
 
     def test_unknown_law_rejected(self):
         with pytest.raises(ModelError):

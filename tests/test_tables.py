@@ -117,6 +117,17 @@ class TestNormalize:
         with pytest.raises(TableError):
             t.normalize()
 
+    def test_commutes_with_marginalize(self):
+        rng = np.random.default_rng(1)
+        scheme = CategoricalScheme(tuple((f"x{j}", ("0", "1", "2")) for j in range(3)))
+        for _ in range(10):
+            t = build_table(scheme, rng.uniform(0.5, 5.0, 27), "counts")
+            keep = sorted(rng.permutation(3)[: int(rng.integers(1, 3))])
+            a = t.normalize().marginalize([scheme.names[i] for i in keep])
+            b = t.marginalize([scheme.names[i] for i in keep]).normalize()
+            assert a.scheme == b.scheme
+            assert np.max(np.abs(a.cells - b.cells)) <= 1e-15
+
     def test_preserves_ratios(self):
         rng = np.random.default_rng(0)
         cells = rng.uniform(0.5, 5.0, 4)
@@ -208,6 +219,15 @@ class TestCheckCi:
             v = t.check_ci(["x0"], ["x2"], ["x1"])
             brute = brute_ci_deviation(t.cells, (0,), (2,), (1,))
             assert abs(v.max_deviation - brute) <= 1e-12
+
+    def test_symmetric_in_a_and_c(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            t = random_positive_table(rng, n=3, max_levels=3)
+            ac = t.check_ci(["x0"], ["x2"], ["x1"])
+            ca = t.check_ci(["x2"], ["x0"], ["x1"])
+            assert ca.max_deviation == pytest.approx(ac.max_deviation, abs=1e-15)
+            assert dict(ca.witness) == dict(ac.witness)
 
     def test_marginal_independence_product(self):
         p = np.outer([0.3, 0.7], [0.2, 0.8])
