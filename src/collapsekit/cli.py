@@ -29,7 +29,7 @@ import math
 import os
 import sys
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -397,37 +397,81 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def read_records(path: str) -> tuple[list[float], list[float], list[str]]:
-    """The y, x and stripped a columns of a records CSV with header y,x,a;
-    y and x must be ``_plain``, the labels may hold any text."""
+# body rows parsed at once: beside its float64 columns, read_records holds
+# one block's field strings, whatever the file's length
+_BLOCK = 8192
+
+
+def _blocks(rows):
+    """The non-blank rows of ``rows``, taken lazily, in lists of at most
+    ``_BLOCK``."""
+    while chunk := list(islice(rows, _BLOCK)):
+        if block := list(filter(None, chunk)):  # blank lines
+            yield block
+
+
+def _records_fault(lines: list[str], skip: int) -> None:
+    """Raise the first fault in file order among a records body's rows from
+    the ``skip``-th non-blank one on: a ragged row, or the row's first y or x
+    field that is not ``_plain`` or that ``float`` cannot read, y before x.
+    A rescan of the failing block, paid only on the error path; csv.reader
+    passes over the rows before it to count physical lines."""
+    reader = csv.reader(lines)
+    body = filter(None, reader)  # blank lines
+    next(body)  # the header
+    for row in islice(body, skip, None):
+        if len(row) != 3:
+            raise TableError(f"ragged row at line {reader.line_num}")
+        for field in row[:2]:
+            if not _plain(field):
+                raise ValueError(f"y and x must be ASCII numbers without '_', not {field!r}")
+            float(field)
+
+
+def read_records(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The y and x columns of a records CSV with header y,x,a as float64
+    arrays, and its stripped labels, one string object per distinct label.
+
+    The body is parsed a block of ``_BLOCK`` rows at a time straight into
+    the arrays, so no per-field string outlives its block.  y and x must be
+    ``_plain`` numbers, the labels may hold any text.  A bad header is named
+    first, then the first faulty row in file order (see ``_records_fault``).
+    """
     lines, by_line = _csv_lines(path)
     with malformed(TableError, "records CSV", csv.Error):
+        rows = iter(lines) if by_line else csv.reader(lines)
+        header = next(filter(None, rows), "")  # blank lines
         if by_line:
-            body = filter(None, lines)  # blank lines
-            header = next(body, "").split(",")
-            rows = list(body)
-            ragged = set(map(str.count, rows, repeat(","))) - {2}
-            # with two commas a line, line i's fields are 3i, 3i+1 and 3i+2
-            fields = ",".join(rows).split(",") if rows else []
-        else:
-            reader = csv.reader(lines)
-            header = next(filter(None, reader), [])
-            rows = list(filter(None, reader))  # blank lines parse to []
-            ragged = set(map(len, rows)) - {3}
-            fields = list(chain.from_iterable(rows))
+            header = header.split(",")
         if [h.strip().lower() for h in header] != ["y", "x", "a"]:
             raise TableError("records CSV must have header y,x,a")
-        if ragged:
-            raise TableError(f"ragged row at line {_ragged_line(lines, 3)}")
-        # one scan of the text settles the common case; a label may hold
-        # "_" or non-ASCII text, so only then are y and x looked at alone
-        if not _plain("".join(lines)):
-            for i, field in enumerate(fields):
-                if i % 3 < 2 and not _plain(field):
-                    raise ValueError(f"y and x must be ASCII numbers without '_', not {field!r}")
-        y = list(map(float, fields[0::3]))
-        x = list(map(float, fields[1::3]))
-    return y, x, list(map(str.strip, fields[2::3]))
+        y, x = np.empty(len(lines)), np.empty(len(lines))
+        a: list[str] = []
+        label: dict[str, str] = {}  # the one string object of each label
+        n = 0  # body rows parsed into y and x
+        try:
+            for block in _blocks(rows):
+                if by_line:
+                    ragged = set(map(str.count, block, repeat(","))) != {2}
+                    # with two commas a line, line i's fields are 3i, 3i+1 and 3i+2
+                    fields = ",".join(block).split(",")
+                else:
+                    ragged = set(map(len, block)) != {3}
+                    fields = list(chain.from_iterable(block))
+                ys, xs = fields[0::3], fields[1::3]
+                if ragged or not (_plain("".join(ys)) and _plain("".join(xs))):
+                    # the rescan below names the first fault
+                    raise ValueError("a ragged row, or y or x not a plain number")
+                k = n + len(block)
+                y[n:k] = list(map(float, ys))
+                x[n:k] = list(map(float, xs))
+                labels = list(map(str.strip, fields[2::3]))
+                a.extend(map(label.setdefault, labels, labels))
+                n = k
+        except (ValueError, csv.Error):
+            _records_fault(lines, n)
+            raise
+    return y[:n], x[:n], a
 
 
 # -- verbs ---------------------------------------------------------------------

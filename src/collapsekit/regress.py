@@ -287,13 +287,15 @@ def summary_from_records(
 ) -> StratifiedRegressionSummary:
     """Per-stratum sample moments from raw (y, x, a) records.
 
-    Uses the population-variance convention (divisor N) so the moments are
-    exactly those of the empirical distribution.  Stratum labels are
-    hashable and keep their first-appearance order; each stratum needs at
-    least two distinct x values.
+    ``y`` and ``x`` are float arrays, taken as they are (as
+    ``cli.read_records`` returns them), or sequences of numbers.  Uses the
+    population-variance convention (divisor N) so the moments are exactly
+    those of the empirical distribution.  Stratum labels are hashable and
+    keep their first-appearance order; each stratum needs at least two
+    distinct x values.
     """
-    ya = np.asarray(list(y), dtype=float)
-    xa = np.asarray(list(x), dtype=float)
+    ya = np.asarray(y, dtype=float)
+    xa = np.asarray(x, dtype=float)
     la = list(a)
     if not (len(ya) == len(xa) == len(la)) or len(ya) == 0:
         raise DistributionError("records must be nonempty and aligned")

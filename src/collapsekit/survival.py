@@ -40,7 +40,7 @@ DEFAULT_S_GRID = (0.25, 0.5, 1.0)
 DEFAULT_X_PROBES = (-1.0, -0.5, 0.0, 0.5, 1.0)
 DEFAULT_Y_PROBES = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
-_DIRECTION_EPS = 1e-11
+_DIRECTION_EPS = 1e-11  # relative to a step's ends, see _direction
 
 _SQRT1_2 = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -292,10 +292,16 @@ def check_condition(spec: SurvivalSpec) -> SurvivalVerdict:
 
 
 def _direction(values: Sequence[float]) -> str:
-    diffs = np.diff(np.asarray(values))
-    if np.all(diffs < -_DIRECTION_EPS):
+    """The way ``values`` move: "down" or "up" when every step moves that
+    way by more than ``_DIRECTION_EPS`` of the larger of its two ends, else
+    "mixed".  The rule is scale-free, so a tail far below 1 still has a
+    direction; a step between two equal values (two 0.0s) is flat."""
+    v = np.asarray(values)
+    diffs = np.diff(v)
+    flat = _DIRECTION_EPS * np.maximum(np.abs(v[:-1]), np.abs(v[1:]))
+    if np.all(diffs < -flat):
         return "down"
-    if np.all(diffs > _DIRECTION_EPS):
+    if np.all(diffs > flat):
         return "up"
     return "mixed"
 

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1312,6 +1313,160 @@ class TestRecordsNumbers:
         code, report = self.run(tmp_path, capsys, "y,x,a\n 1e0 ,0.,u\n+2,1,u\n0,-0,v\n3,.1E1,v\n")
         assert code in (EXIT_OK, EXIT_DETECTED)
         assert [lv["mu_x"] for lv in report["verdict"]["summary"]["levels"]] == [0.5, 0.5]
+
+
+_B = cli._BLOCK
+
+
+def _block_text(count, quote, replace=None):
+    """A records CSV of ``count`` body rows over four strata, every field
+    wrapped in ``quote``.  The rows within three of a block boundary (and
+    of the file's start) end in CRLF, a blank line follows each block's last
+    row, and, quoted, those rows' label spans a CRLF.  ``replace`` maps a
+    body row's index to the fields it holds instead."""
+    out = [",".join(quote + f + quote for f in "yxa") + "\n"]
+    for i in range(count):
+        near = (i + 3) % _B < 6
+        label = ("k\r\nk" if quote else "k") if near else "gh"[i % 2]
+        row = (replace or {}).get(i, [repr(i * 0.37 % 5.0), repr(float(i % 4)), label])
+        out.append(",".join(quote + f + quote for f in row) + ("\r\n" if near else "\n"))
+        if (i + 1) % _B == 0:
+            out.append("\r\n")
+    return "".join(out)
+
+
+def _line_of(text, marker):
+    """The physical line on which ``marker`` first appears."""
+    return text[: text.index(marker)].count("\n") + 1
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory that tracemalloc saw it take."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return fn(), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+QUOTES = pytest.mark.parametrize("quote", ["", '"'], ids=["by-line", "csv-reader"])
+
+
+class TestRecordsBlocks:
+    """``read_records`` parses the body ``cli._BLOCK`` rows at a time."""
+
+    def run(self, tmp_path, capsys, text):
+        p = tmp_path / "records.csv"
+        p.write_bytes(text.encode())
+        code = main(["regress-audit", str(p)])
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, json.loads(out)
+
+    @QUOTES
+    @pytest.mark.parametrize("count", [_B - 1, _B, _B + 1, 2 * _B + 1])
+    def test_summary_matches_a_per_row_reader(self, tmp_path, capsys, count, quote):
+        text = _block_text(count, quote)
+        assert ('"' in text) == bool(quote)
+        code, report = self.run(tmp_path, capsys, text)
+        assert code in (EXIT_OK, EXIT_DETECTED)
+        levels = report["verdict"]["summary"]["levels"]
+        assert [lv["label"] for lv in levels] == ["k\r\nk" if quote else "k", "h", "g"]
+        assert dumps_report(report["verdict"]["summary"]) == _per_row_summary(text)
+
+    @QUOTES
+    @pytest.mark.parametrize("extra", [["7", "1", "g", "EXTRA"], ["7", "EXTRA"]], ids=["long", "short"])
+    def test_ragged_row_in_the_second_block_names_its_line(self, tmp_path, capsys, quote, extra):
+        text = _block_text(_B + 20, quote, {_B + 10: extra})
+        code, report = self.run(tmp_path, capsys, text)
+        assert code == EXIT_ERROR
+        line = _line_of(text, "EXTRA")
+        assert line > _B + 10
+        assert report["error"] == {"kind": "TableError", "message": f"ragged row at line {line}"}
+
+    @QUOTES
+    @pytest.mark.parametrize(
+        "faults, named",
+        [
+            # one block: a bad x on a line before a bad y
+            ({3: ["5", "zz", "h"], 4: ["qq", "1", "g"]}, "zz"),
+            # y before x within a row
+            ({3: ["qq", "zz", "h"]}, "qq"),
+            # a bad number before a field that is not plain, then the reverse
+            ({2: ["5", "zz", "h"], 6: ["1_0", "1", "g"]}, "zz"),
+            ({2: ["1_0", "1", "g"], 6: ["5", "zz", "h"]}, "1_0"),
+            # a bad number before a ragged row, then the reverse
+            ({4: ["qq", "1", "g"], 5: ["7", "EXTRA"]}, "qq"),
+            ({4: ["7", "EXTRA"], 5: ["qq", "1", "g"]}, "EXTRA"),
+            # the same orders across a block boundary
+            ({8: ["5", "zz", "h"], _B + 8: ["qq", "1", "g"]}, "zz"),
+            ({8: ["１", "1", "g"], _B + 8: ["qq", "1", "g"]}, "１"),
+            ({8: ["5", "zz", "h"], _B + 8: ["1_0", "1", "g"]}, "zz"),
+            ({8: ["qq", "1", "g"], _B + 8: ["7", "1", "g", "EXTRA"]}, "qq"),
+            ({8: ["7", "1", "g", "EXTRA"], _B + 8: ["qq", "1", "g"]}, "EXTRA"),
+            ({8: ["1_0", "1", "g"], _B + 8: ["7", "EXTRA"]}, "1_0"),
+        ],
+    )
+    def test_first_fault_in_file_order_is_named(self, tmp_path, capsys, quote, faults, named):
+        text = _block_text(_B + 20, quote, faults)
+        code, report = self.run(tmp_path, capsys, text)
+        assert code == EXIT_ERROR
+        if named == "EXTRA":
+            message = f"ragged row at line {_line_of(text, named)}"
+        elif named.isascii() and "_" not in named:
+            message = f"malformed records CSV: could not convert string to float: {named!r}"
+        else:
+            message = f"malformed records CSV: y and x must be ASCII numbers without '_', not {named!r}"
+        assert report["error"] == {"kind": "TableError", "message": message}
+
+    @QUOTES
+    @pytest.mark.parametrize("first", [2, _B + 2], ids=["one-block", "two-blocks"])
+    def test_field_over_the_size_limit_is_a_fault_of_its_row(self, tmp_path, capsys, quote, first):
+        limit = csv.field_size_limit()
+        wide = ["1", "0", "x" * (limit + 1)]
+        bad = ["qq", "1", "g"]
+        for faults, message in [
+            ({first: bad, first + 5: wide}, "could not convert string to float: 'qq'"),
+            ({first: wide, first + 5: bad}, f"field larger than field limit ({limit})"),
+        ]:
+            code, report = self.run(tmp_path, capsys, _block_text(_B + 20, quote, faults))
+            assert code == EXIT_ERROR
+            assert report["error"]["message"] == f"malformed records CSV: {message}"
+
+    @QUOTES
+    def test_array_and_list_inputs_give_the_same_strata(self, tmp_path, quote):
+        p = tmp_path / "records.csv"
+        p.write_bytes(_block_text(_B + 1, quote).encode())
+        y, x, a = cli.read_records(str(p))
+        assert (type(y), y.dtype, type(x), x.dtype) == (np.ndarray, np.float64, np.ndarray, np.float64)
+        assert len(y) == len(x) == len(a) == _B + 1
+        arrays = summary_from_records(y, x, a)
+        lists = summary_from_records(y.tolist(), x.tolist(), list(a))
+        assert dumps_report(as_report(arrays)) == dumps_report(as_report(lists))
+        assert arrays.strata == lists.strata
+
+    @QUOTES
+    def test_peak_memory_is_a_small_multiple_of_the_file(self, tmp_path, quote):
+        rng = np.random.default_rng(28)
+        n = 50_000
+        a = rng.integers(0, 50, n)
+        x = rng.normal(1.0 + a / 25.0, 1.0)
+        y = 2.0 + 0.5 * x + rng.normal(0.0, 1.0, n)
+        rows = [["y", "x", "a"]]
+        rows += ([repr(v), repr(u), f"g{k:02d}"] for v, u, k in zip(y.tolist(), x.tolist(), a.tolist()))
+        p = tmp_path / "records.csv"
+        p.write_text("".join(",".join(quote + f + quote for f in row) + "\n" for row in rows))
+        size = p.stat().st_size
+        summary, peak = _traced_peak(lambda: summary_from_records(*cli.read_records(str(p))))
+        assert len(summary.strata) == 50
+        assert peak <= 5 * size, f"peak {peak / size:.1f} times the file"
+        # the moments take the float64 columns as they are: a sort order, the
+        # codes, the label list and two sorted copies make five column sizes
+        y, x, a = cli.read_records(str(p))
+        _, peak = _traced_peak(lambda: summary_from_records(y, x, a))
+        assert peak <= 6 * y.nbytes, f"peak {peak / y.nbytes:.1f} columns"
 
 
 class TestByteOrderMark:

@@ -10,6 +10,7 @@ from collapsekit.errors import ModelError
 from collapsekit.survival import (
     W_LAWS,
     SurvivalSpec,
+    _direction,
     _log_survival,
     _survival_function,
     check_condition,
@@ -130,6 +131,30 @@ class TestVerifyNumeric:
         assert all(
             p.conditional_direction == p.marginal_direction == "down" for p in v.probes
         )
+
+    def test_direction_is_relative_to_the_values(self):
+        assert _direction([1e-20, 1e-22, 1e-24]) == "down"
+        assert _direction([-1e-22, -1e-24]) == "up"
+        # a step within 1e-11 of its larger end is flat, at any scale
+        assert _direction([1.0, 1.0 - 1e-13]) == "mixed"
+        assert _direction([1e-300, 1e-300 * (1 - 1e-13)]) == "mixed"
+        assert _direction([1e-300, 0.0]) == "down"
+        assert _direction([0.0, 0.0]) == "mixed"
+
+    def test_gumbel_tail_below_1e_11_falls(self):
+        # at y = -2 the conditional ratios fall strictly, from about 6.6e-4
+        # to 3.1e-24, far below an absolute 1e-11 step
+        spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, eta_rho=0.8, w_law="gumbel")
+        v = verify_numeric(spec)
+        assert v.condition
+        assert all(p.marginal_direction == "up" for p in v.probes)
+        last = v.probes[-1]
+        assert all(p.conditional_direction == "down" for p in v.probes[:-1])
+        # at t = 2, s = 1 the y = -2 ratios underflow to exactly 0.0 at the
+        # two largest x probes, an equal pair that stays flat
+        assert (last.t, last.s, last.conditional_direction) == (2.0, 1.0, "mixed")
+        assert conditional_ratio(spec, 2.0, 1.0, 0.5, -2.0) == conditional_ratio(spec, 2.0, 1.0, 1.0, -2.0) == 0.0
+        assert not v.reversal_on_grid
 
     def test_bad_grids_rejected(self):
         spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, eta_rho=0.8)
