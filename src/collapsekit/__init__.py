@@ -8,113 +8,81 @@ dependence functions, and the linear transformation survival model.
 The package exports what the ``collapsekit`` verbs call, their readers and
 verdicts, and ``build_table`` for tables made in code.
 
-Importing the package loads numpy but no scipy.  The quadrature of the
-dependence-function and survival code loads QUADPACK's compiled extension
-from its file on the first integral, so ``scipy.integrate`` never loads.  The
-survival normal tail loads no scipy; a tabulated K transform imports
-``scipy.interpolate``.
+Names resolve on first use, and a CLI call loads only its verb's modules:
+``import collapsekit`` loads no submodule, and the first lookup of a public
+name imports the submodule that defines it (PEP 562).  No import loads
+scipy.  The quadrature of the dependence-function and survival code loads
+QUADPACK's compiled extension from its file on the first integral, so
+``scipy.integrate`` never loads.  The survival normal tail loads no scipy; a
+tabulated K transform imports ``scipy.interpolate``.
 """
 
-from .assoc import (
-    AssocReversalReport,
-    BivariateJoint,
-    FiniteJoint,
-    LinkageProfile,
-    covariance,
-    detect_assoc_reversal,
-    double_linkage,
-    holds_relation,
-)
-from .collapse import CollapseVerdict, check_collapsibility, check_strict_collapsibility
-from .depfun import (
-    DependenceModel,
-    DepVerdict,
-    GaussianLinearInteraction,
-    UniformQuadratic,
-    check_avg_collapsibility,
-    check_homogeneity,
-    model_from_json,
-)
-from .errors import (
-    CollapsekitError,
-    DistributionError,
-    ModelError,
-    RouteDisagreementError,
-    SchemeError,
-    TableError,
-)
-from .loglinear import (
-    InteractionDecomposition,
-    decompose,
-    interaction,
-    is_hierarchical,
-)
-from .paradox import (
-    CornfieldDiagnostics,
-    ParadoxReport,
-    cornfield,
-    detect_reversal,
-    scan_strata,
-)
-from .regress import (
-    RegressionStratum,
-    RegressVerdict,
-    StratifiedRegressionSummary,
-    check_a_collapsibility,
-    check_parallel_collapsibility,
-    summary_from_records,
-)
-from .survival import SurvivalSpec, SurvivalVerdict, check_condition, verify_numeric
-from .tables import CategoricalScheme, CiVerdict, ContingencyTable, build_table
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssocReversalReport",
-    "BivariateJoint",
-    "CategoricalScheme",
-    "CiVerdict",
-    "CollapseVerdict",
-    "CollapsekitError",
-    "ContingencyTable",
-    "CornfieldDiagnostics",
-    "DepVerdict",
-    "DependenceModel",
-    "DistributionError",
-    "FiniteJoint",
-    "GaussianLinearInteraction",
-    "InteractionDecomposition",
-    "LinkageProfile",
-    "ModelError",
-    "ParadoxReport",
-    "RegressVerdict",
-    "RegressionStratum",
-    "RouteDisagreementError",
-    "SchemeError",
-    "StratifiedRegressionSummary",
-    "SurvivalSpec",
-    "SurvivalVerdict",
-    "TableError",
-    "UniformQuadratic",
-    "build_table",
-    "check_a_collapsibility",
-    "check_avg_collapsibility",
-    "check_collapsibility",
-    "check_condition",
-    "check_homogeneity",
-    "check_parallel_collapsibility",
-    "check_strict_collapsibility",
-    "cornfield",
-    "covariance",
-    "decompose",
-    "detect_assoc_reversal",
-    "detect_reversal",
-    "double_linkage",
-    "holds_relation",
-    "interaction",
-    "is_hierarchical",
-    "model_from_json",
-    "scan_strata",
-    "summary_from_records",
-    "verify_numeric",
-]
+# each public name and the submodule that defines it
+_HOMES = {
+    "AssocReversalReport": "assoc",
+    "BivariateJoint": "assoc",
+    "FiniteJoint": "assoc",
+    "LinkageProfile": "assoc",
+    "covariance": "assoc",
+    "detect_assoc_reversal": "assoc",
+    "double_linkage": "assoc",
+    "holds_relation": "assoc",
+    "CollapseVerdict": "collapse",
+    "check_collapsibility": "collapse",
+    "check_strict_collapsibility": "collapse",
+    "DependenceModel": "depfun",
+    "DepVerdict": "depfun",
+    "GaussianLinearInteraction": "depfun",
+    "UniformQuadratic": "depfun",
+    "check_avg_collapsibility": "depfun",
+    "check_homogeneity": "depfun",
+    "model_from_json": "depfun",
+    "CollapsekitError": "errors",
+    "DistributionError": "errors",
+    "ModelError": "errors",
+    "RouteDisagreementError": "errors",
+    "SchemeError": "errors",
+    "TableError": "errors",
+    "InteractionDecomposition": "loglinear",
+    "decompose": "loglinear",
+    "interaction": "loglinear",
+    "is_hierarchical": "loglinear",
+    "CornfieldDiagnostics": "paradox",
+    "ParadoxReport": "paradox",
+    "cornfield": "paradox",
+    "detect_reversal": "paradox",
+    "scan_strata": "paradox",
+    "RegressionStratum": "regress",
+    "RegressVerdict": "regress",
+    "StratifiedRegressionSummary": "regress",
+    "check_a_collapsibility": "regress",
+    "check_parallel_collapsibility": "regress",
+    "summary_from_records": "regress",
+    "SurvivalSpec": "survival",
+    "SurvivalVerdict": "survival",
+    "check_condition": "survival",
+    "verify_numeric": "survival",
+    "CategoricalScheme": "tables",
+    "CiVerdict": "tables",
+    "ContingencyTable": "tables",
+    "build_table": "tables",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and bind it here, once."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

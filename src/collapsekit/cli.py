@@ -10,11 +10,17 @@ output.  Each verb returns its verdict; ``main`` alone wraps it in the
 report envelope, emits it and maps it to an exit code.
 
 ``VERBS`` is the CLI: one row per verb holds its handler, its help, its
-``--tol`` default (the library's constant, or None for no ``--tol``) and its
-own options as (flag, ``add_argument`` keywords), and ``build_parser`` is
-one loop over the rows.  Rows hold the ``_cmd_*`` handlers, never library
-functions: a handler looks its library calls up by module-level name when it
-runs, so a wrapper swapped in for a module attribute sees every call.
+``--tol`` default (or None for no ``--tol``) and its own options as (flag,
+``add_argument`` keywords), and ``build_parser`` is one loop over the rows.
+A ``--tol`` default is the literal value of the library's constant, pinned
+to it by a test, so building the parser imports no library module.
+
+At module level this imports only the standard library, numpy and
+``errors``: each ``_cmd_*`` handler imports its verb's modules when it runs,
+so a call loads only what its verb uses.  Rows hold the handlers, never
+library functions, and a handler calls its library through the module
+(``paradox.detect_reversal``), so a wrapper swapped in for a module
+attribute sees every call.
 """
 
 from __future__ import annotations
@@ -32,25 +38,15 @@ from collections import Counter
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, assoc, depfun, regress
-from .assoc import FiniteJoint, detect_assoc_reversal, double_linkage, holds_relation
-from .collapse import check_collapsibility, check_strict_collapsibility
-from .depfun import check_avg_collapsibility, check_homogeneity, model_from_json
+from . import __version__
 from .errors import CollapsekitError, SchemeError, TableError, loads, malformed
-from .loglinear import DEFAULT_TAU_TOL, LATTICE_BUDGET, decompose, is_hierarchical
-from .paradox import StratumScan, cornfield, detect_reversal, scan_strata
-from .regress import (
-    StratifiedRegressionSummary,
-    check_a_collapsibility,
-    check_parallel_collapsibility,
-    is_parallel,
-    summary_from_records,
-)
-from .survival import SurvivalSpec, check_condition, verify_numeric
-from .tables import CategoricalScheme, ContingencyTable
+
+if TYPE_CHECKING:
+    from .tables import CategoricalScheme, ContingencyTable
 
 MAX_CSV_VARIABLES = 20
 
@@ -293,6 +289,8 @@ def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> Contingenc
     cell and are summed there.  A text whose lines are its records (see
     ``_csv_lines``) is tallied by line, so csv.reader never sees it.
     """
+    from . import loglinear, tables
+
     lines, by_line = _csv_lines(path)
     # dict order is first appearance, so each level's first distinct row
     # comes in the order of the level's first observation
@@ -325,15 +323,15 @@ def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> Contingenc
                 # a single observed level cannot form a categorical axis by
                 # inference; pass a declared scheme for such files
                 raise TableError(f"column {name!r} has a single observed level")
-        scheme = CategoricalScheme(tuple(zip(header, levels)))
+        scheme = tables.CategoricalScheme(tuple(zip(header, levels)))
     elif tuple(header) != scheme.names:
         raise TableError(
             f"CSV header {tuple(header)} does not match the declared variables {scheme.names}"
         )
-    if scheme.ncells > LATTICE_BUDGET:
+    if scheme.ncells > loglinear.LATTICE_BUDGET:
         raise TableError(
             f"table of shape {scheme.shape} has {scheme.ncells} cells, "
-            f"over the budget of {LATTICE_BUDGET}"
+            f"over the budget of {loglinear.LATTICE_BUDGET}"
         )
     codes = []
     for (_, levels), col in zip(scheme.variables, columns):
@@ -347,23 +345,27 @@ def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> Contingenc
     flat = np.ravel_multi_index(codes, scheme.shape)
     # np.bincount sums repeated cells; an indexed assignment would keep one
     cells = np.bincount(flat, weights=list(tally.values()), minlength=scheme.ncells)
-    return ContingencyTable(scheme, cells.reshape(scheme.shape), "counts")
+    return tables.ContingencyTable(scheme, cells.reshape(scheme.shape), "counts")
 
 
 def _text(path: str) -> str:
-    return _read_bytes(path).decode("utf-8")
+    return _read_bytes(path).decode("utf-8-sig")
 
 
 def _load_scheme(path: str | None) -> CategoricalScheme | None:
+    from . import tables
+
     if path is None:
         return None
-    return CategoricalScheme.from_json_dict(loads(_text(path), TableError, "variables payload"))
+    return tables.CategoricalScheme.from_json_dict(loads(_text(path), TableError, "variables payload"))
 
 
 def _load_table(path: str, variables: str | None = None) -> ContingencyTable:
+    from . import tables
+
     if path.endswith(".csv"):
         return ingest_csv(path, scheme=_load_scheme(variables))
-    return ContingencyTable.from_json(_text(path))
+    return tables.ContingencyTable.from_json(_text(path))
 
 
 def _probabilities(args) -> ContingencyTable:
@@ -484,27 +486,31 @@ def _cmd_ingest(args):
 
 
 def _cmd_scan_paradox(args):
+    from . import paradox
+
     table = _load_table(args.input, variables=args.variables)
     response = _parse_event(args.response)
     exposure = _parse_event(args.exposure)
     if args.covariate:
-        report = detect_reversal(table, response, exposure, args.covariate)
-        scans = (StratumScan(args.covariate, report, None),)
+        report = paradox.detect_reversal(table, response, exposure, args.covariate)
+        scans = (paradox.StratumScan(args.covariate, report, None),)
     else:
-        scans = scan_strata(table, response, exposure)
+        scans = paradox.scan_strata(table, response, exposure)
     reports = [s.report for s in scans if s.report is not None]
     detected = any(r.reversal for r in reports)
     verdict = {"candidates": as_report(scans), "reversal_detected": detected}
     if args.cornfield:
         verdict["cornfield"] = as_report(
-            cornfield(table, response, exposure, _parse_event(args.cornfield))
+            paradox.cornfield(table, response, exposure, _parse_event(args.cornfield))
         )
     return verdict, detected, "\n\n".join(r.to_markdown() for r in reports)
 
 
 def _cmd_decompose(args):
-    dec = decompose(_probabilities(args))
-    hier = is_hierarchical(dec, tol=args.tol)
+    from . import loglinear
+
+    dec = loglinear.decompose(_probabilities(args))
+    hier = loglinear.is_hierarchical(dec, tol=args.tol)
     verdict = dec.to_json_dict()
     verdict["hierarchical"] = hier.hierarchical
     verdict["hierarchy_violations"] = [
@@ -518,6 +524,8 @@ _COLLAPSE_KEYS = ("target", "margin", "collapsible", "strict", "max_residual", "
 
 
 def _cmd_collapse_check(args):
+    from . import collapse
+
     # each form reads only its own subset flag; the other one would be ignored
     if args.strict and args.margin is not None:
         raise SchemeError("--margin is not read with --strict, which collapses over the complement")
@@ -528,7 +536,7 @@ def _cmd_collapse_check(args):
     if args.strict:
         given = _subset_names(table.scheme, args.given) if args.given else ()
         collapsed = tuple(n for n in table.scheme.names if n not in set(target) | set(given))
-        v = check_strict_collapsibility(table, target, given, collapsed, tol=args.tol)
+        v = collapse.check_strict_collapsibility(table, target, given, collapsed, tol=args.tol)
         own = {
             "zero_set_max": v.zero_set_max,
             "interaction_zero_ok": v.strict,
@@ -539,7 +547,7 @@ def _cmd_collapse_check(args):
     else:
         if not args.margin:
             raise SchemeError("--margin is required without --strict")
-        v = check_collapsibility(table, target, _parse_subset(args.margin), tol=args.tol)
+        v = collapse.check_collapsibility(table, target, _parse_subset(args.margin), tol=args.tol)
         own = {
             "tau_full": v.tau_full.reshape(-1).tolist(),
             "eta_marginal": v.eta_marginal.reshape(-1).tolist(),
@@ -549,33 +557,42 @@ def _cmd_collapse_check(args):
 
 
 def _cmd_assoc_check(args):
-    joint = FiniteJoint.from_json(_text(args.input))
-    rep = detect_assoc_reversal(joint, args.relation, tol=args.tol)
+    from . import assoc
+
+    joint = assoc.FiniteJoint.from_json(_text(args.input))
+    rep = assoc.detect_assoc_reversal(joint, args.relation, tol=args.tol)
     verdict = {
         "relation": args.relation,
-        "holds_up": holds_relation(joint, args.relation, "up", tol=args.tol),
-        "holds_down": holds_relation(joint, args.relation, "down", tol=args.tol),
+        "holds_up": assoc.holds_relation(joint, args.relation, "up", tol=args.tol),
+        "holds_down": assoc.holds_relation(joint, args.relation, "down", tol=args.tol),
         "reversal": as_report(rep),
-        "linkage": as_report(double_linkage(joint, tol=args.tol)),
+        "linkage": as_report(assoc.double_linkage(joint, tol=args.tol)),
     }
     return verdict, rep.reversal, None
 
 
 def _cmd_regress_audit(args):
+    from . import regress
+
     if args.input.endswith(".csv"):
-        summary = summary_from_records(*read_records(args.input))
+        summary = regress.summary_from_records(*read_records(args.input))
     else:
-        summary = StratifiedRegressionSummary.from_json(_text(args.input))
-    check = check_parallel_collapsibility if is_parallel(summary) else check_a_collapsibility
+        summary = regress.StratifiedRegressionSummary.from_json(_text(args.input))
+    if regress.is_parallel(summary):
+        check = regress.check_parallel_collapsibility
+    else:
+        check = regress.check_a_collapsibility
     v = check(summary, tol=args.tol)
     # a parallel verdict's a_collapsible is its collapsible
     return dict(as_report(v), summary=as_report(summary)), not v.a_collapsible, None
 
 
 def _cmd_dep_check(args):
-    model = model_from_json(_text(args.input))
-    v = check_avg_collapsibility(model, tol=args.tol)
-    h = check_homogeneity(model, tol=args.tol)
+    from . import depfun
+
+    model = depfun.model_from_json(_text(args.input))
+    v = depfun.check_avg_collapsibility(model, tol=args.tol)
+    h = depfun.check_homogeneity(model, tol=args.tol)
     verdict = {
         "model": as_report(model),
         "avg_collapsibility": as_report(v),
@@ -588,8 +605,10 @@ def _cmd_dep_check(args):
 
 
 def _cmd_survival_check(args):
-    spec = SurvivalSpec.from_json(_text(args.input))
-    v = verify_numeric(spec) if args.numeric else check_condition(spec)
+    from . import survival
+
+    spec = survival.SurvivalSpec.from_json(_text(args.input))
+    v = survival.verify_numeric(spec) if args.numeric else survival.check_condition(spec)
     return v, v.condition, None
 
 
@@ -618,20 +637,20 @@ VERBS = (
             metavar="VAR=LEVEL", help="also report effect-size diagnostics for this confounder event"
         )),
     ]),
-    ("decompose", _cmd_decompose, "saturated log-linear interaction parameters", DEFAULT_TAU_TOL, [_SMOOTHING]),
+    ("decompose", _cmd_decompose, "saturated log-linear interaction parameters", 1e-8, [_SMOOTHING]),
     ("collapse-check", _cmd_collapse_check, "collapsibility onto a margin (exit 2 when not collapsible)",
-     DEFAULT_TAU_TOL, [
+     1e-8, [
         ("--target", dict(required=True, help="comma-separated target variables")),
         ("--margin", dict(help="comma-separated margin variables (plain check)")),
         ("--strict", dict(action="store_true", help="strict collapsibility over the complement")),
         ("--given", dict(help="conditioning variables for --strict (may be empty)")),
         _SMOOTHING,
     ]),
-    ("assoc-check", _cmd_assoc_check, "association relation and reversal report", assoc.DEFAULT_TOL, [
+    ("assoc-check", _cmd_assoc_check, "association relation and reversal report", 1e-9, [
         ("--relation", dict(choices=("r1", "r2", "r3", "r4"), default="r4")),
     ]),
-    ("regress-audit", _cmd_regress_audit, "regression collapsibility audit", regress.DEFAULT_TOL, []),
-    ("dep-check", _cmd_dep_check, "dependence-function average collapsibility", depfun.DEFAULT_TOL, []),
+    ("regress-audit", _cmd_regress_audit, "regression collapsibility audit", 1e-9, []),
+    ("dep-check", _cmd_dep_check, "dependence-function average collapsibility", 1e-6, []),
     ("survival-check", _cmd_survival_check, "survival reversal condition (exit 2 when predicted)", None, [
         ("--numeric", dict(action="store_true", help="also verify on the probe grid")),
     ]),

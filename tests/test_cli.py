@@ -1129,6 +1129,20 @@ PARSER_SPEC = {
 }
 
 
+# SHA-256 of each --help text at 80 columns (None: the top-level parser)
+HELP_SHA256 = {
+    None: "f880b6571b7daf066afe32f6f663810be44e44f9848b75324e1791edf0f75ef7",
+    "ingest": "756339970bbbbd22d5fde0ab0ade7a41fbb85f36af66c1b71cc11ec39c2f9504",
+    "scan-paradox": "1feeb5e9d4a962d2f30154eff2a2e1c70f7153b95d59d25acb95581bf487a4ad",
+    "decompose": "56435f9ca4b222451bea60cd90fe17f4e49c1992e06c2798fc541ecf64cb4312",
+    "collapse-check": "bed20cf91d45b2c1daffeb6ebb162c78025ddac1bd358959cba972d294816eea",
+    "assoc-check": "9b57a31a42ff83d5f4d840f2e722a090a24b08abd0adbefd22d445d3573bcc55",
+    "regress-audit": "3ca8c19b1fe37412d9e509102ad05beee0e490960f61fdf7f90b8eefb508b589",
+    "dep-check": "bc94eb78f7646d882ee2ad0b9682e3e60571b94a29ac12a5030f65129031022c",
+    "survival-check": "97dbbd43023f94948b2fa930706465ea0b02f31f7fa0d15baa450beb7b240305",
+}
+
+
 def _subparsers():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -1167,6 +1181,15 @@ class TestParser:
         }
         defaults = {verb: p.get_default("tol") for verb, p in _subparsers().items()}
         assert {v: d for v, d in defaults.items() if d is not None} == library
+
+    @pytest.mark.parametrize("verb", [None, *PARSER_SPEC])
+    def test_help_text_is_unchanged(self, verb, monkeypatch, capsys):
+        # argparse wraps at $COLUMNS; Python 3.10 heads the options
+        # "optional arguments:", later versions "options:"
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([verb, "--help"] if verb else ["--help"]) == EXIT_OK
+        text = capsys.readouterr().out.replace("\noptional arguments:\n", "\noptions:\n")
+        assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[verb]
 
 
 class TestReportsAreValidJson:
@@ -1486,6 +1509,39 @@ class TestByteOrderMark:
         assert main(["regress-audit", str(p)]) in (EXIT_OK, EXIT_DETECTED)
         levels = json.loads(capsys.readouterr().out)["verdict"]["summary"]["levels"]
         assert [lv["label"] for lv in levels] == ["u", "v"]
+
+
+# golden cases whose input is JSON
+JSON_CASES = sorted(case for case, argv in GOLDEN.items() if argv[-1].endswith(".json"))
+
+
+class TestJsonByteOrderMark:
+    @pytest.mark.parametrize("case", JSON_CASES)
+    def test_golden_report_but_the_digest(self, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)  # golden paths are relative to the repo root
+        argv = GOLDEN[case]
+        raw = Path(argv[-1]).read_bytes()
+        bom = tmp_path / Path(argv[-1]).name
+        bom.write_bytes(b"\xef\xbb\xbf" + raw)
+        code = main(list(argv))
+        want = capsys.readouterr().out
+        assert main([*argv[:-1], str(bom)]) == code
+        got = capsys.readouterr().out
+        plain_sha = hashlib.sha256(raw).hexdigest()
+        bom_sha = hashlib.sha256(bom.read_bytes()).hexdigest()
+        assert want.count(plain_sha) == 1
+        assert got == want.replace(plain_sha, bom_sha)
+
+    def test_variables_payload(self, tmp_path, capsys, penalty_csv):
+        levels = {"A": ["W", "B"], "V": ["W", "B"], "D": ["Y", "N"]}
+        scheme = {"variables": [{"name": k, "levels": v} for k, v in levels.items()]}
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text(json.dumps(scheme))
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert main(["ingest", "--variables", str(plain), penalty_csv]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main(["ingest", "--variables", str(bom), penalty_csv]) == EXIT_OK
+        assert capsys.readouterr().out == want
 
 
 class TestBrokenPipe:

@@ -1,4 +1,5 @@
-"""Import boundary: no import loads scipy, and the package exports its names.
+"""Import boundary: no import loads scipy, a CLI call loads only its verb's
+modules, and the package exports its names.
 
 The quadrature of the dependence-function and survival code uses scipy:
 ``quadpack.quad`` loads QUADPACK's compiled extension from its file on the
@@ -6,6 +7,8 @@ first integral, so importing any module loads none of scipy, and no golden
 case runs the package init of ``scipy.integrate``, ``scipy.special`` or
 ``scipy.interpolate``, each of which costs several times the import of
 numpy (only a survival spec that tabulates K imports ``scipy.interpolate``).
+``import collapsekit`` loads no submodule, ``import collapsekit.cli`` loads
+``errors`` alone, and each verb's handler imports the modules it calls.
 The boundary checks run in fresh interpreters, because the test process has
 long since imported everything.
 """
@@ -27,7 +30,19 @@ from test_golden import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 
-MODEL_NAMES = {
+# every public name and the module that defines it
+PUBLIC_NAMES = {
+    "AssocReversalReport": "assoc",
+    "BivariateJoint": "assoc",
+    "FiniteJoint": "assoc",
+    "LinkageProfile": "assoc",
+    "covariance": "assoc",
+    "detect_assoc_reversal": "assoc",
+    "double_linkage": "assoc",
+    "holds_relation": "assoc",
+    "CollapseVerdict": "collapse",
+    "check_collapsibility": "collapse",
+    "check_strict_collapsibility": "collapse",
     "DependenceModel": "depfun",
     "DepVerdict": "depfun",
     "GaussianLinearInteraction": "depfun",
@@ -35,10 +50,35 @@ MODEL_NAMES = {
     "check_avg_collapsibility": "depfun",
     "check_homogeneity": "depfun",
     "model_from_json": "depfun",
+    "CollapsekitError": "errors",
+    "DistributionError": "errors",
+    "ModelError": "errors",
+    "RouteDisagreementError": "errors",
+    "SchemeError": "errors",
+    "TableError": "errors",
+    "InteractionDecomposition": "loglinear",
+    "decompose": "loglinear",
+    "interaction": "loglinear",
+    "is_hierarchical": "loglinear",
+    "CornfieldDiagnostics": "paradox",
+    "ParadoxReport": "paradox",
+    "cornfield": "paradox",
+    "detect_reversal": "paradox",
+    "scan_strata": "paradox",
+    "RegressionStratum": "regress",
+    "RegressVerdict": "regress",
+    "StratifiedRegressionSummary": "regress",
+    "check_a_collapsibility": "regress",
+    "check_parallel_collapsibility": "regress",
+    "summary_from_records": "regress",
     "SurvivalSpec": "survival",
     "SurvivalVerdict": "survival",
     "check_condition": "survival",
     "verify_numeric": "survival",
+    "CategoricalScheme": "tables",
+    "CiVerdict": "tables",
+    "ContingencyTable": "tables",
+    "build_table": "tables",
 }
 # verbs that may load part of scipy, the cases of them that integrate, and
 # the scipy packages no golden case may load
@@ -46,24 +86,55 @@ SCIPY_VERBS = ("dep-check", "survival-check")
 QUADRATURE_CASES = ("dep-check", "dep-check.md", "survival-check")
 SCIPY_PACKAGES = {"scipy.integrate", "scipy.special", "scipy.interpolate"}
 
-# imports the modules given as a JSON list, runs each golden case given as
-# JSON through cli.main in order, and prints the scipy modules loaded after
-# each step
+# the collapsekit modules each golden case loads besides the package, cli and
+# errors: a table CSV adds ingest_csv's loglinear and subsets
+CASE_MODULES = {
+    "version": [],
+    "ingest": ["loglinear", "subsets", "tables"],
+    "ingest.md": ["loglinear", "subsets", "tables"],
+    "scan-paradox": ["loglinear", "paradox", "subsets", "tables"],
+    "scan-paradox.md": ["paradox", "tables"],
+    "decompose": ["loglinear", "subsets", "tables"],
+    "decompose.md": ["loglinear", "subsets", "tables"],
+    "collapse-check": ["collapse", "loglinear", "subsets", "tables"],
+    "collapse-check.md": ["collapse", "loglinear", "subsets", "tables"],
+    "assoc-check": ["assoc", "tables"],
+    "assoc-check.md": ["assoc", "tables"],
+    "regress-audit": ["regress", "tables"],
+    "regress-audit.md": ["regress", "tables"],
+    "regress-audit.summary": ["regress", "tables"],
+    "dep-check": ["depfun", "quadpack"],
+    "dep-check.md": ["depfun", "quadpack"],
+    "survival-check": ["quadpack", "survival"],
+    "survival-check.md": ["quadpack", "survival"],
+}
+CLI_MODULES = ["collapsekit", "collapsekit.cli", "collapsekit.errors"]
+
+# imports the modules given as a JSON list, then runs each golden case given
+# as JSON through cli.main in order, each on a freshly imported collapsekit as
+# a CLI call has; prints the scipy and collapsekit modules loaded after each
+# step (scipy's pile up from case to case)
 CHILD = """
 import contextlib, importlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded():
+    return {
+        package: sorted(m for m in sys.modules if m.split(".")[0] == package)
+        for package in ("scipy", "collapsekit")
+    }
 
 modules, cases = json.loads(sys.argv[1])
 for module in modules:
     importlib.import_module(module)
-loaded = {"import": scipy_modules()}
+steps = {"import": loaded()}
 for name, argv in cases.items():
+    for module in loaded()["collapsekit"]:
+        del sys.modules[module]
+    cli = importlib.import_module("collapsekit.cli")
     with contextlib.redirect_stdout(io.StringIO()):
-        sys.modules["collapsekit.cli"].main(argv)
-    loaded[name] = scipy_modules()
-print(json.dumps(loaded))
+        cli.main(argv)
+    steps[name] = loaded()
+print(json.dumps(steps))
 """
 
 
@@ -71,6 +142,15 @@ def scipy_loaded_after(
     cases: dict[str, list[str]], modules=("collapsekit", "collapsekit.cli")
 ) -> dict[str, list[str]]:
     """scipy modules in ``sys.modules`` after the imports and after each case."""
+    return {step: loaded["scipy"] for step, loaded in loaded_after(cases, modules).items()}
+
+
+def collapsekit_loaded_after(cases: dict[str, list[str]], modules) -> dict[str, list[str]]:
+    """collapsekit modules in ``sys.modules`` after the imports and after each case."""
+    return {step: loaded["collapsekit"] for step, loaded in loaded_after(cases, modules).items()}
+
+
+def loaded_after(cases: dict[str, list[str]], modules) -> dict[str, dict[str, list[str]]]:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps([list(modules), cases])],
@@ -117,19 +197,41 @@ class TestImportBoundary:
         assert loaded["condition"] == []
 
 
+class TestVerbModules:
+    def test_package_import_loads_no_submodule(self):
+        assert collapsekit_loaded_after({}, ["collapsekit"]) == {"import": ["collapsekit"]}
+
+    def test_cli_import_loads_errors_alone(self):
+        assert collapsekit_loaded_after({}, ["collapsekit.cli"]) == {"import": CLI_MODULES}
+
+    def test_each_case_loads_its_verbs_modules(self):
+        assert sorted(CASE_MODULES) == sorted(CASES)
+        loaded = collapsekit_loaded_after(CASES, ["collapsekit.cli"])
+        want = {
+            case: sorted(CLI_MODULES + [f"collapsekit.{m}" for m in modules])
+            for case, modules in CASE_MODULES.items()
+        }
+        assert loaded == {"import": CLI_MODULES, **want}
+
+
 class TestPackageNames:
-    @pytest.mark.parametrize("name", sorted(MODEL_NAMES))
+    @pytest.mark.parametrize("name", sorted(PUBLIC_NAMES))
     def test_same_object_as_the_module(self, name):
-        module = importlib.import_module(f"collapsekit.{MODEL_NAMES[name]}")
+        module = importlib.import_module(f"collapsekit.{PUBLIC_NAMES[name]}")
         assert getattr(collapsekit, name) is getattr(module, name)
 
     def test_all_is_exactly_the_exported_names(self):
+        # names resolve on first use, so resolve them all before looking
+        for name in collapsekit.__all__:
+            getattr(collapsekit, name)
         exported = {
             name for name, value in vars(collapsekit).items()
             if not name.startswith("_") and not inspect.ismodule(value)
         }
         assert sorted(collapsekit.__all__) == collapsekit.__all__
         assert set(collapsekit.__all__) == exported
+        assert collapsekit.__all__ == sorted(collapsekit._HOMES)
+        assert set(collapsekit.__all__) == set(PUBLIC_NAMES)
 
     def test_dir_lists_all(self):
         assert set(collapsekit.__all__) <= set(dir(collapsekit))
