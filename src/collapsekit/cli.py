@@ -15,12 +15,12 @@ report envelope, emits it and maps it to an exit code.
 A ``--tol`` default is the literal value of the library's constant, pinned
 to it by a test, so building the parser imports no library module.
 
-At module level this imports only the standard library, numpy and
-``errors``: each ``_cmd_*`` handler imports its verb's modules when it runs,
-so a call loads only what its verb uses.  Rows hold the handlers, never
-library functions, and a handler calls its library through the module
-(``paradox.detect_reversal``), so a wrapper swapped in for a module
-attribute sees every call.
+At module level this imports only the standard library and ``errors``;
+numpy loads with the first function that builds an array.  Each ``_cmd_*``
+handler imports its verb's modules when it runs, so a call loads only what
+its verb uses.  Rows hold the handlers, never library functions, and a
+handler calls its library through the module (``paradox.detect_reversal``),
+so a wrapper swapped in for a module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import __version__
 from .errors import CollapsekitError, SchemeError, TableError, loads, malformed
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .tables import CategoricalScheme, ContingencyTable
 
 MAX_CSV_VARIABLES = 20
@@ -80,7 +80,9 @@ def as_report(obj):
         return {n: as_report(getattr(obj, n)) for n in names}
     if isinstance(obj, (list, tuple)):
         return [as_report(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+    # an ndarray exists only once numpy is loaded
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, dict) and any(isinstance(k, tuple) for k in obj):
         return {
@@ -172,6 +174,8 @@ def _fill_float_lists(pieces: list[str], float_lists: list) -> None:
     takes its magnitude's text, behind a ``-`` when its sign bit is set.
     That is how ``%.17g`` prints a negative float, ``-0.0`` as ``-0``.
     """
+    import numpy as np
+
     floats = np.fromiter(chain.from_iterable(lst for _, lst, _ in float_lists), float)
     mags, index = np.unique(np.abs(floats).view(np.int64), return_inverse=True)
     text = "%.17g\n" * len(mags) % tuple(mags.view(np.float64).tolist())
@@ -289,6 +293,8 @@ def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> Contingenc
     cell and are summed there.  A text whose lines are its records (see
     ``_csv_lines``) is tallied by line, so csv.reader never sees it.
     """
+    import numpy as np
+
     from . import loglinear, tables
 
     lines, by_line = _csv_lines(path)
@@ -439,6 +445,8 @@ def read_records(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     ``_plain`` numbers, the labels may hold any text.  A bad header is named
     first, then the first faulty row in file order (see ``_records_fault``).
     """
+    import numpy as np
+
     lines, by_line = _csv_lines(path)
     with malformed(TableError, "records CSV", csv.Error):
         rows = iter(lines) if by_line else csv.reader(lines)

@@ -1,9 +1,13 @@
 """Exception types shared across the package, and the malformed-payload boundary."""
 
+from __future__ import annotations
+
 import json
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CollapsekitError(Exception):
@@ -54,8 +58,9 @@ def malformed(error: type[CollapsekitError], what: str, *also: type[Exception]):
 def loads(text: str, error: type[CollapsekitError], what: str):
     """``json.loads(text)``.  Text that is not JSON raises ``JSONDecodeError``;
     an integer literal past Python's digit limit (4,300 digits, see
-    ``sys.set_int_max_str_digits``) is ``malformed <what>``."""
-    with malformed(error, what):
+    ``sys.set_int_max_str_digits``) and arrays or objects nested past the
+    decoder's recursion limit are ``malformed <what>``."""
+    with malformed(error, what, RecursionError):
         return json.loads(text)
 
 
@@ -83,8 +88,14 @@ def numbers(payload, key: str) -> np.ndarray:
 
     The check is one pass in C over the values' types, so it also finds a
     bool among numbers, which numpy's dtype promotion would read as 1.
+    Arrays nested more than 32 deep are malformed: numpy iterates over at
+    most 32 dimensions.
     """
+    import numpy as np
+
     values = np.asarray(array(payload, key), dtype=object)
+    if values.ndim > 32:
+        raise ValueError(f"{key} nests arrays more than 32 deep")
     odd = set(map(type, values.flat)) - {int, float}
     if odd:
         names = ", ".join(sorted(t.__name__ for t in odd))

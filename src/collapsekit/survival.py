@@ -19,7 +19,8 @@ normal tail comes from ``math.erfc``.  The marginal quadrature loads only
 QUADPACK's compiled extension (``quadpack.quad``), on the first integral,
 so neither ``scipy.integrate`` nor ``scipy.special`` loads.  A tabulated K
 is scipy's ``PchipInterpolator``, imported when such a spec is made.  The
-condition check loads no scipy at all.
+condition check on a spec without a tabulated K loads neither numpy nor
+scipy.
 """
 
 from __future__ import annotations
@@ -28,10 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import ModelError, loads, malformed, number, numbers
-from .quadpack import quad
 
 W_LAWS = ("std-normal", "gumbel", "logistic")
 
@@ -139,6 +137,7 @@ class SurvivalSpec:
                 b <= a for a, b in zip(ks, ks[1:])
             ):
                 raise ModelError("k_transform must be strictly increasing")
+            import numpy as np
             from scipy.interpolate import PchipInterpolator
 
             # a too-steep tabulation overflows the cubic: scipy rejects
@@ -224,6 +223,8 @@ def conditional_ratio(
 
 def marginal_survival(spec: SurvivalSpec, t: float, x: float) -> float:
     """P(T > t | X = x), integrating out Y ~ N(eta(x), 1)."""
+    from . import quadpack
+
     survival = _survival_function(spec.w_law)
     center = spec.eta(x)
     kt = spec.k(t)
@@ -232,7 +233,7 @@ def marginal_survival(spec: SurvivalSpec, t: float, x: float) -> float:
         z = y - center
         return survival(kt + spec.beta_x * x + spec.beta_y * y) * math.exp(-0.5 * z * z)
 
-    val, converged = quad(f, center - 10.0, center + 10.0, 1e-12, 1e-12, 200)
+    val, converged = quadpack.quad(f, center - 10.0, center + 10.0, 1e-12, 1e-12, 200)
     if not converged:
         raise ModelError(f"the quadrature of P(T > {t} | x={x}) did not converge")
     return val / math.sqrt(2.0 * math.pi)
@@ -296,6 +297,8 @@ def _direction(values: Sequence[float]) -> str:
     way by more than ``_DIRECTION_EPS`` of the larger of its two ends, else
     "mixed".  The rule is scale-free, so a tail far below 1 still has a
     direction; a step between two equal values (two 0.0s) is flat."""
+    import numpy as np
+
     v = np.asarray(values)
     diffs = np.diff(v)
     flat = _DIRECTION_EPS * np.maximum(np.abs(v[:-1]), np.abs(v[1:]))

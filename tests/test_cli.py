@@ -793,16 +793,18 @@ STRATUM = {"pi": 0.5, "alpha": 0.0, "beta": 0.5, "mu_x": 0.0, "s_xx": 1.0, "s_yy
 SUMMARY = {"levels": [STRATUM, dict(STRATUM, mu_x=1.0)]}
 # a JSON integer past Python's 4,300-digit limit for int(str)
 HUGE = "1" * 5000
+# a JSON array nested far past the decoder's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 class TestMalformedPayload:
     @staticmethod
-    def run(tmp_path, capsys, verb, payload):
-        """Exit code and error object of ``verb`` on ``payload`` (or on JSON text
-        as it is); stderr stays empty."""
+    def run(tmp_path, capsys, verb, payload, *options):
+        """Exit code and error object of ``verb`` with ``options`` on
+        ``payload`` (or on JSON text as it is); stderr stays empty."""
         p = tmp_path / "input.json"
         p.write_text(payload if isinstance(payload, str) else json.dumps(payload))
-        argv = [verb, str(p)]
+        argv = [verb, *options, str(p)]
         if verb == "ingest":  # the payload is the --variables file
             obs = tmp_path / "obs.csv"
             obs.write_text("A,B\nW,a\nB,b\n")
@@ -927,6 +929,52 @@ class TestMalformedPayload:
         flat = self.run(tmp_path, capsys, "decompose", TABLE)
         nested = self.run(tmp_path, capsys, "decompose", dict(TABLE, cells=[[1, 2], [3, 4]]))
         assert flat == nested == (EXIT_OK, None)
+
+    @pytest.mark.parametrize(
+        "verb, options, kind, what",
+        [
+            ("decompose", [], "TableError", "table payload"),
+            ("scan-paradox", ["--response", "A=a", "--exposure", "B=a"], "TableError", "table payload"),
+            ("ingest", [], "TableError", "variables payload"),
+            ("assoc-check", [], "DistributionError", "joint payload"),
+            ("regress-audit", [], "DistributionError", "summary payload"),
+            ("dep-check", [], "ModelError", "model payload"),
+            ("survival-check", [], "ModelError", "survival spec payload"),
+        ],
+        ids=["table", "scan-table", "variables", "joint", "summary", "model", "survival"],
+    )
+    def test_nesting_past_the_decoder_limit(self, tmp_path, capsys, verb, options, kind, what):
+        # json.loads raises RecursionError, which used to end the call in a traceback
+        code, error = self.run(tmp_path, capsys, verb, DEEP, *options)
+        assert code == EXIT_ERROR
+        assert error["kind"] == kind
+        assert error["message"].startswith(f"malformed {what}: ")
+
+    def test_deep_extra_key_in_a_valid_table(self, tmp_path, capsys):
+        text = json.dumps(TABLE)[:-1] + ', "extra": ' + DEEP + "}"
+        code, error = self.run(tmp_path, capsys, "decompose", text)
+        assert code == EXIT_ERROR
+        assert error["kind"] == "TableError"
+        assert error["message"].startswith("malformed table payload: ")
+
+    @pytest.mark.parametrize("depth", [33, 40])
+    @pytest.mark.parametrize(
+        "verb, payload, key, kind",
+        [
+            ("decompose", dict(TABLE, cells="nested"), "cells", "TableError"),
+            ("assoc-check", dict(JOINT, p="nested"), "p", "DistributionError"),
+            ("dep-check", dict(MODEL, alpha="nested"), "alpha", "ModelError"),
+            ("survival-check", dict(SPEC, k_transform={"t": [0, 1], "k": "nested"}), "k", "ModelError"),
+        ],
+        ids=["table-cells", "joint-p", "model-alpha", "survival-k"],
+    )
+    def test_numbers_nested_past_numpy_dimensions(self, tmp_path, capsys, verb, payload, key, kind, depth):
+        # numpy iterates at most 32 dimensions; a deeper array used to raise RuntimeError
+        text = json.dumps(payload).replace('"nested"', "[" * depth + "1" + "]" * depth)
+        code, error = self.run(tmp_path, capsys, verb, text)
+        assert code == EXIT_ERROR
+        assert error["kind"] == kind
+        assert error["message"].endswith(f"{key} nests arrays more than 32 deep")
 
 
 class TestPipedInput:

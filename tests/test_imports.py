@@ -1,5 +1,6 @@
 """Import boundary: no import loads scipy, a CLI call loads only its verb's
-modules, and the package exports its names.
+modules and numpy only when it builds an array, and the package exports its
+names.
 
 The quadrature of the dependence-function and survival code uses scipy:
 ``quadpack.quad`` loads QUADPACK's compiled extension from its file on the
@@ -8,9 +9,11 @@ case runs the package init of ``scipy.integrate``, ``scipy.special`` or
 ``scipy.interpolate``, each of which costs several times the import of
 numpy (only a survival spec that tabulates K imports ``scipy.interpolate``).
 ``import collapsekit`` loads no submodule, ``import collapsekit.cli`` loads
-``errors`` alone, and each verb's handler imports the modules it calls.
-The boundary checks run in fresh interpreters, because the test process has
-long since imported everything.
+``errors`` alone and no numpy, and each verb's handler imports the modules
+it calls.  numpy loads with the first function that builds an array, so
+``--version``, ``--help``, a usage error and the survival reversal condition
+load none of it.  The boundary checks run in fresh interpreters, because the
+test process has long since imported everything.
 """
 
 import ast
@@ -106,21 +109,23 @@ CASE_MODULES = {
     "dep-check": ["depfun", "quadpack"],
     "dep-check.md": ["depfun", "quadpack"],
     "survival-check": ["quadpack", "survival"],
-    "survival-check.md": ["quadpack", "survival"],
+    "survival-check.md": ["survival"],  # the condition integrates nothing
 }
 CLI_MODULES = ["collapsekit", "collapsekit.cli", "collapsekit.errors"]
+# the golden cases that build no array; every other case loads numpy
+NUMPY_FREE_CASES = ("version", "survival-check.md")
 
 # imports the modules given as a JSON list, then runs each golden case given
 # as JSON through cli.main in order, each on a freshly imported collapsekit as
-# a CLI call has; prints the scipy and collapsekit modules loaded after each
-# step (scipy's pile up from case to case)
+# a CLI call has; prints the scipy, numpy and collapsekit modules loaded after
+# each step (scipy's and numpy's pile up from case to case)
 CHILD = """
 import contextlib, importlib, io, json, sys
 
 def loaded():
     return {
         package: sorted(m for m in sys.modules if m.split(".")[0] == package)
-        for package in ("scipy", "collapsekit")
+        for package in ("scipy", "numpy", "collapsekit")
     }
 
 modules, cases = json.loads(sys.argv[1])
@@ -148,6 +153,11 @@ def scipy_loaded_after(
 def collapsekit_loaded_after(cases: dict[str, list[str]], modules) -> dict[str, list[str]]:
     """collapsekit modules in ``sys.modules`` after the imports and after each case."""
     return {step: loaded["collapsekit"] for step, loaded in loaded_after(cases, modules).items()}
+
+
+def numpy_loaded_after(cases: dict[str, list[str]], modules=("collapsekit.cli",)) -> dict[str, bool]:
+    """Whether numpy is in ``sys.modules`` after the imports and after each case."""
+    return {step: bool(loaded["numpy"]) for step, loaded in loaded_after(cases, modules).items()}
 
 
 def loaded_after(cases: dict[str, list[str]], modules) -> dict[str, dict[str, list[str]]]:
@@ -212,6 +222,20 @@ class TestVerbModules:
             for case, modules in CASE_MODULES.items()
         }
         assert loaded == {"import": CLI_MODULES, **want}
+
+    def test_cli_import_and_calls_that_build_no_array_load_no_numpy(self):
+        cases = {
+            **{case: CASES[case] for case in NUMPY_FREE_CASES},
+            "help": ["--help"],
+            "usage error": ["decompose"],
+            "survival-check.json": ["survival-check", CASES["survival-check.md"][-1]],
+        }
+        assert numpy_loaded_after(cases) == dict.fromkeys(["import", *cases], False)
+
+    @pytest.mark.parametrize("case", sorted(set(CASES) - set(NUMPY_FREE_CASES)))
+    def test_every_other_case_loads_numpy(self, case):
+        # one fresh interpreter a case: numpy, once loaded, stays loaded
+        assert numpy_loaded_after({case: CASES[case]}) == {"import": False, case: True}
 
 
 class TestPackageNames:

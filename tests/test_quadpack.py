@@ -3,8 +3,9 @@
 The helper calls the private ``_qagse`` / ``_qagpe`` of scipy's compiled
 QUADPACK directly, so these tests are what catches a scipy release that
 changes their signatures or return values.  A spy stands in for ``quad`` in
-``depfun`` and ``survival``, so the sweep checks exactly the integrands the
-verdicts integrate: it runs each through the helper and through the public
+``depfun`` and in ``quadpack``, where ``survival`` looks it up on each
+integral, so the sweep checks exactly the integrands the verdicts integrate:
+it runs each through the helper and through the public
 ``scipy.integrate.quad`` as the code called it before, and every value must
 be equal with ``==`` and every convergence flag must be "no message".
 """
@@ -31,15 +32,16 @@ def scipy_quad(f, lo, hi, epsabs, epsrel, limit, points=()):
 def calls(monkeypatch):
     """Every quadrature the library asks for, as (helper result, scipy result, used break points)."""
     seen = []
+    quad = quadpack.quad
 
     def spy(f, lo, hi, epsabs, epsrel, limit, points=()):
-        got = quadpack.quad(f, lo, hi, epsabs, epsrel, limit, points)
+        got = quad(f, lo, hi, epsabs, epsrel, limit, points)
         breaks = any(lo < p < hi for p in points)
         seen.append((got, scipy_quad(f, lo, hi, epsabs, epsrel, limit, points), breaks))
         return got
 
     monkeypatch.setattr(depfun, "quad", spy)
-    monkeypatch.setattr(survival, "quad", spy)
+    monkeypatch.setattr(quadpack, "quad", spy)
     return seen
 
 

@@ -164,7 +164,10 @@ def test_arrays_and_subset_keys_serialize():
     assert report["set_gaps"] == {",".join(k): v for k, v in strict.set_gaps.items()}
     assert set(report["set_gaps"]) == {"A", "X", "A,X"}
     assert json.loads(dumps_report(report))["set_gaps"] == report["set_gaps"]
-    assert as_report(np.arange(4.0).reshape(2, 2)) == [[0.0, 1.0], [2.0, 3.0]]
+    # as_report finds ndarray through sys.modules, which holds numpy once any array exists
+    nested = as_report(np.arange(4.0).reshape(2, 2))
+    assert nested == [[0.0, 1.0], [2.0, 3.0]] and type(nested[1][0]) is float
+    assert as_report((np.arange(2), [np.zeros(0)])) == [[0, 1], [[]]]
 
 
 def test_subset_keys_with_quotes_stay_valid_json():
