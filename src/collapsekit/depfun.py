@@ -17,7 +17,12 @@ function; equivalently, whether the integral of F(y | x, w) against the
 x-derivative of f(w | x) vanishes.  Both quantities are evaluated on a
 grid, with adaptive quadrature (QUADPACK, through ``quadpack.quad``) falling
 back to a fixed 201-point Simpson rule if the adaptive routine fails to
-converge.  Only QUADPACK's compiled extension loads, on the first integral;
+converge.  Each family builds one pair of integrand closures per grid point
+(``DependenceModel.integrands``).  Each closure is one Python frame per
+evaluation and does the float operations of dep(y, x, w) f(w | x), or of
+cdf(y, x, w) df(w | x)/dx, in the order the pointwise pieces do them, so
+the integrals keep their bits.
+Only QUADPACK's compiled extension loads, on the first integral;
 ``scipy.integrate`` itself never loads, and importing this module loads no
 scipy.
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +56,13 @@ def _ndtr(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
+Integrand = Callable[[float], float]
+
+
+def _not_finite(y: float, x: float, w: float) -> ModelError:
+    return ModelError(f"the integrand at (y={y!r}, x={x!r}) is not finite at w={w!r}")
+
+
 def _integrate(f, lo: float, hi: float, points: Sequence[float] = ()) -> tuple[float, bool]:
     """Adaptive quadrature with a fixed-grid fallback; returns (value, converged)."""
     val, converged = quad(f, lo, hi, QUAD_TOL, QUAD_TOL, 400, points)
@@ -73,29 +85,13 @@ def _integrate(f, lo: float, hi: float, points: Sequence[float] = ()) -> tuple[f
     return float(np.sum(panels)), False
 
 
-def _integrate_w(model: "DependenceModel", y: float, x: float, g, density) -> tuple[float, bool]:
-    """``_integrate`` of g(y, x, w) density(w, x) over W's support given x,
-    split at the model's breakpoints.
-
-    A non-finite integrand raises ModelError: QUADPACK fed NaN next to
-    finite values can read outside its interval list and crash the process.
-    """
-
-    def f(w: float) -> float:
-        v = g(y, x, w) * density(w, x)
-        if math.isfinite(v):
-            return v
-        raise ModelError(f"the integrand at (y={y!r}, x={x!r}) is not finite at w={w!r}")
-
-    return _integrate(f, *model.w_interval(x), points=model.w_breakpoints(y, x))
-
-
 class DependenceModel:
     """Base class for registered parametric families.
 
     Subclasses provide the conditional distribution function, its
-    x-derivative (the dependence function), the mixing law of W given x,
-    and a closed-form marginal dependence function.
+    x-derivative (the dependence function), the quadrature integrands over
+    the mixing law of W given x, and a closed-form marginal dependence
+    function.
     """
 
     family: str = ""
@@ -107,10 +103,17 @@ class DependenceModel:
     def dep(self, y: float, x: float, w: float) -> float:
         raise NotImplementedError
 
-    def w_density(self, w: float, x: float) -> float:
-        raise NotImplementedError
+    def integrands(self, y: float, x: float) -> tuple[Integrand, Integrand]:
+        """The pair (expected, mixing) of closures over w at one grid point.
 
-    def w_density_dx(self, w: float, x: float) -> float:
+        ``expected(w)`` is dep(y, x, w) f(w | x) and ``mixing(w)`` is
+        cdf(y, x, w) df(w | x)/dx, with f the density of W given x.  Each
+        is one frame that does the float operations of the pointwise
+        product in the same order, so it returns the same bits, and raises
+        ModelError where the product is not finite: QUADPACK fed NaN next
+        to finite values can read outside its interval list and crash the
+        process.
+        """
         raise NotImplementedError
 
     def w_interval(self, x: float) -> tuple[float, float]:
@@ -180,12 +183,36 @@ class GaussianLinearInteraction(DependenceModel):
             (y - self._m(x, w)) / self.sigma
         )
 
-    def w_density(self, w: float, x: float) -> float:
-        return _phi(w - self.rho * x)
+    def integrands(self, y: float, x: float) -> tuple[Integrand, Integrand]:
+        # dep(y, x, w) or cdf(y, x, w) times _phi(u) or rho u _phi(u), u = w - rho x,
+        # inlined with every float operation kept in place: the verdict bytes rest on them
+        a1, a2, a3, sigma, rho = self.alpha1, self.alpha2, self.alpha3, self.sigma, self.rho
+        a1x = a1 * x
+        a3x = a3 * x
+        rx = rho * x
+        sqrt2 = math.sqrt(2.0)
 
-    def w_density_dx(self, w: float, x: float) -> float:
-        u = w - self.rho * x
-        return self.rho * u * _phi(u)
+        def expected(w: float) -> float:
+            z = (y - (a1x + a2 * w + a3x * w)) / sigma
+            u = w - rx
+            v = (
+                -((a1 + a3 * w) / sigma)
+                * (math.exp(-0.5 * z * z) / SQRT2PI)
+                * (math.exp(-0.5 * u * u) / SQRT2PI)
+            )
+            if math.isfinite(v):
+                return v
+            raise _not_finite(y, x, w)
+
+        def mixing(w: float) -> float:
+            z = (y - (a1x + a2 * w + a3x * w)) / sigma
+            u = w - rx
+            v = 0.5 * math.erfc(-z / sqrt2) * (rho * u * (math.exp(-0.5 * u * u) / SQRT2PI))
+            if math.isfinite(v):
+                return v
+            raise _not_finite(y, x, w)
+
+        return expected, mixing
 
     def w_interval(self, x: float) -> tuple[float, float]:
         c = self.rho * x
@@ -257,12 +284,36 @@ class UniformQuadratic(DependenceModel):
             return 0.0
         return y * (4.0 * x - 2.0 * w)
 
-    def w_density(self, w: float, x: float) -> float:
-        return _phi(w - x)
+    def integrands(self, y: float, x: float) -> tuple[Integrand, Integrand]:
+        # dep(y, x, w) or cdf(y, x, w) times _phi(u) or u _phi(u), u = w - x, inlined
+        # with every float operation kept in place; s(x, w) = x^2 + u^2
+        x2 = x * x
+        x4 = 4.0 * x
 
-    def w_density_dx(self, w: float, x: float) -> float:
-        u = w - x
-        return u * _phi(u)
+        def expected(w: float) -> float:
+            u = w - x
+            if y <= 0.0 or y * (x2 + u * u) >= 1.0:
+                d = 0.0
+            else:
+                d = y * (x4 - 2.0 * w)
+            v = d * (math.exp(-0.5 * u * u) / SQRT2PI)
+            if math.isfinite(v):
+                return v
+            raise _not_finite(y, x, w)
+
+        def mixing(w: float) -> float:
+            u = w - x
+            if y <= 0.0:
+                c = 0.0
+            else:
+                c = y * (x2 + u * u)
+                c = c if c < 1.0 else 1.0
+            v = c * (u * (math.exp(-0.5 * u * u) / SQRT2PI))
+            if math.isfinite(v):
+                return v
+            raise _not_finite(y, x, w)
+
+        return expected, mixing
 
     def w_interval(self, x: float) -> tuple[float, float]:
         return (x - W_SPAN, x + W_SPAN)
@@ -382,12 +433,14 @@ class DepVerdict:
 
 def expected_dep(model: DependenceModel, y: float, x: float) -> tuple[float, bool]:
     """Quadrature of the conditional dependence function against f(w | x)."""
-    return _integrate_w(model, y, x, model.dep, model.w_density)
+    expected, _ = model.integrands(y, x)
+    return _integrate(expected, *model.w_interval(x), model.w_breakpoints(y, x))
 
 
 def mixing_correction(model: DependenceModel, y: float, x: float) -> tuple[float, bool]:
     """Quadrature of F(y | x, w) against the x-derivative of f(w | x)."""
-    return _integrate_w(model, y, x, model.cdf, model.w_density_dx)
+    _, mixing = model.integrands(y, x)
+    return _integrate(mixing, *model.w_interval(x), model.w_breakpoints(y, x))
 
 
 def check_avg_collapsibility(
@@ -405,9 +458,13 @@ def check_avg_collapsibility(
     worst = None
     quad_ok = True
     for y, x in grid:
-        lhs, ok1 = expected_dep(model, y, x)
+        # both integrals run over W's support given x, split at the kinks
+        expected, mixing = model.integrands(y, x)
+        lo, hi = model.w_interval(x)
+        points = model.w_breakpoints(y, x)
+        lhs, ok1 = _integrate(expected, lo, hi, points)
         rhs = model.marginal_dep(y, x)
-        corr, ok2 = mixing_correction(model, y, x)
+        corr, ok2 = _integrate(mixing, lo, hi, points)
         if not all(map(math.isfinite, (lhs, rhs, corr))):  # a NaN res fails ``res > max_residual``
             raise ModelError(
                 f"E[dF/dx | x], dF(y | x)/dx or the mixing correction at (y={y!r}, x={x!r}) is not finite"

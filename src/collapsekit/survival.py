@@ -25,9 +25,10 @@ scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ModelError, loads, malformed, number, numbers
 
@@ -227,11 +228,12 @@ def marginal_survival(spec: SurvivalSpec, t: float, x: float) -> float:
 
     survival = _survival_function(spec.w_law)
     center = spec.eta(x)
-    kt = spec.k(t)
+    shift = spec.k(t) + spec.beta_x * x
+    beta_y = spec.beta_y
 
     def f(y: float) -> float:
         z = y - center
-        return survival(kt + spec.beta_x * x + spec.beta_y * y) * math.exp(-0.5 * z * z)
+        return survival(shift + beta_y * y) * math.exp(-0.5 * z * z)
 
     val, converged = quadpack.quad(f, center - 10.0, center + 10.0, 1e-12, 1e-12, 200)
     if not converged:
@@ -241,10 +243,15 @@ def marginal_survival(spec: SurvivalSpec, t: float, x: float) -> float:
 
 def marginal_ratio(spec: SurvivalSpec, t: float, s: float, x: float) -> float:
     """Residual survival P(T > t+s | T > t, x) after marginalizing Y."""
-    denom = marginal_survival(spec, t, x)
+    return _residual(functools.partial(marginal_survival, spec), t, s, x)
+
+
+def _residual(marginal: Callable[[float, float], float], t: float, s: float, x: float) -> float:
+    """P(T > t+s | T > t, x) from marginal(u, x) = P(T > u | x)."""
+    denom = marginal(t, x)
     if denom <= 0.0:
         raise ModelError(f"P(T > {t} | x={x}) vanished; grid point unusable")
-    return marginal_survival(spec, t + s, x) / denom
+    return marginal(t + s, x) / denom
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -322,13 +329,22 @@ def verify_numeric(
     for every probed y (the common direction is reported; differing
     directions across y probes count as "mixed"), and the marginal residual
     survival direction is recorded alongside.  ``reversal_on_grid`` is True
-    when every pair exhibits conditional-down with marginal-up.
+    when every pair exhibits conditional-down with marginal-up.  Each
+    distinct marginal P(T > u | x), u a probed t or t+s, is integrated once
+    per call and shared by the pairs that read it.
     """
     if len(x_probes) < 2:
         raise ModelError("need at least two x probes")
     if any(t < 0 for t in t_grid) or any(s <= 0 for s in s_grid):
         raise ModelError("t probes must be >= 0 and s probes > 0")
     flags = check_condition(spec)
+    marginals: dict[tuple[float, float], float] = {}
+
+    def marginal(u: float, x: float) -> float:
+        if (u, x) not in marginals:
+            marginals[u, x] = marginal_survival(spec, u, x)
+        return marginals[u, x]
+
     probes = []
     for t in t_grid:
         for s in s_grid:
@@ -337,7 +353,7 @@ def verify_numeric(
                 for y in y_probes
             }
             cond_dir = dirs.pop() if len(dirs) == 1 else "mixed"
-            marg_dir = _direction([marginal_ratio(spec, t, s, x) for x in x_probes])
+            marg_dir = _direction([_residual(marginal, t, s, x) for x in x_probes])
             probes.append(
                 ProbeResult(
                     t=t,

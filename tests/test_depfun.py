@@ -6,11 +6,13 @@ import pytest
 from collapsekit import depfun
 from collapsekit.depfun import (
     DEFAULT_GRID_VALUES,
+    DEFAULT_TOL,
+    DepVerdict,
     GaussianLinearInteraction,
     UniformQuadratic,
     _integrate,
-    _integrate_w,
     _ndtr,
+    _phi,
     check_avg_collapsibility,
     check_homogeneity,
     expected_dep,
@@ -22,6 +24,50 @@ from collapsekit.errors import ModelError
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+# Reference pieces: the mixing law's density and its x-derivative, pointwise.
+# ``DependenceModel.integrands`` fuses dep(y, x, w) * w_density(model, w, x)
+# and cdf(y, x, w) * w_density_dx(model, w, x) into one closure each.
+
+
+def w_density(model, w, x):
+    if isinstance(model, GaussianLinearInteraction):
+        return _phi(w - model.rho * x)
+    return _phi(w - x)
+
+
+def w_density_dx(model, w, x):
+    if isinstance(model, GaussianLinearInteraction):
+        u = w - model.rho * x
+        return model.rho * u * _phi(u)
+    u = w - x
+    return u * _phi(u)
+
+
+def product_integrands(model, y, x):
+    """(expected, mixing) as the pointwise products the fused closures replace."""
+    return (
+        lambda w: model.dep(y, x, w) * w_density(model, w, x),
+        lambda w: model.cdf(y, x, w) * w_density_dx(model, w, x),
+    )
+
+
+def guarded(f, y, x):
+    """f with the integrands' finiteness guard at grid point (y, x)."""
+
+    def g(w):
+        v = f(w)
+        if math.isfinite(v):
+            return v
+        raise ModelError(f"the integrand at (y={y!r}, x={x!r}) is not finite at w={w!r}")
+
+    return g
+
+
+def integrate_w(model, y, x, f):
+    """``_integrate`` of the guarded f over W's support given x, split at
+    the model's breakpoints."""
+    return _integrate(guarded(f, y, x), *model.w_interval(x), points=model.w_breakpoints(y, x))
+
 
 def marginal_cdf(model, y, x):
     """F(y | x): the Gaussian family's closed form, else the quadrature of
@@ -29,7 +75,7 @@ def marginal_cdf(model, y, x):
     if isinstance(model, GaussianLinearInteraction):
         mu, _, v, _ = model._marginal_params(x)
         return _ndtr((y - mu) / v)
-    return _integrate_w(model, y, x, model.cdf, model.w_density)[0]
+    return integrate_w(model, y, x, lambda w: model.cdf(y, x, w) * w_density(model, w, x))[0]
 
 
 def numerical_marginal_dep(model, y, x, h=1e-2):
@@ -175,6 +221,120 @@ class TestMixingIdentity:
             assert lhs == pytest.approx(e + c, abs=1e-6)
 
 
+def random_model(rng):
+    """A seeded model of either family; half the Gaussian ones have rho = 0."""
+    if rng.uniform() < 0.25:
+        return UniformQuadratic()
+    a1, a2, a3 = rng.uniform(-2.0, 2.0, 3).tolist()
+    rho = 0.0 if rng.uniform() < 0.5 else float(rng.uniform(-1.5, 1.5))
+    return GaussianLinearInteraction(a1, a2, a3, float(rng.uniform(0.3, 2.0)), rho)
+
+
+def random_grid(rng, model, n):
+    """n grid points; the uniform family's include y <= 0, outside its domain."""
+    if isinstance(model, GaussianLinearInteraction):
+        ys = rng.uniform(-3.0, 3.0, n)
+    else:
+        ys = rng.choice([-0.5, 0.0, *rng.uniform(0.05, 3.0, 4).tolist()], n)
+    return list(zip(ys.tolist(), rng.uniform(-2.5, 2.5, n).tolist()))
+
+
+def outcome(f, w):
+    """f(w) as hex, which tells -0.0 from 0.0, or the ModelError's text."""
+    try:
+        return f(w).hex()
+    except ModelError as exc:
+        return str(exc)
+
+
+def bits(verdict):
+    """The verdict's fields, with each float (worst_point's too) as hex."""
+
+    def hexed(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, tuple):
+            return tuple(map(float.hex, v))
+        return v
+
+    return tuple(map(hexed, vars(verdict).values()))
+
+
+def reference_avg_check(model, grid, tol=DEFAULT_TOL):
+    """check_avg_collapsibility as it was with the pointwise products."""
+    max_residual = integral_residual = -1.0
+    worst = None
+    quad_ok = True
+    for y, x in grid:
+        expected, mixing = product_integrands(model, y, x)
+        lhs, ok1 = integrate_w(model, y, x, expected)
+        rhs = model.marginal_dep(y, x)
+        corr, ok2 = integrate_w(model, y, x, mixing)
+        assert all(map(math.isfinite, (lhs, rhs, corr)))
+        quad_ok = quad_ok and ok1 and ok2
+        res = abs(lhs - rhs)
+        if res > max_residual:
+            max_residual = res
+            worst = (y, x)
+        integral_residual = max(integral_residual, abs(corr))
+    return DepVerdict(
+        max_residual <= tol, max_residual, integral_residual, worst, "closed-form", quad_ok, tol
+    )
+
+
+class TestFusedIntegrands:
+    def test_bitwise_equal_to_the_pointwise_products(self):
+        rng = np.random.default_rng(3401)
+        seen = set()
+        kinks = 0
+        for _ in range(120):
+            model = random_model(rng)
+            for y, x in random_grid(rng, model, 4):
+                lo, hi = model.w_interval(x)
+                ws = [lo, hi, *rng.uniform(lo - 1.0, hi + 1.0, 12).tolist()]
+                for kink in model.w_breakpoints(y, x):
+                    ws += [kink, math.nextafter(kink, -math.inf), math.nextafter(kink, math.inf)]
+                    kinks += lo < kink < hi
+                fused = model.integrands(y, x)
+                for f, ref in zip(fused, product_integrands(model, y, x)):
+                    for w in ws:
+                        got = outcome(f, w)
+                        assert got == outcome(guarded(ref, y, x), w), (model.to_json_dict(), y, x, w)
+                        seen.add(got)
+        # the sweep reaches both signed zeros (rho = 0, and y <= 0 for the
+        # uniform family) and kinks inside W's interval
+        assert {"0x0.0p+0", "-0x0.0p+0"} <= seen
+        assert kinks > 20
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["quadpack", "simpson"])
+    def test_verdict_equals_the_product_reference(self, monkeypatch, fallback):
+        if fallback:  # every integral takes the Simpson rule
+            monkeypatch.setattr(depfun, "quad", lambda *args: (math.nan, False))
+        rng = np.random.default_rng([3402, fallback])
+        for _ in range(30 if fallback else 300):
+            model = random_model(rng)
+            grid = random_grid(rng, model, 3)
+            assert bits(check_avg_collapsibility(model, grid)) == bits(
+                reference_avg_check(model, grid)
+            )
+
+    @pytest.mark.parametrize(
+        "model, y, which, w",
+        [
+            (GaussianLinearInteraction(0.0, 1e308, -1e308, 1.0, 0.5), 0.0, 0, 2.0),
+            (GaussianLinearInteraction(0.0, 1e308, -1e308, 1.0, 0.5), 0.0, 1, 2.0),
+            (UniformQuadratic(), 0.5, 1, math.inf),
+        ],
+        ids=["gauss-expected", "gauss-mixing", "uniform-mixing"],
+    )
+    def test_non_finite_integrand_is_structured(self, model, y, which, w):
+        # the Gaussian mean is inf - inf at x = 1, w = 2, so both closures
+        # see NaN; the uniform mixing one is inf * 0 at w = inf
+        f = model.integrands(y, 1.0)[which]
+        with pytest.raises(ModelError) as info:
+            f(w)
+        assert str(info.value) == f"the integrand at (y={y!r}, x=1.0) is not finite at w={w!r}"
+
 
 class TestMarginals:
     def test_gaussian_marginal_law(self):
@@ -212,7 +372,7 @@ class TestMarginals:
 
 def expected_dep_integrand(model, y, x):
     """expected_dep's integrand at (y, x) and W's interval given x."""
-    return (lambda w: model.dep(y, x, w) * model.w_density(w, x), *model.w_interval(x))
+    return (product_integrands(model, y, x)[0], *model.w_interval(x))
 
 
 class TestQuadrature:

@@ -6,9 +6,16 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import log_ndtr, ndtr
 
+from collapsekit import quadpack
 from collapsekit.errors import ModelError
 from collapsekit.survival import (
+    DEFAULT_S_GRID,
+    DEFAULT_T_GRID,
+    DEFAULT_X_PROBES,
+    DEFAULT_Y_PROBES,
     W_LAWS,
+    ProbeResult,
+    SurvivalVerdict,
     SurvivalSpec,
     _direction,
     _log_survival,
@@ -172,6 +179,52 @@ class TestVerifyNumeric:
         assert not v.condition
         assert not v.reversal_on_grid
         assert all(p.marginal_direction == "down" for p in v.probes)
+
+
+def reference_verify(spec):
+    """verify_numeric on the default grid with one marginal_ratio per (t, s, x)."""
+    flags = check_condition(spec)
+    probes = []
+    for t in DEFAULT_T_GRID:
+        for s in DEFAULT_S_GRID:
+            dirs = {
+                _direction([conditional_ratio(spec, t, s, x, y) for x in DEFAULT_X_PROBES])
+                for y in DEFAULT_Y_PROBES
+            }
+            cond_dir = dirs.pop() if len(dirs) == 1 else "mixed"
+            marg_dir = _direction([marginal_ratio(spec, t, s, x) for x in DEFAULT_X_PROBES])
+            probes.append(ProbeResult(t, s, cond_dir, marg_dir, cond_dir == "down" and marg_dir == "up"))
+    return SurvivalVerdict(
+        flags.condition, flags.gaussian_equiv, tuple(probes), all(p.reversal for p in probes)
+    )
+
+
+class TestSharedMarginals:
+    @pytest.mark.parametrize("law", W_LAWS)
+    def test_each_marginal_integrated_once(self, monkeypatch, law):
+        spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, eta_mu=0.3, eta_rho=0.8, w_law=law)
+        want = reference_verify(spec)
+        calls = []
+        quad = quadpack.quad
+
+        def spy(*args):
+            calls.append(args)
+            return quad(*args)
+
+        monkeypatch.setattr(quadpack, "quad", spy)
+        assert verify_numeric(spec) == want
+        # 10 distinct t or t+s (0.25 to 3.0) at each of the 5 x probes, not 2 * 12 * 5
+        assert len(calls) == 10 * 5
+
+    def test_first_error_is_unchanged(self):
+        # the Gumbel survival exp(-e^z) underflows in the marginal at x = 1
+        # (z near 10) while the conditional log-space ratios stay finite
+        spec = SurvivalSpec(beta_x=10.0, beta_y=-0.1, w_law="gumbel")
+        with pytest.raises(ModelError) as want:
+            reference_verify(spec)
+        with pytest.raises(ModelError) as got:
+            verify_numeric(spec)
+        assert str(got.value) == str(want.value) == "P(T > 0.25 | x=1.0) vanished; grid point unusable"
 
 
 class TestBaselineLaws:
