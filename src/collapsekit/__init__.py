@@ -13,8 +13,8 @@ Names resolve on first use, and a CLI call loads only its verb's modules:
 name imports the submodule that defines it (PEP 562).  No import loads
 scipy.  The quadrature of the dependence-function and survival code loads
 QUADPACK's compiled extension from its file on the first integral, so
-``scipy.integrate`` never loads.  The survival normal tail loads no scipy; a
-tabulated K transform imports ``scipy.interpolate``.  numpy loads with the
+``scipy.integrate`` never loads.  The survival normal tail and a tabulated
+K transform, which is piecewise-linear, load no scipy.  numpy loads with the
 first function that builds an array, so ``import collapsekit.cli``,
 ``--version`` and the survival reversal condition load none of it.
 """

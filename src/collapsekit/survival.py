@@ -18,16 +18,17 @@ is read on residual survival only; its hazard form is not computed.  The
 normal tail comes from ``math.erfc``.  The marginal quadrature loads only
 QUADPACK's compiled extension (``quadpack.quad``), on the first integral,
 so neither ``scipy.integrate`` nor ``scipy.special`` loads.  A tabulated K
-is scipy's ``PchipInterpolator``, imported when such a spec is made.  The
-condition check on a spec without a tabulated K loads neither numpy nor
-scipy.
+is piecewise-linear through its knots.  Directions are read on the logs of
+the ratios, which do not underflow.  The condition check on a spec without
+a tabulated K loads neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ModelError, loads, malformed, number, numbers
@@ -40,6 +41,7 @@ DEFAULT_X_PROBES = (-1.0, -0.5, 0.0, 0.5, 1.0)
 DEFAULT_Y_PROBES = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 _DIRECTION_EPS = 1e-11  # relative to a step's ends, see _direction
+_LOG_FLAT = -math.log1p(-_DIRECTION_EPS)  # that bound on the log scale
 
 _SQRT1_2 = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -101,12 +103,12 @@ class SurvivalSpec:
     """Linear transformation survival model with a linear covariate link.
 
     ``k_transform`` is None for the identity, or a strictly increasing
-    tabulation ((t_0, ..., t_m), (k_0, ..., k_m)) interpolated monotonically
-    (PCHIP) between the knots and continued linearly outside them with the
-    end segment's secant slope, so K stays strictly increasing everywhere.
-    Only the standard normal second-covariate law is supported; the
-    baseline W law may also be the Gumbel-type exp(-e^z) or the logistic
-    1/(1+e^z) survival.
+    tabulation ((t_0, ..., t_m), (k_0, ..., k_m)) of finite knots.  K is
+    linear between the knots, with K(t_i) = k_i exactly, and continues
+    linearly outside them with the end segment's secant slope, so K stays
+    strictly increasing everywhere.  Only the standard normal
+    second-covariate law is supported; the baseline W law may also be the
+    Gumbel-type exp(-e^z) or the logistic 1/(1+e^z) survival.
     """
 
     beta_x: float
@@ -116,7 +118,6 @@ class SurvivalSpec:
     w_law: str = "std-normal"
     v_law: str = "std-normal"
     k_transform: tuple[tuple[float, ...], tuple[float, ...]] | None = None
-    _k_interp: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not all(
@@ -129,39 +130,34 @@ class SurvivalSpec:
         if self.v_law != "std-normal":
             raise ModelError("only the standard normal v_law is supported")
         if self.k_transform is not None:
-            ts, ks = self.k_transform
-            ts = tuple(float(v) for v in ts)
-            ks = tuple(float(v) for v in ks)
+            ts, ks = (tuple(float(v) for v in seq) for seq in self.k_transform)
             if len(ts) != len(ks) or len(ts) < 2:
                 raise ModelError("k_transform needs two aligned sequences, length >= 2")
+            # before the order check: every comparison with a NaN is false
+            if not all(map(math.isfinite, ts + ks)):
+                raise ModelError("k_transform knots must be finite")
             if any(b <= a for a, b in zip(ts, ts[1:])) or any(
                 b <= a for a, b in zip(ks, ks[1:])
             ):
                 raise ModelError("k_transform must be strictly increasing")
-            import numpy as np
-            from scipy.interpolate import PchipInterpolator
-
-            # a too-steep tabulation overflows the cubic: scipy rejects
-            # infinite knot derivatives, and infinite coefficients are caught here
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                try:
-                    interp = PchipInterpolator(ts, ks)
-                except ValueError:
-                    interp = None
-            if interp is None or not np.isfinite(interp.c).all():
-                raise ModelError("k_transform is too steep: its cubic overflows the float range")
+            for t0, t1, k0, k1 in zip(ts, ts[1:], ks, ks[1:]):
+                slope = (k1 - k0) / (t1 - t0)
+                if not math.isfinite(slope):
+                    raise ModelError(f"k_transform is too steep: its slope on [{t0!r}, {t1!r}] overflows")
+                if slope == 0.0:  # K would be flat there: t1 - t0 overflowed, or the quotient underflowed
+                    raise ModelError(f"k_transform is too flat: its slope on [{t0!r}, {t1!r}] underflows")
             object.__setattr__(self, "k_transform", (ts, ks))
-            object.__setattr__(self, "_k_interp", interp)
 
     def k(self, t: float) -> float:
-        if self._k_interp is None:
+        if self.k_transform is None:
             return t
         ts, ks = self.k_transform
-        if t < ts[0]:
-            return ks[0] + (t - ts[0]) * (ks[1] - ks[0]) / (ts[1] - ts[0])
-        if t > ts[-1]:
+        # t >= t_m is measured from the last knot, so K(t_m) is k_m exactly
+        if t >= ts[-1]:
             return ks[-1] + (t - ts[-1]) * (ks[-1] - ks[-2]) / (ts[-1] - ts[-2])
-        return float(self._k_interp(t))
+        i = bisect.bisect_right(ts, t, 1, len(ts) - 1)  # t < t_1 takes the first segment
+        # rounding can carry a segment an ulp past its right knot: cap it there
+        return min(ks[i - 1] + (t - ts[i - 1]) * (ks[i] - ks[i - 1]) / (ts[i] - ts[i - 1]), ks[i])
 
     def eta(self, x: float) -> float:
         return self.eta_mu + self.eta_rho * x
@@ -205,10 +201,10 @@ class SurvivalSpec:
 # -- conditional quantities (closed form) -----------------------------------
 
 
-def conditional_ratio(
+def log_conditional_ratio(
     spec: SurvivalSpec, t: float, s: float, x: float, y: float
 ) -> float:
-    """Residual survival P(T > t+s | T > t, x, y), computed in log space."""
+    """ln of the residual survival P(T > t+s | T > t, x, y); -inf where it is 0."""
     shift = spec.beta_x * x + spec.beta_y * y
     log_ratio = (
         _log_survival(spec.k(t + s) + shift, spec.w_law)
@@ -216,7 +212,7 @@ def conditional_ratio(
     )
     if math.isnan(log_ratio):  # ln S(t) is -inf: 0 / 0
         raise ModelError(f"P(T > {t} | x={x}, y={y}) vanished; grid point unusable")
-    return math.exp(log_ratio)
+    return log_ratio
 
 
 # -- marginal quantities (quadrature over the second covariate) -------------
@@ -299,21 +295,24 @@ def check_condition(spec: SurvivalSpec) -> SurvivalVerdict:
     return SurvivalVerdict(condition=condition, gaussian_equiv=gaussian_equiv)
 
 
-def _direction(values: Sequence[float]) -> str:
-    """The way ``values`` move: "down" or "up" when every step moves that
-    way by more than ``_DIRECTION_EPS`` of the larger of its two ends, else
-    "mixed".  The rule is scale-free, so a tail far below 1 still has a
-    direction; a step between two equal values (two 0.0s) is flat."""
-    import numpy as np
-
-    v = np.asarray(values)
-    diffs = np.diff(v)
-    flat = _DIRECTION_EPS * np.maximum(np.abs(v[:-1]), np.abs(v[1:]))
-    if np.all(diffs < -flat):
+def _direction(logs: Sequence[float]) -> str:
+    """The way the values whose logs are ``logs`` move: "down" or "up" when
+    every step moves that way by more than ``_DIRECTION_EPS`` of the larger
+    of its two ends, else "mixed".  On logs that is a step below
+    ln(1 - eps), or above -ln(1 - eps).  The rule is scale-free, so a tail
+    far below 1, or one whose ratio underflows, still has a direction; a
+    step between two -inf (two zeros) is flat."""
+    steps = [b - a for a, b in zip(logs, logs[1:])]
+    if all(d < -_LOG_FLAT for d in steps):
         return "down"
-    if np.all(diffs > flat):
+    if all(d > _LOG_FLAT for d in steps):
         return "up"
     return "mixed"
+
+
+def _log(v: float) -> float:
+    """ln v of a ratio v >= 0, -inf at 0."""
+    return math.log(v) if v > 0.0 else -math.inf
 
 
 def verify_numeric(
@@ -349,11 +348,11 @@ def verify_numeric(
     for t in t_grid:
         for s in s_grid:
             dirs = {
-                _direction([conditional_ratio(spec, t, s, x, y) for x in x_probes])
+                _direction([log_conditional_ratio(spec, t, s, x, y) for x in x_probes])
                 for y in y_probes
             }
             cond_dir = dirs.pop() if len(dirs) == 1 else "mixed"
-            marg_dir = _direction([_residual(marginal, t, s, x) for x in x_probes])
+            marg_dir = _direction([_log(_residual(marginal, t, s, x)) for x in x_probes])
             probes.append(
                 ProbeResult(
                     t=t,

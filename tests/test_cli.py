@@ -709,6 +709,19 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"]["reversal_on_grid"] is False
 
+    @pytest.mark.parametrize("key", ["t", "k"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_knot_is_structured(self, tmp_path, capsys, key, bad):
+        # json writes and reads these as NaN, Infinity and -Infinity; a NaN
+        # passes every order check
+        p = tmp_path / "survival.json"
+        p.write_text(json.dumps(dict(SPEC, k_transform={"t": [0, 1, 2], "k": [0, 1, 2], key: [0, 1, bad]})))
+        for argv in (["survival-check"], ["survival-check", "--numeric"]):
+            assert main([*argv, str(p)]) == EXIT_ERROR
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert json.loads(out)["error"] == {"kind": "ModelError", "message": "k_transform knots must be finite"}
+
     def test_dep_check(self, tmp_path, capsys):
         p = tmp_path / "model.json"
         p.write_text(

@@ -7,7 +7,8 @@ The quadrature of the dependence-function and survival code uses scipy:
 first integral, so importing any module loads none of scipy, and no golden
 case runs the package init of ``scipy.integrate``, ``scipy.special`` or
 ``scipy.interpolate``, each of which costs several times the import of
-numpy (only a survival spec that tabulates K imports ``scipy.interpolate``).
+numpy.  A survival spec that tabulates K loads none of them either: its K
+is piecewise-linear, in plain Python.
 ``import collapsekit`` loads no submodule, ``import collapsekit.cli`` loads
 ``errors`` alone and no numpy, and each verb's handler imports the modules
 it calls.  numpy loads with the first function that builds an array, so
@@ -205,6 +206,22 @@ class TestImportBoundary:
         # the condition is algebra on the coefficients: no scipy module at all
         loaded = scipy_loaded_after({"condition": CASES["survival-check.md"]})
         assert loaded["condition"] == []
+
+    def test_k_spec_loads_no_interpolation(self, tmp_path):
+        # a plain call on a spec that tabulates K loads no scipy module at
+        # all, and the numeric check QUADPACK's extension alone
+        spec = tmp_path / "k.json"
+        spec.write_text(json.dumps({
+            "beta_x": 1.0, "beta_y": -2.0, "eta": {"mu": 0.0, "rho": 0.8},
+            "k_transform": {"t": [0.0, 1.0, 4.0], "k": [0.0, 2.0, 3.0]},
+        }))
+        loaded = scipy_loaded_after({
+            "plain": ["survival-check", str(spec)],
+            "numeric": ["survival-check", "--numeric", str(spec)],
+        })
+        assert loaded["plain"] == []
+        assert "scipy._lib._ccallback" in loaded["numeric"]
+        assert SCIPY_PACKAGES.isdisjoint(loaded["numeric"])
 
 
 class TestVerbModules:

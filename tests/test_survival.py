@@ -18,10 +18,11 @@ from collapsekit.survival import (
     SurvivalVerdict,
     SurvivalSpec,
     _direction,
+    _log,
     _log_survival,
     _survival_function,
     check_condition,
-    conditional_ratio,
+    log_conditional_ratio,
     marginal_ratio,
     marginal_survival,
     verify_numeric,
@@ -56,7 +57,7 @@ class TestConditionalRatio:
         for _ in range(50):
             t = float(rng.uniform(0.0, 2.0))
             x, y = rng.uniform(-1.5, 1.5, 2)
-            rs = [conditional_ratio(spec, t, s, x, y) for s in (0.1, 0.5, 1.0, 2.0)]
+            rs = [math.exp(log_conditional_ratio(spec, t, s, x, y)) for s in (0.1, 0.5, 1.0, 2.0)]
             assert all(0.0 < r <= 1.0 for r in rs)
             assert all(a >= b for a, b in zip(rs, rs[1:]))
 
@@ -65,7 +66,7 @@ class TestConditionalRatio:
         t, s, x, y = 0.5, 0.5, 0.3, -0.2
         shift = 0.5 * x - 1.0 * y
         expected = ndtr(-(t + s + shift)) / ndtr(-(t + shift))
-        assert conditional_ratio(spec, t, s, x, y) == pytest.approx(expected, rel=1e-12)
+        assert math.exp(log_conditional_ratio(spec, t, s, x, y)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestMarginal:
@@ -83,7 +84,7 @@ class TestMarginal:
         spec = SurvivalSpec(beta_x=1.0, beta_y=0.0, eta_rho=0.8)
         for t, s, x in ((0.25, 0.5, -0.5), (1.0, 1.0, 1.0)):
             assert marginal_ratio(spec, t, s, x) == pytest.approx(
-                conditional_ratio(spec, t, s, x, 0.0), rel=1e-10
+                math.exp(log_conditional_ratio(spec, t, s, x, 0.0)), rel=1e-10
             )
 
     @pytest.mark.parametrize("law", W_LAWS)
@@ -140,13 +141,20 @@ class TestVerifyNumeric:
         )
 
     def test_direction_is_relative_to_the_values(self):
-        assert _direction([1e-20, 1e-22, 1e-24]) == "down"
-        assert _direction([-1e-22, -1e-24]) == "up"
+        def direction(*values):
+            return _direction([_log(v) for v in values])
+
+        assert direction(1e-20, 1e-22, 1e-24) == "down"
+        assert direction(1e-24, 1e-22) == "up"
         # a step within 1e-11 of its larger end is flat, at any scale
-        assert _direction([1.0, 1.0 - 1e-13]) == "mixed"
-        assert _direction([1e-300, 1e-300 * (1 - 1e-13)]) == "mixed"
-        assert _direction([1e-300, 0.0]) == "down"
-        assert _direction([0.0, 0.0]) == "mixed"
+        assert direction(1.0, 1.0 - 1e-13) == "mixed"
+        assert direction(1e-300, 1e-300 * (1 - 1e-13)) == "mixed"
+        assert direction(1.0, 1.0 - 2e-11) == direction(1e-300, 1e-300 * (1 - 2e-11)) == "down"
+        assert direction(1.0 - 2e-11, 1.0) == "up"
+        assert direction(1e-300, 0.0) == direction(5e-324, 0.0) == "down"
+        assert direction(0.0, 0.0) == "mixed"
+        # logs of ratios far below the smallest float still have a direction
+        assert _direction([-800.0, -900.0, -1e6]) == "down"
 
     def test_gumbel_tail_below_1e_11_falls(self):
         # at y = -2 the conditional ratios fall strictly, from about 6.6e-4
@@ -155,13 +163,25 @@ class TestVerifyNumeric:
         v = verify_numeric(spec)
         assert v.condition
         assert all(p.marginal_direction == "up" for p in v.probes)
-        last = v.probes[-1]
-        assert all(p.conditional_direction == "down" for p in v.probes[:-1])
+        assert all(p.conditional_direction == "down" for p in v.probes)
         # at t = 2, s = 1 the y = -2 ratios underflow to exactly 0.0 at the
-        # two largest x probes, an equal pair that stays flat
-        assert (last.t, last.s, last.conditional_direction) == (2.0, 1.0, "mixed")
-        assert conditional_ratio(spec, 2.0, 1.0, 0.5, -2.0) == conditional_ratio(spec, 2.0, 1.0, 1.0, -2.0) == 0.0
-        assert not v.reversal_on_grid
+        # two largest x probes, but their logs still fall
+        low, lower = (log_conditional_ratio(spec, 2.0, 1.0, x, -2.0) for x in (0.5, 1.0))
+        assert math.exp(low) == math.exp(lower) == 0.0
+        assert -math.inf < lower < low
+        assert v.reversal_on_grid and v.matches_prediction
+
+    @pytest.mark.parametrize("law", W_LAWS)
+    def test_prediction_confirmed_at_half_and_twice_the_boundary(self, law):
+        # the benchmark oracle ``check_numeric`` on the benchmark's spec
+        # shape (rho at 1/2 or 2 times bx/|by|), for every W law
+        rng = np.random.default_rng(W_LAWS.index(law))
+        for i in range(40):
+            bx, by, mu = (float(v) for v in rng.uniform((0.5, -2.5, -0.5), (1.5, -1.5, 0.5)))
+            rho = (2.0 if i % 2 == 0 else 0.5) * bx / abs(by)
+            v = verify_numeric(SurvivalSpec(beta_x=bx, beta_y=by, eta_mu=mu, eta_rho=rho, w_law=law))
+            assert v.condition == (i % 2 == 0)
+            assert v.matches_prediction is True, (bx, by, mu, rho)
 
     def test_bad_grids_rejected(self):
         spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, eta_rho=0.8)
@@ -188,11 +208,11 @@ def reference_verify(spec):
     for t in DEFAULT_T_GRID:
         for s in DEFAULT_S_GRID:
             dirs = {
-                _direction([conditional_ratio(spec, t, s, x, y) for x in DEFAULT_X_PROBES])
+                _direction([log_conditional_ratio(spec, t, s, x, y) for x in DEFAULT_X_PROBES])
                 for y in DEFAULT_Y_PROBES
             }
             cond_dir = dirs.pop() if len(dirs) == 1 else "mixed"
-            marg_dir = _direction([marginal_ratio(spec, t, s, x) for x in DEFAULT_X_PROBES])
+            marg_dir = _direction([_log(marginal_ratio(spec, t, s, x)) for x in DEFAULT_X_PROBES])
             probes.append(ProbeResult(t, s, cond_dir, marg_dir, cond_dir == "down" and marg_dir == "up"))
     return SurvivalVerdict(
         flags.condition, flags.gaussian_equiv, tuple(probes), all(p.reversal for p in probes)
@@ -244,9 +264,7 @@ class TestBaselineLaws:
             (0.5, 0.5, 0.0, 2.0),
             (1.5, 0.1, -0.5, -0.5),
         ):
-            ratio = math.log(conditional_ratio(spec, t, s, x, y)) / math.log(
-                conditional_ratio(spec, t, s, 0.0, 0.0)
-            )
+            ratio = log_conditional_ratio(spec, t, s, x, y) / log_conditional_ratio(spec, t, s, 0.0, 0.0)
             assert ratio == pytest.approx(math.exp(0.7 * x - 0.3 * y), rel=1e-12)
 
     def test_logistic_survival_is_proportional_odds(self):
@@ -273,8 +291,8 @@ class TestKTransform:
         )
         spec_id = SurvivalSpec(beta_x=1.0, beta_y=-2.0, eta_rho=0.8)
         for t, s, x, y in ((0.25, 0.5, 0.3, -0.5), (1.0, 1.0, -1.0, 1.0)):
-            assert conditional_ratio(spec_tab, t, s, x, y) == pytest.approx(
-                conditional_ratio(spec_id, t, s, x, y), rel=1e-9
+            assert math.exp(log_conditional_ratio(spec_tab, t, s, x, y)) == pytest.approx(
+                math.exp(log_conditional_ratio(spec_id, t, s, x, y)), rel=1e-9
             )
 
     def test_monotone_required(self):
@@ -286,16 +304,55 @@ class TestKTransform:
             )
 
     @pytest.mark.parametrize(
-        "knots",
+        "knots, steep",
         [
-            ((0.0, 1.0, 2.0), (-1e308, 0.0, 1e308)),
-            ((0.0, 1e-300, 1.0), (0.0, 1e10, 2e10)),  # an infinite knot derivative
-            ((0.0, 1e-200, 1.0), (0.0, 1e-100, 1.0)),  # finite derivatives, infinite coefficients
+            (((0.0, 1.0, 2.0), (-1e308, 0.0, 1e308)), False),  # slopes of 1e308
+            (((0.0, 1e-300, 1.0), (0.0, 1e10, 2e10)), True),  # a slope of 1e310
+            (((0.0, 1e-200, 1.0), (0.0, 1e-100, 1.0)), False),  # slopes of 1e100 and 1
         ],
+        ids=["knots0", "knots1", "knots2"],
     )
-    def test_overflowing_cubic_rejected(self, knots):
-        with pytest.raises(ModelError, match="too steep"):
+    def test_too_steep_is_an_infinite_slope(self, knots, steep):
+        if steep:
+            with pytest.raises(ModelError, match=r"too steep: its slope on \[0.0, 1e-300\] overflows"):
+                SurvivalSpec(beta_x=1.0, beta_y=-2.0, k_transform=knots)
+        else:
+            spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, k_transform=knots)
+            assert [spec.k(t) for t in knots[0]] == list(knots[1])
+
+    @pytest.mark.parametrize(
+        "knots",
+        [((-1e308, 1e308), (0.0, 1.0)), ((0.0, 10.0), (0.0, 5e-324))],
+        ids=["span-overflows", "slope-underflows"],
+    )
+    def test_too_flat_is_a_zero_slope(self, knots):
+        # either would make K constant on the whole segment
+        with pytest.raises(ModelError, match="too flat: its slope on .* underflows"):
             SurvivalSpec(beta_x=1.0, beta_y=-2.0, k_transform=knots)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_knots_must_be_finite(self, bad):
+        # a NaN knot passes the order check: every comparison with it is false
+        for knots in (((0.0, 1.0, bad), (0.0, 1.0, 2.0)), ((0.0, 1.0, 2.0), (0.0, 1.0, bad))):
+            with pytest.raises(ModelError, match="^k_transform knots must be finite$"):
+                SurvivalSpec(beta_x=1.0, beta_y=-2.0, k_transform=knots)
+
+    def test_exact_and_monotone_at_every_knot(self):
+        rng = np.random.default_rng(35)
+        knots = 0
+        for _ in range(2000):
+            m = int(rng.integers(2, 9))
+            scale_t, scale_k = 10.0 ** rng.uniform(-6.0, 6.0, 2)
+            ts = tuple(np.cumsum(rng.exponential(scale_t, m)) + rng.uniform(-1.0, 1.0) * scale_t * m)
+            ks = tuple(np.cumsum(rng.exponential(scale_k, m)) + rng.uniform(-1.0, 1.0) * scale_k * m)
+            if any(b <= a for seq in (ts, ks) for a, b in zip(seq, seq[1:])):
+                continue  # two knots rounded together
+            spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, k_transform=(ts, ks))
+            for t, k in zip(ts, ks):
+                assert spec.k(t) == k
+                assert spec.k(math.nextafter(t, -math.inf)) <= k <= spec.k(math.nextafter(t, math.inf))
+                knots += 1
+        assert knots > 10_000
 
     def test_interpolation_is_monotone(self):
         ts = (0.0, 0.5, 1.0, 2.0, 4.0)
@@ -307,7 +364,7 @@ class TestKTransform:
 
 
     def test_extrapolation_is_linear_and_increasing(self):
-        # PCHIP's end derivative is 0 here; the secant slopes are 1.8 and 0.2
+        # the secant slopes of the end segments are 1.8 and 0.2
         spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, k_transform=((0.0, 0.5, 1.0), (0.0, 0.9, 1.0)))
         assert spec.k(3.0) == pytest.approx(1.4, abs=1e-15)
         assert spec.k(-1.0) == pytest.approx(-1.8, abs=1e-15)
