@@ -18,10 +18,10 @@ x-derivative of f(w | x) vanishes.  Both quantities are evaluated on a
 grid, with adaptive quadrature (QUADPACK, through ``quadpack.quad``) falling
 back to a fixed 201-point Simpson rule if the adaptive routine fails to
 converge.  Each family builds one pair of integrand closures per grid point
-(``DependenceModel.integrands``).  Each closure is one Python frame per
-evaluation and does the float operations of dep(y, x, w) f(w | x), or of
-cdf(y, x, w) df(w | x)/dx, in the order the pointwise pieces do them, so
-the integrals keep their bits.
+(its ``integrands``; ``DependenceModel`` states the contract).  Each closure
+is one Python frame per evaluation and does the float operations of
+dep(y, x, w) f(w | x), or of cdf(y, x, w) df(w | x)/dx, in the order the
+pointwise pieces do them, so the integrals keep their bits.
 Only QUADPACK's compiled extension loads, on the first integral;
 ``scipy.integrate`` itself never loads, and importing this module loads no
 scipy.
@@ -88,60 +88,30 @@ def _integrate(f, lo: float, hi: float, points: Sequence[float] = ()) -> tuple[f
 class DependenceModel:
     """Base class for registered parametric families.
 
-    Subclasses provide the conditional distribution function, its
-    x-derivative (the dependence function), the quadrature integrands over
-    the mixing law of W given x, and a closed-form marginal dependence
-    function.
+    Each family provides ``cdf(y, x, w)``, the conditional distribution
+    function; ``dep(y, x, w)``, its x-derivative (the dependence function);
+    ``w_interval(x)``, the integration range of W given x;
+    ``x_w_independent`` and ``y_w_cond_independent``, its independence
+    structure; ``marginal_dep(y, x)``, the closed-form x-derivative of the
+    marginal CDF F(y | x); ``to_json_dict()``; and ``integrands(y, x)``,
+    the pair (expected, mixing) of closures over w at one grid point.
+
+    ``expected(w)`` is dep(y, x, w) f(w | x) and ``mixing(w)`` is
+    cdf(y, x, w) df(w | x)/dx, with f the density of W given x.  Each is
+    one frame that does the float operations of the pointwise product in
+    the same order, so it returns the same bits, and raises ModelError
+    where the product is not finite: QUADPACK fed NaN next to finite
+    values can read outside its interval list and crash the process.
     """
 
     family: str = ""
 
-    # conditional pieces -----------------------------------------------------
-    def cdf(self, y: float, x: float, w: float) -> float:
-        raise NotImplementedError
-
-    def dep(self, y: float, x: float, w: float) -> float:
-        raise NotImplementedError
-
-    def integrands(self, y: float, x: float) -> tuple[Integrand, Integrand]:
-        """The pair (expected, mixing) of closures over w at one grid point.
-
-        ``expected(w)`` is dep(y, x, w) f(w | x) and ``mixing(w)`` is
-        cdf(y, x, w) df(w | x)/dx, with f the density of W given x.  Each
-        is one frame that does the float operations of the pointwise
-        product in the same order, so it returns the same bits, and raises
-        ModelError where the product is not finite: QUADPACK fed NaN next
-        to finite values can read outside its interval list and crash the
-        process.
-        """
-        raise NotImplementedError
-
-    def w_interval(self, x: float) -> tuple[float, float]:
-        raise NotImplementedError
-
     def w_breakpoints(self, y: float, x: float) -> tuple[float, ...]:
         return ()
-
-    # independence structure -------------------------------------------------
-    @property
-    def x_w_independent(self) -> bool:
-        raise NotImplementedError
-
-    @property
-    def y_w_cond_independent(self) -> bool:
-        raise NotImplementedError
-
-    # marginal pieces ---------------------------------------------------------
-    def marginal_dep(self, y: float, x: float) -> float:
-        """Closed-form x-derivative of the marginal CDF F(y | x)."""
-        raise NotImplementedError
 
     def grid_domain(self, ys: Iterable[float], xs: Iterable[float]) -> list[tuple[float, float]]:
         """Filter a candidate (y, x) grid to the family's domain."""
         return [(y, x) for y in ys for x in xs]
-
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
 
 
 class GaussianLinearInteraction(DependenceModel):

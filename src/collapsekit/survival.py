@@ -86,9 +86,8 @@ def _log_survival(z: float, law: str) -> float:
             return -math.exp(z)
         except OverflowError:  # S(z) underflows to 0
             return -math.inf
-    if law == "logistic":  # S(z) = 1 / (1 + e^z)
-        return -(z + math.log1p(math.exp(-z))) if z > 0 else -math.log1p(math.exp(z))
-    raise ModelError(f"unknown baseline law {law!r}; use one of {W_LAWS}")
+    # logistic, the last of W_LAWS (SurvivalSpec rejects any other): S(z) = 1 / (1 + e^z)
+    return -(z + math.log1p(math.exp(-z))) if z > 0 else -math.log1p(math.exp(z))
 
 
 def _survival_function(law: str):

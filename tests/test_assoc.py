@@ -110,6 +110,11 @@ class TestValidation:
             with pytest.raises(DistributionError):
                 BivariateJoint(levels, (0.0, 1.0), np.full((2, 2), 0.25))
 
+    def test_unknown_direction(self):
+        b = BivariateJoint((0.0, 1.0), (0.0, 1.0), np.full((2, 2), 0.25))
+        with pytest.raises(DistributionError, match="direction must be 'up' or 'down'"):
+            holds_relation(b, "r1", direction="sideways")
+
     def test_json_roundtrip(self):
         j = covariance_flip_witness()
         back = FiniteJoint.from_json(j.to_json())

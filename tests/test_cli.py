@@ -660,8 +660,15 @@ class TestExitCodes:
                 '{"family": "gaussian-linear-interaction", "alpha": [1, 2, 1], "sigma": 1e-200}',
                 "ModelError", "(Y | x=-2.0) has zero spread: sigma 1e-200 is too small",
             ),
+            # pi s_xx underflows to 0 and the stratum means are equal, so Var(X) = 0
+            (
+                ["regress-audit"], "summary.json",
+                '{"levels": [{"pi": 0.5, "alpha": 0, "beta": 1, "mu_x": 0, "s_xx": 5e-324, "s_yy": 1},'
+                ' {"pi": 0.5, "alpha": 0, "beta": 1, "mu_x": 0, "s_xx": 5e-324, "s_yy": 1}]}',
+                "DistributionError", "marginal variance of X is not positive",
+            ),
         ],
-        ids=["assoc-r4", "assoc-r2", "records", "summary", "survival-numeric", "dep-check"],
+        ids=["assoc-r4", "assoc-r2", "records", "summary", "survival-numeric", "dep-check", "summary-var-x"],
     )
     def test_overflow_is_structured(self, tmp_path, capsys, argv, name, text, kind, message):
         p = tmp_path / name
@@ -810,6 +817,45 @@ HUGE = "1" * 5000
 DEEP = "[" * 100_000 + "]" * 100_000
 
 
+class TestScanParadox:
+    ARGV = ["scan-paradox", "--response", "A=Y", "--exposure", "X=M"]
+
+    @staticmethod
+    def table(tmp_path, admission_table, cells, *extra):
+        """A counts table file on the admission variables and ``extra`` ones."""
+        payload = json.loads(admission_table.to_json())
+        payload["variables"] += [{"name": name, "levels": ["u", "v"]} for name in extra]
+        payload["cells"] = cells
+        p = tmp_path / "table.json"
+        p.write_text(json.dumps(payload))
+        return str(p)
+
+    def test_covariate_restricts_the_scan(self, tmp_path, capsys, admission_table):
+        # E is uniform and independent of the rest: D reverses the A-X
+        # association, E does not, so the two candidates exit differently
+        cells = [c for c in admission_table.cells.reshape(-1).tolist() for _ in "uv"]
+        argv = [*self.ARGV, self.table(tmp_path, admission_table, cells, "E")]
+        assert main(argv) == EXIT_DETECTED
+        scan = json.loads(capsys.readouterr().out)["verdict"]["candidates"]
+        assert [c["covariate"] for c in scan] == ["D", "E"]
+        for candidate, code in zip(scan, [EXIT_DETECTED, EXIT_OK]):
+            assert main([*argv, "--covariate", candidate["covariate"]]) == code
+            assert json.loads(capsys.readouterr().out)["verdict"]["candidates"] == [candidate]
+
+    def test_zero_mass_exposure(self, tmp_path, capsys, admission_table):
+        # no observation has X=M
+        path = self.table(tmp_path, admission_table, [0, 0, 2, 4, 0, 0, 6, 1])
+        assert main([*self.ARGV, path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["verdict"]["candidates"] == [
+            {"covariate": "D", "report": None, "error": "exposure event or its complement has zero mass"}
+        ]
+        assert main([*self.ARGV, "--cornfield", "D=H", path]) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "kind": "TableError",
+            "message": "conditioning event has zero mass",
+        }
+
+
 class TestMalformedPayload:
     @staticmethod
     def run(tmp_path, capsys, verb, payload, *options):
@@ -937,6 +983,43 @@ class TestMalformedPayload:
         assert code == EXIT_ERROR
         assert error["kind"] == kind
         assert error["message"].endswith(message)
+
+    @pytest.mark.parametrize(
+        "verb, payload, options, kind, message",
+        [
+            (
+                "ingest",
+                {"variables": [{"name": "B", "levels": ["a", "b"]}, {"name": "A", "levels": ["W", "B"]}]},
+                [],
+                "TableError",
+                "CSV header ('A', 'B') does not match the declared variables ('B', 'A')",
+            ),
+            ("scan-paradox", TABLE, ["--response", "A", "--exposure", "B=a"], "SchemeError", "expected VAR=LEVEL, got 'A'"),
+            ("collapse-check", TABLE, ["--target", ",", "--margin", "A"], "SchemeError", "empty variable subset ','"),
+            ("collapse-check", TABLE, ["--target", "7", "--margin", "A"], "SchemeError", "axis 7 out of range for 2 variables"),
+            ("collapse-check", TABLE, ["--target", "A"], "SchemeError", "--margin is required without --strict"),
+            ("collapse-check", TABLE, ["--strict", "--target", "A,B"], "SchemeError", "target and collapsed must be nonempty"),
+            ("regress-audit", {"levels": []}, [], "DistributionError", "summary needs at least one stratum"),
+            ("survival-check", dict(SPEC, beta_x=math.nan), [], "ModelError", "coefficients must be finite"),
+            (
+                "survival-check",
+                dict(SPEC, k_transform={"t": [0, 1, 2], "k": [0, 1]}),
+                [],
+                "ModelError",
+                "k_transform needs two aligned sequences, length >= 2",
+            ),
+            ("decompose", dict(TABLE, variables=[]), [], "SchemeError", "scheme needs at least one variable"),
+            ("decompose", dict(TABLE, cells=[1, math.nan, 3, 4]), [], "TableError", "cells must be finite"),
+        ],
+        ids=[
+            "header-order", "event", "empty-subset", "axis-range", "no-margin", "strict-all",
+            "no-stratum", "nan-coefficient", "ragged-knots", "no-variable", "nan-cell",
+        ],
+    )
+    def test_input_fault_is_structured(self, tmp_path, capsys, verb, payload, options, kind, message):
+        # json.dumps writes math.nan as the JSON literal NaN
+        code, error = self.run(tmp_path, capsys, verb, payload, *options)
+        assert (code, error) == (EXIT_ERROR, {"kind": kind, "message": message})
 
     def test_nested_cells_are_read(self, tmp_path, capsys):
         flat = self.run(tmp_path, capsys, "decompose", TABLE)

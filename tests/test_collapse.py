@@ -43,6 +43,10 @@ class TestPlainCollapsibility:
             assert v.collapsible
             assert v.max_residual <= 1e-12
 
+    def test_empty_target(self, admission_table):
+        with pytest.raises(SchemeError, match="target must be nonempty"):
+            check_collapsibility(admission_table.normalize(), [], ["A", "X"])
+
     def test_admission_not_collapsible(self, admission_table):
         v = check_collapsibility(admission_table.normalize(), ["A", "X"], ["A", "X"])
         assert not v.collapsible

@@ -25,7 +25,7 @@ PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 # Reference pieces: the mixing law's density and its x-derivative, pointwise.
-# ``DependenceModel.integrands`` fuses dep(y, x, w) * w_density(model, w, x)
+# A family's ``integrands`` fuses dep(y, x, w) * w_density(model, w, x)
 # and cdf(y, x, w) * w_density_dx(model, w, x) into one closure each.
 
 
@@ -319,21 +319,23 @@ class TestFusedIntegrands:
             )
 
     @pytest.mark.parametrize(
-        "model, y, which, w",
+        "model, y, x, which, w",
         [
-            (GaussianLinearInteraction(0.0, 1e308, -1e308, 1.0, 0.5), 0.0, 0, 2.0),
-            (GaussianLinearInteraction(0.0, 1e308, -1e308, 1.0, 0.5), 0.0, 1, 2.0),
-            (UniformQuadratic(), 0.5, 1, math.inf),
+            (GaussianLinearInteraction(0.0, 1e308, -1e308, 1.0, 0.5), 0.0, 1.0, 0, 2.0),
+            (GaussianLinearInteraction(0.0, 1e308, -1e308, 1.0, 0.5), 0.0, 1.0, 1, 2.0),
+            (UniformQuadratic(), 0.5, 1.0, 1, math.inf),
+            (UniformQuadratic(), 0.5, math.nan, 0, 0.0),
         ],
-        ids=["gauss-expected", "gauss-mixing", "uniform-mixing"],
+        ids=["gauss-expected", "gauss-mixing", "uniform-mixing", "uniform-expected"],
     )
-    def test_non_finite_integrand_is_structured(self, model, y, which, w):
+    def test_non_finite_integrand_is_structured(self, model, y, x, which, w):
         # the Gaussian mean is inf - inf at x = 1, w = 2, so both closures
-        # see NaN; the uniform mixing one is inf * 0 at w = inf
-        f = model.integrands(y, 1.0)[which]
+        # see NaN; the uniform mixing one is inf * 0 at w = inf, and the
+        # uniform expected one is NaN at x = NaN
+        f = model.integrands(y, x)[which]
         with pytest.raises(ModelError) as info:
             f(w)
-        assert str(info.value) == f"the integrand at (y={y!r}, x=1.0) is not finite at w={w!r}"
+        assert str(info.value) == f"the integrand at (y={y!r}, x={x!r}) is not finite at w={w!r}"
 
 
 class TestMarginals:

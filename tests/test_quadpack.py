@@ -10,6 +10,7 @@ it runs each through the helper and through the public
 be equal with ``==`` and every convergence flag must be "no message".
 """
 
+import importlib.machinery
 import math
 
 import numpy as np
@@ -98,3 +99,18 @@ class TestBitwise:
 
     def test_empty_interval(self):
         assert quadpack.quad(math.exp, 1.5, 1.5, 1e-10, 1e-10, 50) == (0.0, True)
+
+
+class TestMissingExtension:
+    # _extension is cached; __wrapped__ runs the lookup afresh
+    def test_no_scipy(self, monkeypatch):
+        monkeypatch.setattr(quadpack.importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="install scipy$"):
+            quadpack._extension.__wrapped__()
+
+    def test_scipy_without_quadpack(self, monkeypatch, tmp_path):
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(quadpack.importlib.util, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError, match=r"has no scipy\.integrate\._quadpack$"):
+            quadpack._extension.__wrapped__()

@@ -175,3 +175,10 @@ def test_subset_keys_with_quotes_stay_valid_json():
     probs = build_table(scheme, [1, 6, 2, 4, 4, 2, 6, 1], "counts").normalize()
     report = as_report(check_strict_collapsibility(probs, ('A"', "X\\"), (), ("D",)))
     assert set(json.loads(dumps_report(report))["set_gaps"]) == {'A"', "X\\", 'A",X\\'}
+
+
+def test_empty_dict_and_unserializable_leaf():
+    assert dumps_report({}) == "{}"
+    assert dumps_report({"a": {}}) == '{\n  "a": {}\n}'
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        dumps_report({"a": object()})

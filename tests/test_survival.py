@@ -417,6 +417,14 @@ class TestJson:
         )
         assert back.to_json_dict() == spec.to_json_dict()
 
+    def test_k_transform_roundtrip(self):
+        spec = SurvivalSpec(beta_x=1.0, beta_y=-2.0, eta_rho=0.8, k_transform=((0, 1, 3), (-1, 0.5, 2)))
+        payload = spec.to_json_dict()
+        assert payload["k_transform"] == {"t": [0.0, 1.0, 3.0], "k": [-1.0, 0.5, 2.0]}
+        back = SurvivalSpec.from_json_dict(payload)
+        assert back.k_transform == spec.k_transform
+        assert back.to_json_dict() == payload
+
     def test_malformed(self):
         with pytest.raises(ModelError):
             SurvivalSpec.from_json('{"beta_x": 1.0}')

@@ -12,6 +12,7 @@ from collapsekit.tables import (
     ContingencyTable,
     build_table,
     ci_deviation,
+    probabilities,
 )
 
 from conftest import ci_constructed_table, random_positive_table
@@ -66,6 +67,12 @@ class TestBuildTable:
     def test_negative_cell(self):
         with pytest.raises(TableError):
             build_table(scheme2x2(), [1, 2, 3, -1], "counts")
+
+    def test_wrong_shape(self):
+        with pytest.raises(TableError, match=r"cell array shape \(4,\) does not match scheme shape \(2, 2\)"):
+            ContingencyTable(scheme2x2(), np.full(4, 0.25), "probability")
+        with pytest.raises(TableError, match=r"joint has shape \(4,\), not \(2, 2\)"):
+            probabilities(np.full(4, 0.25), TableError, "joint", (2, 2))
 
     def test_bad_sum(self):
         with pytest.raises(TableError):
