@@ -1,7 +1,7 @@
 """Run the tier-1 suite under a stdlib line tracer and list the statements
 of src/collapsekit that no test runs.
 
-    PYTHONPATH=src python tools/reach.py [pytest args]
+    PYTHONPATH=src python tools/reach.py
 
 Exits 1 if a test fails or a statement outside ALLOWED never runs.
 Subprocesses started by a test are not traced.
@@ -79,7 +79,7 @@ def unreached(path):
 
 if __name__ == "__main__":
     sys.settrace(trace_calls)
-    code = pytest.main(["-q", *sys.argv[1:]], plugins=[Retrace()])
+    code = pytest.main(["-q"], plugins=[Retrace()])
     sys.settrace(None)
     found = sorted({(p.name, *u) for p in SRC.glob("*.py") for u in unreached(p)})
     left = [f for f in found if (f[0], *f[2:]) not in ALLOWED]
