@@ -249,22 +249,20 @@ def _csv_lines(path: str) -> tuple[list[str], bool]:
     is one record.
 
     It is when the text holds no quote, so no field spans lines or hides a
-    comma, no NUL, which csv.reader rejects on Python 3.10, and no line over
-    ``csv.field_size_limit()``, so no field is over it.  ``line.split(",")``
-    is then csv.reader's row, except that a blank line gives ``[""]``, not
-    ``[]``.  Lines keep their ends only when the text holds a quote, so
-    csv.reader keeps a quoted field's line breaks.  ``str.splitlines`` is the
-    fast split, used unless the text holds one of the other characters it
-    splits at (a memchr scan each).
+    comma, no NUL, which csv.reader rejects on Python 3.10, no line over
+    ``csv.field_size_limit()``, so no field is over it, and none of the
+    other characters ``str.splitlines`` ends a line at (a memchr scan each).
+    ``line.split(",")`` is then csv.reader's row, except that a blank line
+    gives ``[""]``, not ``[]``.  A text with one of those characters is split
+    at LF, CR and CRLF with the ends kept, and csv.reader reads it.  Lines
+    keep their ends when the text holds a quote, so csv.reader keeps a
+    quoted field's line breaks.
     """
     text = _read_bytes(path).decode("utf-8-sig")
-    quoted = '"' in text
     if any(c in text for c in _SPLITLINES_ONLY):
-        lines = io.StringIO(text, newline="").readlines()
-        if not quoted:
-            lines = [line.rstrip("\r\n") for line in lines]
-    else:
-        lines = text.splitlines(keepends=quoted)
+        return io.StringIO(text, newline="").readlines(), False
+    quoted = '"' in text
+    lines = text.splitlines(keepends=quoted)
     by_line = not quoted and "\0" not in text
     return lines, by_line and max(map(len, lines), default=0) <= csv.field_size_limit()
 
@@ -505,6 +503,8 @@ def _cmd_scan_paradox(args):
     else:
         scans = paradox.scan_strata(table, response, exposure)
     reports = [s.report for s in scans if s.report is not None]
+    if not reports:  # a scan that decides nothing is an input error
+        raise TableError(scans[0].error)
     detected = any(r.reversal for r in reports)
     verdict = {"candidates": as_report(scans), "reversal_detected": detected}
     if args.cornfield:

@@ -15,16 +15,16 @@ Average collapsibility over W asks whether averaging the conditional
 dependence function against f(w | x) reproduces the marginal dependence
 function; equivalently, whether the integral of F(y | x, w) against the
 x-derivative of f(w | x) vanishes.  Both quantities are evaluated on a
-grid, with adaptive quadrature (QUADPACK, through ``quadpack.quad``) falling
-back to a fixed 201-point Simpson rule if the adaptive routine fails to
-converge.  Each family builds one pair of integrand closures per grid point
-(its ``integrands``; ``DependenceModel`` states the contract).  Each closure
-is one Python frame per evaluation and does the float operations of
-dep(y, x, w) f(w | x), or of cdf(y, x, w) df(w | x)/dx, in the order the
-pointwise pieces do them, so the integrals keep their bits.
-Only QUADPACK's compiled extension loads, on the first integral;
-``scipy.integrate`` itself never loads, and importing this module loads no
-scipy.
+grid by adaptive quadrature (QUADPACK, through ``quadpack.quad``); an
+integral that does not converge keeps QUADPACK's own estimate, and the
+verdict flags it (``quadrature_ok`` false).  Each family builds one pair of
+integrand closures per grid point (its ``integrands``; ``DependenceModel``
+states the contract).  Each closure is one Python frame per evaluation and
+does the float operations of dep(y, x, w) f(w | x), or of cdf(y, x, w)
+df(w | x)/dx, in the order the pointwise pieces do them, so the integrals
+keep their bits.  Only QUADPACK's compiled extension loads, on the first
+integral; ``scipy.integrate`` itself never loads, and importing this module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import ModelError, loads, malformed, number, numbers
 from .quadpack import quad
@@ -64,25 +62,8 @@ def _not_finite(y: float, x: float, w: float) -> ModelError:
 
 
 def _integrate(f, lo: float, hi: float, points: Sequence[float] = ()) -> tuple[float, bool]:
-    """Adaptive quadrature with a fixed-grid fallback; returns (value, converged)."""
-    val, converged = quad(f, lo, hi, QUAD_TOL, QUAD_TOL, 400, points)
-    if converged:
-        return val, True
-    # composite Simpson on 200 panels, in the panel-width form and summation
-    # order of scipy.integrate.simpson(vals, x=grid), so the fallback keeps
-    # its bits; f sees Python floats, so an overflow is inf, not a warning
-    grid = np.linspace(lo, hi, 201)
-    vals = np.array([f(t) for t in grid.tolist()])
-    h = np.diff(grid)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    panels = hsum / 6.0 * (
-        vals[0:-2:2] * (2.0 - 1.0 / ratio)
-        + vals[1:-1:2] * (hsum * (hsum / (h0 * h1)))
-        + vals[2::2] * (2.0 - ratio)
-    )
-    return float(np.sum(panels)), False
+    """QUADPACK's (value, converged); an unconverged value is its own estimate."""
+    return quad(f, lo, hi, QUAD_TOL, QUAD_TOL, 400, points)
 
 
 class DependenceModel:
@@ -389,7 +370,9 @@ class DepVerdict:
     ``max_residual`` is the worst |E_{W|x}[dF/dx] - dF(y|x)/dx|;
     ``integral_residual`` the worst |∫ F(y|x,w) df(w|x)/dx dw|.  Every
     registered family has a closed-form marginal dependence function, so
-    ``marginal_route`` is always "closed-form".
+    ``marginal_route`` is always "closed-form".  ``quadrature_ok`` is false
+    when some integral did not converge; its value is then QUADPACK's
+    estimate.
     """
 
     avg_collapsible: bool

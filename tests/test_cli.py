@@ -468,6 +468,19 @@ class TestExitCodes:
         assert error["kind"] == "ModelError"
         assert "(y=-2.0, x=-2.0)" in error["message"] and "not finite" in error["message"]
 
+    def test_unconverged_quadrature_is_flagged(self, tmp_path, capsys):
+        # with sigma this small dF/dx is a spike in w that some of the
+        # default grid's integrals do not resolve
+        p = tmp_path / "gauss.json"
+        p.write_text(
+            '{"family":"gaussian-linear-interaction","alpha":[-2.91,0.17,-2.64],'
+            '"sigma":1.8e-11,"w_law":{"type":"normal","mean_slope":-0.62}}'
+        )
+        assert main(["dep-check", str(p)]) == EXIT_DETECTED
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["verdict"]["avg_collapsibility"]["quadrature_ok"] is False
+
     @pytest.mark.parametrize(
         "flags, named",
         [
@@ -595,11 +608,11 @@ class TestExitCodes:
         p = tmp_path / "huge.json"
         p.write_text(json.dumps(payload))
         argv = ["scan-paradox", "--response", "v0=1", "--exposure", "v1=1", str(p)]
-        assert main(argv) == EXIT_OK
+        # both candidates overflow, so the scan decides nothing
+        assert main(argv) == EXIT_ERROR
         out, err = capsys.readouterr()
         assert err == ""
-        candidates = json.loads(out)["verdict"]["candidates"]
-        assert [c["error"] for c in candidates] == ["cell sums overflow a float"] * 2
+        assert json.loads(out)["error"] == {"kind": "TableError", "message": "cell sums overflow a float"}
 
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
     def test_underflowing_cell_is_structured(self, tmp_path, capsys):
@@ -843,12 +856,29 @@ class TestScanParadox:
             assert json.loads(capsys.readouterr().out)["verdict"]["candidates"] == [candidate]
 
     def test_zero_mass_exposure(self, tmp_path, capsys, admission_table):
-        # no observation has X=M; the plain scan's exit code is left unchecked,
-        # since a scan in which every candidate errored decides nothing
+        # no observation has X=M, so the scan's one candidate errors and the
+        # scan decides nothing, as with --covariate D
         path = self.table(tmp_path, admission_table, [0, 0, 2, 4, 0, 0, 6, 1])
-        main([*self.ARGV, path])
-        assert json.loads(capsys.readouterr().out)["verdict"]["candidates"] == [
-            {"covariate": "D", "report": None, "error": "exposure event or its complement has zero mass"}
+        for argv in ([*self.ARGV, path], [*self.ARGV, "--covariate", "D", path]):
+            assert main(argv) == EXIT_ERROR
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert json.loads(out)["error"] == {
+                "kind": "TableError",
+                "message": "exposure event or its complement has zero mass",
+            }
+
+    def test_zero_mass_cornfield_event(self, tmp_path, capsys, admission_table):
+        # no observation has D=H: the scan decides on E (uniform and
+        # independent of the rest) and reports D's error, while the
+        # Cornfield diagnostics for D=H have no conditioning mass
+        cells = [c * (d == "G") for c, d in zip(admission_table.cells.reshape(-1).tolist(), "HG" * 4)]
+        path = self.table(tmp_path, admission_table, [c for c in cells for _ in "uv"], "E")
+        assert main([*self.ARGV, path]) == EXIT_OK
+        scan = json.loads(capsys.readouterr().out)["verdict"]["candidates"]
+        assert [(c["covariate"], c["error"]) for c in scan] == [
+            ("D", "conditioning event has zero mass"),
+            ("E", None),
         ]
         assert main([*self.ARGV, "--cornfield", "D=H", path]) == EXIT_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == {

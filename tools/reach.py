@@ -3,8 +3,10 @@ of src/collapsekit that no test runs.
 
     PYTHONPATH=src python tools/reach.py
 
-Exits 1 if a test fails or a statement outside ALLOWED never runs.
-Subprocesses started by a test are not traced.
+Exits 1 if a test fails, a statement outside ALLOWED never runs, or an
+ALLOWED entry is stale: it names no unreached statement, and would excuse
+the next one that matches its text.  Subprocesses started by a test are not
+traced.
 """
 import ast
 import sys
@@ -83,8 +85,11 @@ if __name__ == "__main__":
     sys.settrace(None)
     found = sorted({(p.name, *u) for p in SRC.glob("*.py") for u in unreached(p)})
     left = [f for f in found if (f[0], *f[2:]) not in ALLOWED]
+    stale = sorted(ALLOWED.keys() - {(f[0], *f[2:]) for f in found})
     for name, line, scope, stmt in found:
         mark = "UNREACHED" if (name, line, scope, stmt) in left else "allowed"
         print(f"{mark} src/collapsekit/{name}:{line} in {scope}: {stmt}")
-    print(f"{len(left)} statements unreached outside the allow-list")
-    sys.exit(code or int(bool(left)))
+    for name, scope, stmt in stale:
+        print(f"STALE allow-list entry src/collapsekit/{name} in {scope}: {stmt}")
+    print(f"{len(left)} statements unreached outside the allow-list, {len(stale)} stale allow-list entries")
+    sys.exit(code or int(bool(left or stale)))
