@@ -8,11 +8,11 @@ points.  Four directional relations between Y and X are supported:
 * r3: quadrant dependence, F(y, x) - F_Y(y) F_X(x) one-signed everywhere;
 * r4: covariance sign, Cov(X, Y) > 0 (or < 0).
 
-r1-r3 are evaluated weakly by default; "strict" additionally requires at
-least one step (or one cell for r3) beyond tolerance.  r4 is inherently
-strict.  An association reversal holds when the relation holds in one
-direction conditionally on every w while the marginal relation holds
-strictly in the opposite direction.
+r1-r3 hold weakly: no step (or cell, for r3) is beyond tolerance on the
+wrong side; r4 is inherently strict.  An association reversal holds when
+the relation holds in one direction conditionally on every w while the
+marginal relation holds strictly (also one step or cell beyond tolerance)
+in the opposite direction.  "Down" reads the negated values of "up".
 """
 
 from __future__ import annotations
@@ -114,16 +114,19 @@ def _as_bivariate(dist: "FiniteJoint | BivariateJoint") -> BivariateJoint:
     return dist
 
 
-def _r1_steps(b: BivariateJoint) -> np.ndarray:
+def _values(b: BivariateJoint, rel: str) -> np.ndarray:
+    """The values whose signs decide ``rel`` "up": r1's steps in x of
+    P(Y > y | x), r2's steps of E(Y | x), r3's cells of F(y, x) - F_Y(y) F_X(x),
+    and r4's Cov(X, Y)."""
+    if rel == "r4":
+        return np.array([covariance(b)])
+    if rel == "r3":
+        cdf = b.p.cumsum(axis=0).cumsum(axis=1)
+        return (cdf - np.outer(cdf[:, -1], cdf[-1, :])).reshape(-1)
     p_x = b.p.sum(axis=0)
-    cond = b.p / p_x  # p(y | x)
-    surv = cond[::-1].cumsum(axis=0)[::-1]  # P(Y >= y_k | x)
-    exceed = surv[1:, :]  # P(Y > y_k | x) for thresholds y_0..y_{K-2}
-    return np.diff(exceed, axis=1).reshape(-1)
-
-
-def _r2_steps(b: BivariateJoint) -> np.ndarray:
-    p_x = b.p.sum(axis=0)
+    if rel == "r1":
+        surv = (b.p / p_x)[::-1].cumsum(axis=0)[::-1]  # P(Y >= y_k | x)
+        return np.diff(surv[1:, :], axis=1).reshape(-1)  # thresholds y_0..y_{K-2}
     with np.errstate(over="ignore", invalid="ignore"):
         steps = np.diff((np.asarray(b.y_levels)[:, None] * b.p).sum(axis=0) / p_x)
     if not np.all(np.isfinite(steps)):
@@ -131,11 +134,16 @@ def _r2_steps(b: BivariateJoint) -> np.ndarray:
     return steps
 
 
-def _r3_cells(b: BivariateJoint) -> np.ndarray:
-    cdf = b.p.cumsum(axis=0).cumsum(axis=1)
-    f_y = cdf[:, -1]
-    f_x = cdf[-1, :]
-    return (cdf - np.outer(f_y, f_x)).reshape(-1)
+def _holds(vals: np.ndarray, rel: str, tol: float) -> bool:
+    """``rel`` "up" on its values: weakly for r1-r3, r4's one value above ``tol``."""
+    return bool(vals[0] > tol) if rel == "r4" else bool(np.all(vals >= -tol))
+
+
+def _relation(relation: str) -> str:
+    rel = relation.lower()
+    if rel not in RELATIONS:
+        raise DistributionError(f"unknown relation {relation!r}; use one of {RELATIONS}")
+    return rel
 
 
 def covariance(dist: "FiniteJoint | BivariateJoint") -> float:
@@ -154,38 +162,18 @@ def covariance(dist: "FiniteJoint | BivariateJoint") -> float:
 
 
 def holds_relation(
-    dist: "FiniteJoint | BivariateJoint",
-    relation: str,
-    direction: str = "up",
-    tol: float = DEFAULT_TOL,
-    strict: bool = False,
+    dist: "FiniteJoint | BivariateJoint", relation: str, direction: str = "up", tol: float = DEFAULT_TOL
 ) -> bool:
     """Does the directional relation hold for (Y, X)?
 
     A FiniteJoint argument is marginalized over W first; pass a conditional
-    slice to evaluate within a stratum.  ``strict`` requires at least one
-    step/cell beyond tolerance for r1-r3 and is implied for r4.
+    slice to evaluate within a stratum.
     """
-    rel = relation.lower()
-    if rel not in RELATIONS:
-        raise DistributionError(f"unknown relation {relation!r}; use one of {RELATIONS}")
+    rel = _relation(relation)
     if direction not in ("up", "down"):
         raise DistributionError("direction must be 'up' or 'down'")
-    b = _as_bivariate(dist)
-    sign = 1.0 if direction == "up" else -1.0
-
-    if rel == "r4":
-        return sign * covariance(b) > tol
-    if rel == "r1":
-        vals = sign * _r1_steps(b)
-    elif rel == "r2":
-        vals = sign * _r2_steps(b)
-    else:
-        vals = sign * _r3_cells(b)
-    weak = bool(np.all(vals >= -tol))
-    if not strict:
-        return weak
-    return weak and bool(np.any(vals > tol))
+    vals = _values(_as_bivariate(dist), rel)
+    return _holds(vals if direction == "up" else -vals, rel, tol)
 
 
 @dataclass(frozen=True)
@@ -249,23 +237,19 @@ def detect_assoc_reversal(
     dist: FiniteJoint, relation: str, tol: float = DEFAULT_TOL
 ) -> AssocReversalReport:
     """Reversal check: one weak direction in every stratum, strictly the other marginally."""
+    rel = _relation(relation)
     per_w = []
     for k in range(len(dist.w_levels)):
-        cond = dist.conditional_yx(k)
-        per_w.append(
-            (
-                holds_relation(cond, relation, "up", tol),
-                holds_relation(cond, relation, "down", tol),
-            )
-        )
+        vals = _values(dist.conditional_yx(k), rel)
+        per_w.append((_holds(vals, rel, tol), _holds(-vals, rel, tol)))
     cond_up = all(u for u, _ in per_w)
     cond_down = all(d for _, d in per_w)
-    marg = dist.marginal_yx()
-    marg_up = holds_relation(marg, relation, "up", tol, strict=True)
-    marg_down = holds_relation(marg, relation, "down", tol, strict=True)
+    vals = _values(dist.marginal_yx(), rel)
+    marg_up = _holds(vals, rel, tol) and bool(np.any(vals > tol))
+    marg_down = _holds(-vals, rel, tol) and bool(np.any(vals < -tol))
     reversal = (cond_up and marg_down) or (cond_down and marg_up)
     return AssocReversalReport(
-        relation=relation.lower(),
+        relation=rel,
         conditional_up=cond_up,
         conditional_down=cond_down,
         marginal_up_strict=marg_up,
@@ -274,4 +258,3 @@ def detect_assoc_reversal(
         reversal=reversal,
         tol=tol,
     )
-

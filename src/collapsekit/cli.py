@@ -98,7 +98,7 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps_report(obj, indent: int = 0) -> str:
+def dumps_report(obj) -> str:
     """JSON text with sorted keys and fixed float formatting.
 
     The value is walked once into a flat list of text pieces.  A list or
@@ -112,7 +112,7 @@ def dumps_report(obj, indent: int = 0) -> str:
     """
     pieces: list[str] = []
     float_lists: list[tuple[int, list, str]] = []
-    _walk(obj, indent, pieces, float_lists)
+    _walk(obj, 0, pieces, float_lists)
     if float_lists:
         _fill_float_lists(pieces, float_lists)
     return "".join(pieces)
@@ -369,12 +369,16 @@ def _load_table(path: str, variables: str | None = None) -> ContingencyTable:
 
     if path.endswith(".csv"):
         return ingest_csv(path, scheme=_load_scheme(variables))
+    if variables is not None:  # a JSON table declares its own variables
+        raise SchemeError("--variables is read only with a CSV input")
     return tables.ContingencyTable.from_json(_text(path))
 
 
 def _probabilities(args) -> ContingencyTable:
     """The input table; a counts table is normalized with ``--smoothing``."""
     table = _load_table(args.input)
+    if table.form != "counts" and args.smoothing is not None:
+        raise SchemeError("--smoothing is read only with a counts table")
     return table.normalize(smoothing=args.smoothing) if table.form == "counts" else table
 
 

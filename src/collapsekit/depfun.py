@@ -17,7 +17,8 @@ function; equivalently, whether the integral of F(y | x, w) against the
 x-derivative of f(w | x) vanishes.  Both quantities are evaluated on a
 grid by adaptive quadrature (QUADPACK, through ``quadpack.quad``); an
 integral that does not converge keeps QUADPACK's own estimate, and the
-verdict flags it (``quadrature_ok`` false).  Each family builds one pair of
+verdict flags it (``quadrature_ok`` false), as it does integrals that
+break the identity their sum must meet.  Each family builds one pair of
 integrand closures per grid point (its ``integrands``; ``DependenceModel``
 states the contract).  Each closure is one Python frame per evaluation and
 does the float operations of dep(y, x, w) f(w | x), or of cdf(y, x, w)
@@ -371,8 +372,10 @@ class DepVerdict:
     ``integral_residual`` the worst |∫ F(y|x,w) df(w|x)/dx dw|.  Every
     registered family has a closed-form marginal dependence function, so
     ``marginal_route`` is always "closed-form".  ``quadrature_ok`` is false
-    when some integral did not converge; its value is then QUADPACK's
-    estimate.
+    when some integral did not converge (its value is then QUADPACK's
+    estimate), or when at some point the two integrals miss the identity
+    ∫ dF/dx f dw + ∫ F df/dx dw = dF(y|x)/dx by over 4 ``QUAD_TOL`` times
+    max(1, each magnitude): a "converged" integral can miss a narrow spike.
     """
 
     avg_collapsible: bool
@@ -382,18 +385,6 @@ class DepVerdict:
     marginal_route: str
     quadrature_ok: bool
     tol: float
-
-
-def expected_dep(model: DependenceModel, y: float, x: float) -> tuple[float, bool]:
-    """Quadrature of the conditional dependence function against f(w | x)."""
-    expected, _ = model.integrands(y, x)
-    return _integrate(expected, *model.w_interval(x), model.w_breakpoints(y, x))
-
-
-def mixing_correction(model: DependenceModel, y: float, x: float) -> tuple[float, bool]:
-    """Quadrature of F(y | x, w) against the x-derivative of f(w | x)."""
-    _, mixing = model.integrands(y, x)
-    return _integrate(mixing, *model.w_interval(x), model.w_breakpoints(y, x))
 
 
 def check_avg_collapsibility(
@@ -422,7 +413,10 @@ def check_avg_collapsibility(
             raise ModelError(
                 f"E[dF/dx | x], dF(y | x)/dx or the mixing correction at (y={y!r}, x={x!r}) is not finite"
             )
-        quad_ok = quad_ok and ok1 and ok2
+        # d/dx of the marginal F(y | x) is the sum of the two integrals; a converged
+        # integral that breaks this missed part of its integrand, such as a narrow spike
+        gap = abs(lhs + corr - rhs)
+        quad_ok = quad_ok and ok1 and ok2 and gap <= 4.0 * QUAD_TOL * max(1.0, abs(lhs), abs(corr), abs(rhs))
         res = abs(lhs - rhs)
         if res > max_residual:
             max_residual = res

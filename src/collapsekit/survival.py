@@ -12,7 +12,7 @@ P(T > t+s | T > t, x) is increasing in x.  For by < 0 < bx this happens
 for all t, s > 0 exactly when bx + by rho < 0, i.e. rho > bx / |by|.
 
 ``check_condition`` evaluates those parameter inequalities;
-``verify_numeric`` probes the monotonicity pattern on a finite grid with
+``verify_numeric`` probes the monotonicity pattern on a fixed grid with
 closed-form conditional ratios and quadrature marginals.  The reversal
 is read on residual survival only; its hazard form is not computed.  The
 normal tail comes from ``math.erfc``.  The marginal quadrature loads only
@@ -26,10 +26,9 @@ a tabulated K loads neither numpy nor scipy.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ModelError, loads, malformed, number, numbers
 
@@ -236,19 +235,6 @@ def marginal_survival(spec: SurvivalSpec, t: float, x: float) -> float:
     return val / math.sqrt(2.0 * math.pi)
 
 
-def marginal_ratio(spec: SurvivalSpec, t: float, s: float, x: float) -> float:
-    """Residual survival P(T > t+s | T > t, x) after marginalizing Y."""
-    return _residual(functools.partial(marginal_survival, spec), t, s, x)
-
-
-def _residual(marginal: Callable[[float, float], float], t: float, s: float, x: float) -> float:
-    """P(T > t+s | T > t, x) from marginal(u, x) = P(T > u | x)."""
-    denom = marginal(t, x)
-    if denom <= 0.0:
-        raise ModelError(f"P(T > {t} | x={x}) vanished; grid point unusable")
-    return marginal(t + s, x) / denom
-
-
 # -- verdicts -----------------------------------------------------------------
 
 
@@ -314,14 +300,9 @@ def _log(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def verify_numeric(
-    spec: SurvivalSpec,
-    t_grid: Sequence[float] = DEFAULT_T_GRID,
-    s_grid: Sequence[float] = DEFAULT_S_GRID,
-    x_probes: Sequence[float] = DEFAULT_X_PROBES,
-    y_probes: Sequence[float] = DEFAULT_Y_PROBES,
-) -> SurvivalVerdict:
-    """Probe the reversal pattern on a finite grid of (t, s) pairs.
+def verify_numeric(spec: SurvivalSpec) -> SurvivalVerdict:
+    """Probe the reversal pattern on the fixed (t, s) grid, ``DEFAULT_T_GRID``
+    by ``DEFAULT_S_GRID``, at ``DEFAULT_X_PROBES`` and ``DEFAULT_Y_PROBES``.
 
     At each pair, the conditional residual survival must move one way in x
     for every probed y (the common direction is reported; differing
@@ -331,10 +312,6 @@ def verify_numeric(
     distinct marginal P(T > u | x), u a probed t or t+s, is integrated once
     per call and shared by the pairs that read it.
     """
-    if len(x_probes) < 2:
-        raise ModelError("need at least two x probes")
-    if any(t < 0 for t in t_grid) or any(s <= 0 for s in s_grid):
-        raise ModelError("t probes must be >= 0 and s probes > 0")
     flags = check_condition(spec)
     marginals: dict[tuple[float, float], float] = {}
 
@@ -343,15 +320,22 @@ def verify_numeric(
             marginals[u, x] = marginal_survival(spec, u, x)
         return marginals[u, x]
 
+    def ratio(t: float, s: float, x: float) -> float:
+        """Residual survival P(T > t+s | T > t, x) after marginalizing Y."""
+        denom = marginal(t, x)
+        if denom <= 0.0:
+            raise ModelError(f"P(T > {t} | x={x}) vanished; grid point unusable")
+        return marginal(t + s, x) / denom
+
     probes = []
-    for t in t_grid:
-        for s in s_grid:
+    for t in DEFAULT_T_GRID:
+        for s in DEFAULT_S_GRID:
             dirs = {
-                _direction([log_conditional_ratio(spec, t, s, x, y) for x in x_probes])
-                for y in y_probes
+                _direction([log_conditional_ratio(spec, t, s, x, y) for x in DEFAULT_X_PROBES])
+                for y in DEFAULT_Y_PROBES
             }
             cond_dir = dirs.pop() if len(dirs) == 1 else "mixed"
-            marg_dir = _direction([_log(_residual(marginal, t, s, x)) for x in x_probes])
+            marg_dir = _direction([_log(ratio(t, s, x)) for x in DEFAULT_X_PROBES])
             probes.append(
                 ProbeResult(
                     t=t,

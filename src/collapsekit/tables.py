@@ -275,14 +275,8 @@ class ContingencyTable:
         sub = CategoricalScheme(tuple(self.scheme.variables[a] for a in keep_axes))
         return ContingencyTable(sub, cells, self.form)
 
-    def check_ci(
-        self,
-        a: SubsetSpec,
-        c: SubsetSpec,
-        b: SubsetSpec = (),
-        tol: float = DEFAULT_CI_TOL,
-    ) -> CiVerdict:
-        """Exact check of X_A independent of X_C given X_B.
+    def check_ci(self, a: SubsetSpec, c: SubsetSpec, b: SubsetSpec = ()) -> CiVerdict:
+        """Exact check of X_A independent of X_C given X_B, at ``DEFAULT_CI_TOL``.
 
         Variables outside A ∪ C ∪ B are marginalized out first.  With B
         empty this is a marginal independence test.  The verdict reports the
@@ -307,7 +301,7 @@ class ContingencyTable:
             (name, reduced.scheme.levels(name)[i])
             for name, i in zip(reduced.scheme.names, idx)
         )
-        return CiVerdict(holds=dev <= tol, max_deviation=dev, witness=witness, tol=tol)
+        return CiVerdict(holds=dev <= DEFAULT_CI_TOL, max_deviation=dev, witness=witness, tol=DEFAULT_CI_TOL)
 
     # -- serialization -----------------------------------------------------
 

@@ -137,9 +137,13 @@ class TestRelations:
         )
         assert holds_relation(b, "r3", "up")
         assert holds_relation(b, "r3", "down")
-        assert not holds_relation(b, "r3", "up", strict=True)
         assert not holds_relation(b, "r4", "up")
         assert not holds_relation(b, "r4", "down")
+        # the same product as the marginal of two equal strata holds r3 only weakly
+        j = FiniteJoint((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), np.stack([b.p / 2, b.p / 2], axis=2))
+        rep = detect_assoc_reversal(j, "r3")
+        assert not rep.marginal_up_strict
+        assert not rep.marginal_down_strict
 
     def test_random_against_brute_force(self):
         rng = np.random.default_rng(0)
@@ -173,6 +177,35 @@ class TestRelations:
             assert holds_relation(b, "r2", "up") == r2_up
             assert holds_relation(b, "r3", "up") == r3_up
             assert holds_relation(b, "r4", "up") == r4_up
+
+    @pytest.mark.parametrize("rel", ["r1", "r2", "r3", "r4"])
+    def test_per_w_reads_each_slice_both_ways(self, rel):
+        # a stratum's (up, down) pair comes from one set of values and their
+        # negation; it must equal the two directions read on their own
+        rng = np.random.default_rng(39)
+        for i in range(60):
+            ny, nx, nw = rng.integers(2, 5, 3).tolist()
+            slices = [
+                # half the strata are products, whose r1-r3 values sit at rounding level
+                np.outer(rand_probs(rng, ny), rand_probs(rng, nx)) if rng.uniform() < 0.5
+                else rand_probs(rng, (ny, nx))
+                for _ in range(nw)
+            ]
+            p = np.stack(slices, axis=2) * rand_probs(rng, nw)
+            j = FiniteJoint(
+                tuple(sorted(rng.uniform(-3.0, 3.0, ny).tolist())),
+                tuple(sorted(rng.uniform(-3.0, 3.0, nx).tolist())),
+                tuple(range(nw)),
+                p / p.sum(),
+            )
+            tol = (1e-15, 1e-9, 1e-2)[i % 3]
+            rep = detect_assoc_reversal(j, rel, tol)
+            for k in range(nw):
+                cond = j.conditional_yx(k)
+                assert rep.per_w[k] == (
+                    holds_relation(cond, rel, "up", tol),
+                    holds_relation(cond, rel, "down", tol),
+                )
 
     def test_r1_implies_r2(self):
         # construct stochastically increasing columns by moving mass upward

@@ -481,6 +481,38 @@ class TestExitCodes:
         assert err == ""
         assert json.loads(out)["verdict"]["avg_collapsibility"]["quadrature_ok"] is False
 
+    def test_converged_integral_that_misses_a_spike_is_flagged(self, tmp_path, capsys):
+        # W independent of X makes every model of this family average
+        # collapsible, but at sigma 0.05 QUADPACK reports the expected
+        # integral at (y, x) = (0.5, 2) as converged near 0, where the closed
+        # form is -0.0631; the two integrals then miss the marginal's x-derivative
+        p = tmp_path / "gauss.json"
+        p.write_text(
+            '{"family":"gaussian-linear-interaction","alpha":[1.0,0.5,0.8],'
+            '"sigma":0.05,"w_law":{"type":"normal","mean_slope":0.0}}'
+        )
+        assert main(["dep-check", str(p)]) == EXIT_DETECTED
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["x_w_independent"] is True
+        assert verdict["avg_collapsibility"]["integral_residual"] == 0.0
+        assert verdict["avg_collapsibility"]["quadrature_ok"] is False
+
+    @pytest.mark.parametrize("verb", [["decompose"], ["collapse-check", "--target", "A,X", "--margin", "A,X"]])
+    def test_smoothing_on_a_probability_table_is_an_error(self, tmp_path, capsys, admission_table, verb):
+        # only a counts table is smoothed; a probability table would ignore the flag
+        p = tmp_path / "probs.json"
+        p.write_text(admission_table.normalize().to_json())
+        assert main([*verb, "--smoothing", "0.5", str(p)]) == EXIT_ERROR
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "SchemeError", "message": "--smoothing is read only with a counts table"}
+
+    def test_variables_with_a_json_table_is_an_error(self, capsys):
+        # a JSON table declares its own variables, so the file would never be opened
+        argv = ["scan-paradox", "--variables", "/nonexistent.json", "--response", "A=Y", "--exposure", "X=M"]
+        assert main([*argv, str(CORPUS / "admission.json")]) == EXIT_ERROR
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "SchemeError", "message": "--variables is read only with a CSV input"}
+
     @pytest.mark.parametrize(
         "flags, named",
         [

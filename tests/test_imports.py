@@ -22,8 +22,10 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -286,6 +288,43 @@ class TestPackageNames:
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="'collapsekit'.*'no_such_name'"):
             collapsekit.no_such_name
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Every variable and attribute name the code under ``node`` reads."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    """A module-level function of src/collapsekit whose name has no leading
+    ``_`` is named somewhere other than the tests: by code of src/ outside
+    its own ``def`` (in its own module too, as ``main`` calls
+    ``build_parser``), by a perfbench script, or by the package exports.
+    Anything else is surface that only a test reaches."""
+    statements = [
+        node
+        for path in sorted((ROOT / "src" / "collapsekit").glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    # each top-level statement counts a name once, so a def that names
+    # itself (recursion) is not its own caller
+    named = Counter(name for node in statements for name in names_read(node))
+    outside = set(collapsekit._HOMES)
+    for path in (ROOT / "perfbench").glob("*.py"):
+        outside |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    orphans = [
+        node.name
+        for node in statements
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and named[node.name] == (node.name in names_read(node))
+    ]
+    assert orphans == []
 
 
 def test_readme_quick_start():

@@ -98,11 +98,11 @@ VERDICTS = {
         },
     ),
     "SurvivalVerdict": (
-        lambda: verify_numeric(SPEC, t_grid=(0.5,), s_grid=(0.5,)),
+        lambda: verify_numeric(SPEC),
         {"condition", "gaussian_equiv", "probes", "reversal_on_grid", "matches_prediction"},
     ),
     "ProbeResult": (
-        lambda: verify_numeric(SPEC, t_grid=(0.5,), s_grid=(0.5,)).probes[0],
+        lambda: verify_numeric(SPEC).probes[0],
         {"t", "s", "conditional_direction", "marginal_direction", "reversal"},
     ),
 }
@@ -146,7 +146,7 @@ def test_nested_verdicts_and_own_shapes():
     assert as_report(SUMMARY) == SUMMARY.to_json_dict()
     link = as_report(double_linkage(JOINT))
     assert isinstance(link["deviations"], list)
-    surv = as_report(verify_numeric(SPEC, t_grid=(0.5,), s_grid=(0.5,)))
+    surv = as_report(verify_numeric(SPEC))
     assert set(surv["probes"][0]) == VERDICTS["ProbeResult"][1]
     assert as_report((1, (2.0, None))) == [1, [2.0, None]]
     report = {"a": (1, 2)}
