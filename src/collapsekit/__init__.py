@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 # each public name and the submodule that defines it
 _HOMES = {
     "AssocReversalReport": "assoc",
-    "BivariateJoint": "assoc",
     "FiniteJoint": "assoc",
     "LinkageProfile": "assoc",
     "covariance": "assoc",

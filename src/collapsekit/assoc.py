@@ -1,7 +1,10 @@
 """Directional association relations and reversal detection on finite joints.
 
 Works on a finite joint distribution of (Y, X, W) with numeric support
-points.  Four directional relations between Y and X are supported:
+points, validated once when ``FiniteJoint`` reads it.  A relation then reads
+a plain (Y, X) array of that joint: the marginal ``p.sum(axis=2)`` or one
+stratum of W normalized to sum 1.  Four directional relations between Y and
+X are supported:
 
 * r1: stochastic ordering, P(Y > y | X = x) monotone in x for every y;
 * r2: mean ordering, E(Y | X = x) monotone in x;
@@ -17,7 +20,6 @@ in the opposite direction.  "Down" reads the negated values of "up".
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -45,21 +47,6 @@ def _check_levels(levels: Sequence[float], name: str) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class BivariateJoint:
-    """Positive finite joint distribution of (Y, X); p is indexed [y, x]."""
-
-    y_levels: tuple[float, ...]
-    x_levels: tuple[float, ...]
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "y_levels", _check_levels(self.y_levels, "Y"))
-        object.__setattr__(self, "x_levels", _check_levels(self.x_levels, "X"))
-        shape = (len(self.y_levels), len(self.x_levels))
-        object.__setattr__(self, "p", probabilities(self.p, DistributionError, "joint", shape))
-
-
-@dataclass(frozen=True, eq=False)
 class FiniteJoint:
     """Positive finite joint distribution of (Y, X, W); p is indexed [y, x, w]."""
 
@@ -75,26 +62,6 @@ class FiniteJoint:
         shape = (len(self.y_levels), len(self.x_levels), len(self.w_levels))
         object.__setattr__(self, "p", probabilities(self.p, DistributionError, "joint", shape))
 
-    def marginal_yx(self) -> BivariateJoint:
-        return BivariateJoint(self.y_levels, self.x_levels, self.p.sum(axis=2))
-
-    def conditional_yx(self, w_index: int) -> BivariateJoint:
-        sl = self.p[:, :, w_index]
-        return BivariateJoint(self.y_levels, self.x_levels, sl / sl.sum())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "levels": {
-                "y": list(self.y_levels),
-                "x": list(self.x_levels),
-                "w": list(self.w_levels),
-            },
-            "p": [float(v) for v in self.p.reshape(-1)],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "FiniteJoint":
         with malformed(DistributionError, "joint payload"):
@@ -108,27 +75,30 @@ class FiniteJoint:
         return cls.from_json_dict(loads(text, DistributionError, "joint payload"))
 
 
-def _as_bivariate(dist: "FiniteJoint | BivariateJoint") -> BivariateJoint:
-    if isinstance(dist, FiniteJoint):
-        return dist.marginal_yx()
-    return dist
-
-
-def _values(b: BivariateJoint, rel: str) -> np.ndarray:
-    """The values whose signs decide ``rel`` "up": r1's steps in x of
-    P(Y > y | x), r2's steps of E(Y | x), r3's cells of F(y, x) - F_Y(y) F_X(x),
-    and r4's Cov(X, Y)."""
+def _values(dist: FiniteJoint, p: np.ndarray, rel: str) -> np.ndarray:
+    """The values whose signs decide ``rel`` "up" on ``p``, a (Y, X) array
+    over ``dist``'s levels: r1's steps in x of P(Y > y | x), r2's steps of
+    E(Y | x), r3's cells of F(y, x) - F_Y(y) F_X(x), and r4's Cov(X, Y)."""
+    y = np.asarray(dist.y_levels)[:, None]
     if rel == "r4":
-        return np.array([covariance(b)])
+        x = np.asarray(dist.x_levels)[None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            exy = float((y * x * p).sum())
+            ey = float((y * p).sum())
+            ex = float((x * p).sum())
+        cov = exy - ey * ex
+        if not math.isfinite(cov):
+            raise DistributionError("Cov(X, Y) overflows on these support points")
+        return np.array([cov])
     if rel == "r3":
-        cdf = b.p.cumsum(axis=0).cumsum(axis=1)
+        cdf = p.cumsum(axis=0).cumsum(axis=1)
         return (cdf - np.outer(cdf[:, -1], cdf[-1, :])).reshape(-1)
-    p_x = b.p.sum(axis=0)
+    p_x = p.sum(axis=0)
     if rel == "r1":
-        surv = (b.p / p_x)[::-1].cumsum(axis=0)[::-1]  # P(Y >= y_k | x)
+        surv = (p / p_x)[::-1].cumsum(axis=0)[::-1]  # P(Y >= y_k | x)
         return np.diff(surv[1:, :], axis=1).reshape(-1)  # thresholds y_0..y_{K-2}
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.diff((np.asarray(b.y_levels)[:, None] * b.p).sum(axis=0) / p_x)
+        steps = np.diff((y * p).sum(axis=0) / p_x)
     if not np.all(np.isfinite(steps)):
         raise DistributionError("E(Y | X) steps overflow on these support points")
     return steps
@@ -146,33 +116,22 @@ def _relation(relation: str) -> str:
     return rel
 
 
-def covariance(dist: "FiniteJoint | BivariateJoint") -> float:
-    """Cov(X, Y) of the (marginal) bivariate distribution."""
-    b = _as_bivariate(dist)
-    y = np.asarray(b.y_levels)[:, None]
-    x = np.asarray(b.x_levels)[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        exy = float((y * x * b.p).sum())
-        ey = float((y * b.p).sum())
-        ex = float((x * b.p).sum())
-    cov = exy - ey * ex
-    if not math.isfinite(cov):
-        raise DistributionError("Cov(X, Y) overflows on these support points")
-    return cov
+def covariance(dist: FiniteJoint) -> float:
+    """Cov(X, Y) of the marginal (Y, X) distribution."""
+    return float(_values(dist, dist.p.sum(axis=2), "r4")[0])
 
 
 def holds_relation(
-    dist: "FiniteJoint | BivariateJoint", relation: str, direction: str = "up", tol: float = DEFAULT_TOL
+    dist: FiniteJoint, relation: str, direction: str = "up", tol: float = DEFAULT_TOL
 ) -> bool:
-    """Does the directional relation hold for (Y, X)?
+    """Does the directional relation hold for the marginal (Y, X) distribution?
 
-    A FiniteJoint argument is marginalized over W first; pass a conditional
-    slice to evaluate within a stratum.
+    Each stratum's reading is in ``detect_assoc_reversal(...).per_w``.
     """
     rel = _relation(relation)
     if direction not in ("up", "down"):
         raise DistributionError("direction must be 'up' or 'down'")
-    vals = _values(_as_bivariate(dist), rel)
+    vals = _values(dist, dist.p.sum(axis=2), rel)
     return _holds(vals if direction == "up" else -vals, rel, tol)
 
 
@@ -240,11 +199,12 @@ def detect_assoc_reversal(
     rel = _relation(relation)
     per_w = []
     for k in range(len(dist.w_levels)):
-        vals = _values(dist.conditional_yx(k), rel)
+        sl = dist.p[:, :, k]
+        vals = _values(dist, sl / sl.sum(), rel)
         per_w.append((_holds(vals, rel, tol), _holds(-vals, rel, tol)))
     cond_up = all(u for u, _ in per_w)
     cond_down = all(d for _, d in per_w)
-    vals = _values(dist.marginal_yx(), rel)
+    vals = _values(dist, dist.p.sum(axis=2), rel)
     marg_up = _holds(vals, rel, tol) and bool(np.any(vals > tol))
     marg_down = _holds(-vals, rel, tol) and bool(np.any(vals < -tol))
     reversal = (cond_up and marg_down) or (cond_down and marg_up)

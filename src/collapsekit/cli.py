@@ -389,16 +389,17 @@ def _parse_event(text: str) -> tuple[str, str]:
     return var.strip(), level.strip()
 
 
-def _parse_subset(text: str) -> tuple["str | int", ...]:
-    """Comma-separated variable names; all-digit tokens are axis indices."""
+def _subset_names(scheme: CategoricalScheme, text: str) -> tuple[str, ...]:
+    """The variables of a comma-separated subset flag, in scheme order.  A
+    token that names a variable is that variable; any other token of decimal
+    digits is an axis index."""
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
     if not parts:
         raise SchemeError(f"empty variable subset {text!r}")
-    return tuple(int(p) if p.isdigit() else p for p in parts)
-
-
-def _subset_names(scheme: CategoricalScheme, text: str) -> tuple[str, ...]:
-    return scheme.subset_names(scheme.resolve_subset(_parse_subset(text)))
+    names = scheme.names
+    return scheme.subset_names(
+        scheme.resolve_subset(int(p) if p.isdecimal() and p not in names else p for p in parts)
+    )
 
 
 def _plain(text: str) -> bool:
@@ -559,7 +560,7 @@ def _cmd_collapse_check(args):
     else:
         if not args.margin:
             raise SchemeError("--margin is required without --strict")
-        v = collapse.check_collapsibility(table, target, _parse_subset(args.margin), tol=args.tol)
+        v = collapse.check_collapsibility(table, target, _subset_names(table.scheme, args.margin), tol=args.tol)
         own = {
             "tau_full": v.tau_full.reshape(-1).tolist(),
             "eta_marginal": v.eta_marginal.reshape(-1).tolist(),

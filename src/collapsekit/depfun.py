@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ModelError, loads, malformed, number, numbers
 from .quadpack import quad
@@ -91,9 +91,9 @@ class DependenceModel:
     def w_breakpoints(self, y: float, x: float) -> tuple[float, ...]:
         return ()
 
-    def grid_domain(self, ys: Iterable[float], xs: Iterable[float]) -> list[tuple[float, float]]:
-        """Filter a candidate (y, x) grid to the family's domain."""
-        return [(y, x) for y in ys for x in xs]
+    def grid_domain(self) -> list[tuple[float, float]]:
+        """The default (y, x) probe grid, filtered to the family's domain."""
+        return [(y, x) for y in DEFAULT_GRID_VALUES for x in DEFAULT_GRID_VALUES]
 
 
 class GaussianLinearInteraction(DependenceModel):
@@ -300,8 +300,8 @@ class UniformQuadratic(DependenceModel):
         r = math.sqrt(r2)
         return 2.0 * x * y * (_ndtr(r) - _ndtr(-r))
 
-    def grid_domain(self, ys, xs) -> list[tuple[float, float]]:
-        return [(y, x) for y in ys for x in xs if y > 0.0]
+    def grid_domain(self) -> list[tuple[float, float]]:
+        return [(y, x) for y, x in super().grid_domain() if y > 0.0]
 
     def to_json_dict(self) -> dict:
         return {"family": self.family}
@@ -343,7 +343,7 @@ def check_homogeneity(
 ) -> HomogeneityVerdict:
     """Is the dependence function the same at every w, on the probe grid?"""
     if grid is None:
-        grid = model.grid_domain(DEFAULT_GRID_VALUES, DEFAULT_GRID_VALUES)
+        grid = model.grid_domain()
     if not grid or len(w_probes) < 2:
         raise ModelError("homogeneity needs a nonempty grid and at least two w probes")
     worst = None
@@ -394,7 +394,7 @@ def check_avg_collapsibility(
 ) -> DepVerdict:
     """Compare E_{W|x}[dF/dx] with the marginal dependence function on a grid."""
     if grid is None:
-        grid = model.grid_domain(DEFAULT_GRID_VALUES, DEFAULT_GRID_VALUES)
+        grid = model.grid_domain()
     if not grid:
         raise ModelError("average collapsibility needs a nonempty grid")
     max_residual = -1.0

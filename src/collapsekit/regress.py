@@ -17,7 +17,6 @@ are decided by one route; an equivalent second route must agree to rounding.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -110,9 +109,6 @@ class StratifiedRegressionSummary:
                 for s in self.strata
             ]
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "StratifiedRegressionSummary":

@@ -160,21 +160,6 @@ class SurvivalSpec:
     def eta(self, x: float) -> float:
         return self.eta_mu + self.eta_rho * x
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "beta_x": self.beta_x,
-            "beta_y": self.beta_y,
-            "eta": {"mu": self.eta_mu, "rho": self.eta_rho},
-            "w_law": self.w_law,
-            "v_law": self.v_law,
-        }
-        if self.k_transform is not None:
-            out["k_transform"] = {
-                "t": list(self.k_transform[0]),
-                "k": list(self.k_transform[1]),
-            }
-        return out
-
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SurvivalSpec":
         with malformed(ModelError, "survival spec payload"):

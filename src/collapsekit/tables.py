@@ -9,7 +9,6 @@ operation returns a new table.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -289,17 +288,17 @@ class ContingencyTable:
         c_axes = self.scheme.resolve_subset(c)
         b_axes = self.scheme.resolve_subset(b)
         union = tuple(sorted(set(a_axes) | set(c_axes) | set(b_axes)))
-        reduced = self.marginalize(union)
+        # the reduced cells as marginalize sums them, without validating them again
+        drop = tuple(x for x in range(self.scheme.n) if x not in union)
         remap = {orig: new for new, orig in enumerate(union)}
         dev, idx = ci_deviation(
-            reduced.cells,
+            self.cells.sum(axis=drop),
             tuple(remap[x] for x in a_axes),
             tuple(remap[x] for x in c_axes),
             tuple(remap[x] for x in b_axes),
         )
         witness = tuple(
-            (name, reduced.scheme.levels(name)[i])
-            for name, i in zip(reduced.scheme.names, idx)
+            (self.scheme.names[x], self.scheme.levels(x)[i]) for x, i in zip(union, idx)
         )
         return CiVerdict(holds=dev <= DEFAULT_CI_TOL, max_deviation=dev, witness=witness, tol=DEFAULT_CI_TOL)
 
@@ -314,9 +313,6 @@ class ContingencyTable:
             "form": self.form,
             "cells": [float(x) for x in self.cells.reshape(-1)],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "ContingencyTable":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from collapsekit.tables import CategoricalScheme, ContingencyTable, build_table
+from collapsekit.tables import PROB_SUM_TOL, CategoricalScheme, ContingencyTable, build_table
 
 
 @pytest.fixture
@@ -36,6 +36,14 @@ def random_positive_table(rng, n=None, max_levels=4, lo=0.05):
         )
     )
     return ContingencyTable(scheme, cells, "probability")
+
+
+def sum_edge_cells(rng, shape):
+    """Positive cells whose sum lies within 3e-16 of the reader's sum bound
+    on either side of 1: the reader accepts about four in five of them."""
+    cells = rng.uniform(0.05, 1.0, shape)
+    edge = PROB_SUM_TOL - rng.uniform(0.0, 3e-16)
+    return cells / cells.sum() * (1.0 + rng.choice((-1.0, 1.0)) * edge)
 
 
 def ci_constructed_table(rng, m1=None, m2=None, m3=None):

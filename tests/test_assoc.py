@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from collapsekit.assoc import (
-    BivariateJoint,
     FiniteJoint,
     covariance,
     detect_assoc_reversal,
@@ -12,6 +11,8 @@ from collapsekit.assoc import (
     holds_relation,
 )
 from collapsekit.errors import DistributionError
+
+from conftest import sum_edge_cells
 
 
 def rand_probs(rng, shape, lo=0.05):
@@ -59,6 +60,18 @@ def protected_construction(rng, kind, ny=3, nx=2, nw=2):
     )
 
 
+def bivariate(y_levels, x_levels, p):
+    """Joint of (Y, X) given as p[y, x]: two equal W strata of ``p / 2``, so
+    the marginal that the relations read is exactly ``p``."""
+    return FiniteJoint(y_levels, x_levels, (0.0, 1.0), np.stack([p / 2, p / 2], axis=2))
+
+
+def joint_payload(j):
+    """The finite joint JSON payload of ``j``."""
+    levels = {"y": list(j.y_levels), "x": list(j.x_levels), "w": list(j.w_levels)}
+    return json.dumps({"levels": levels, "p": j.p.reshape(-1).tolist()})
+
+
 def covariance_flip_witness():
     """Joint with W indep X given Y whose covariance sign flips marginally.
 
@@ -85,11 +98,11 @@ def covariance_flip_witness():
 class TestValidation:
     def test_levels_must_increase(self):
         with pytest.raises(DistributionError):
-            BivariateJoint((1.0, 0.0), (0.0, 1.0), np.full((2, 2), 0.25))
+            bivariate((1.0, 0.0), (0.0, 1.0), np.full((2, 2), 0.25))
 
     def test_positive_cells(self):
         with pytest.raises(DistributionError):
-            BivariateJoint((0.0, 1.0), (0.0, 1.0), np.array([[0.5, 0.5], [0.0, 0.0]]))
+            bivariate((0.0, 1.0), (0.0, 1.0), np.array([[0.5, 0.5], [0.0, 0.0]]))
 
     def test_unit_sum(self):
         with pytest.raises(DistributionError):
@@ -101,30 +114,24 @@ class TestValidation:
             p = np.full((2, 2), 0.25)
             p[0, 0] = bad
             with pytest.raises(DistributionError, match="finite"):
-                BivariateJoint((0.0, 1.0), (0.0, 1.0), p)
+                bivariate((0.0, 1.0), (0.0, 1.0), p)
             with pytest.raises(DistributionError, match="finite"):
                 FiniteJoint((0, 1), (0, 1), (0, 1), np.stack([p, p], axis=2) / 2)
 
     def test_non_numeric_or_non_finite_levels(self):
         for levels in (("a", 1.0), (None, 1.0), (0.0, float("nan")), (0.0, float("inf"))):
             with pytest.raises(DistributionError):
-                BivariateJoint(levels, (0.0, 1.0), np.full((2, 2), 0.25))
+                bivariate(levels, (0.0, 1.0), np.full((2, 2), 0.25))
 
     def test_unknown_direction(self):
-        b = BivariateJoint((0.0, 1.0), (0.0, 1.0), np.full((2, 2), 0.25))
+        b = bivariate((0.0, 1.0), (0.0, 1.0), np.full((2, 2), 0.25))
         with pytest.raises(DistributionError, match="direction must be 'up' or 'down'"):
             holds_relation(b, "r1", direction="sideways")
-
-    def test_json_roundtrip(self):
-        j = covariance_flip_witness()
-        back = FiniteJoint.from_json(j.to_json())
-        assert back.y_levels == j.y_levels
-        assert np.array_equal(back.p, j.p)
 
 
 class TestRelations:
     def test_near_comonotone_all_hold(self):
-        b = BivariateJoint(
+        b = bivariate(
             (0.0, 1.0), (0.0, 1.0), np.array([[0.499, 0.001], [0.001, 0.499]])
         )
         for rel in ("r1", "r2", "r3", "r4"):
@@ -132,16 +139,15 @@ class TestRelations:
             assert not holds_relation(b, rel, "down")
 
     def test_product_r3_weak_equality_r4_fails(self):
-        b = BivariateJoint(
+        b = bivariate(
             (0.0, 1.0), (0.0, 1.0), np.outer([0.3, 0.7], [0.4, 0.6])
         )
         assert holds_relation(b, "r3", "up")
         assert holds_relation(b, "r3", "down")
         assert not holds_relation(b, "r4", "up")
         assert not holds_relation(b, "r4", "down")
-        # the same product as the marginal of two equal strata holds r3 only weakly
-        j = FiniteJoint((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), np.stack([b.p / 2, b.p / 2], axis=2))
-        rep = detect_assoc_reversal(j, "r3")
+        # the product marginal holds r3 only weakly
+        rep = detect_assoc_reversal(b, "r3")
         assert not rep.marginal_up_strict
         assert not rep.marginal_down_strict
 
@@ -151,7 +157,7 @@ class TestRelations:
         xv = (0.0, 1.5, 3.0)
         for _ in range(20):
             p = rand_probs(rng, (3, 3))
-            b = BivariateJoint(yv, xv, p)
+            b = bivariate(yv, xv, p)
             # brute force each defining inequality
             px = p.sum(axis=0)
             cond = p / px
@@ -201,7 +207,8 @@ class TestRelations:
             tol = (1e-15, 1e-9, 1e-2)[i % 3]
             rep = detect_assoc_reversal(j, rel, tol)
             for k in range(nw):
-                cond = j.conditional_yx(k)
+                sl = j.p[:, :, k]
+                cond = bivariate(j.y_levels, j.x_levels, sl / sl.sum())
                 assert rep.per_w[k] == (
                     holds_relation(cond, rel, "up", tol),
                     holds_relation(cond, rel, "down", tol),
@@ -222,29 +229,28 @@ class TestRelations:
                 cols.append(col)
             px = rand_probs(rng, 3)
             p = np.stack(cols, axis=1) * px[None, :]
-            b = BivariateJoint((0.0, 1.0, 2.5, 4.0), (0.0, 1.0, 2.0), p / p.sum())
+            b = bivariate((0.0, 1.0, 2.5, 4.0), (0.0, 1.0, 2.0), p / p.sum())
             assert holds_relation(b, "r1", "up")
             assert holds_relation(b, "r2", "up")
 
     def test_r3_r4_symmetric_in_y_x(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            b = BivariateJoint(
-                (0.0, 1.0, 2.0), (-1.0, 0.5), rand_probs(rng, (3, 2))
-            )
+            p = rand_probs(rng, (3, 2))
+            b = bivariate((0.0, 1.0, 2.0), (-1.0, 0.5), p)
             for rel in ("r3", "r4"):
                 for direction in ("up", "down"):
-                    swapped = BivariateJoint(b.x_levels, b.y_levels, b.p.T)
+                    swapped = bivariate(b.x_levels, b.y_levels, p.T)
                     assert holds_relation(b, rel, direction) == holds_relation(
                         swapped, rel, direction
                     )
 
     def test_single_x_level_rejected(self):
         with pytest.raises(DistributionError):
-            BivariateJoint((0.0, 1.0), (0.0,), np.array([[0.5], [0.5]]))
+            bivariate((0.0, 1.0), (0.0,), np.array([[0.5], [0.5]]))
 
     def test_unknown_relation(self):
-        b = BivariateJoint((0.0, 1.0), (0.0, 1.0), np.full((2, 2), 0.25))
+        b = bivariate((0.0, 1.0), (0.0, 1.0), np.full((2, 2), 0.25))
         with pytest.raises(DistributionError):
             holds_relation(b, "r9")
 
@@ -318,4 +324,26 @@ class TestReversalDetection:
         assert rep.reversal
         assert covariance(j) == pytest.approx(19 / 480, abs=1e-12)
         for k in range(2):
-            assert covariance(j.conditional_yx(k)) < -0.01
+            sl = j.p[:, :, k]
+            assert covariance(bivariate(j.y_levels, j.x_levels, sl / sl.sum())) < -0.01
+
+
+def test_every_call_on_a_sum_edge_joint_returns():
+    # the joint is validated once when read: no relation re-sums a slice and
+    # rejects a marginal that lands an ulp past the sum bound
+    rng = np.random.default_rng(0)
+    read = 0
+    for _ in range(300):
+        shape = tuple(rng.integers(2, 6, 3).tolist())
+        try:
+            j = FiniteJoint(*(tuple(range(m)) for m in shape), sum_edge_cells(rng, shape))
+        except DistributionError:
+            continue
+        read += 1
+        covariance(j)
+        double_linkage(j)
+        for rel in ("r1", "r2", "r3", "r4"):
+            detect_assoc_reversal(j, rel)
+            holds_relation(j, rel, "up")
+            holds_relation(j, rel, "down")
+    assert read > 200

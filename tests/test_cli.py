@@ -326,7 +326,7 @@ class TestExitCodes:
             "probability",
         )
         p = tmp_path / "uniform.json"
-        p.write_text(t.to_json())
+        p.write_text(json.dumps(t.to_json_dict()))
         code = main(["decompose", str(p)])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -342,7 +342,7 @@ class TestExitCodes:
         rng = np.random.default_rng(1)
         t = ci_constructed_table(rng)
         p = tmp_path / "ci.json"
-        p.write_text(t.to_json())
+        p.write_text(json.dumps(t.to_json_dict()))
         code = main(
             ["collapse-check", "--target", "x1,x2", "--margin", "x1,x2", str(p)]
         )
@@ -378,6 +378,35 @@ class TestExitCodes:
         assert code == EXIT_DETECTED
         v = json.loads(capsys.readouterr().out)["verdict"]
         assert v["strict"] is False and v["ci_holds"] is False
+
+    @pytest.mark.parametrize(
+        "flags, target, margin",
+        [
+            (["--target", "1", "--margin", "1,2"], ["1"], ["1", "2"]),
+            (["--strict", "--target", "1", "--given", "3"], ["1"], ["1", "3"]),
+        ],
+        ids=["plain", "strict"],
+    )
+    def test_digit_variable_names(self, tmp_path, capsys, flags, target, margin):
+        # a token that names a variable is that variable, not an axis index
+        p = tmp_path / "digits.csv"
+        p.write_text("1,2,3\na,x,p\nb,y,q\na,y,p\nb,x,q\na,x,q\nb,y,p\na,x,p\nb,y,q\n")
+        assert main(["collapse-check", *flags, "--smoothing", "0.5", str(p)]) in (EXIT_OK, EXIT_DETECTED)
+        v = json.loads(capsys.readouterr().out)["verdict"]
+        assert (v["target"], v["margin"]) == (target, margin)
+
+    def test_sum_edge_joint(self, tmp_path, capsys):
+        # its cells sum to 1.0000000000009999, inside the bound; the marginal
+        # over W sums them in another order and lands an ulp past it
+        p = tmp_path / "edge.json"
+        p.write_text(
+            '{"levels": {"y": [0.0, 1.0], "x": [0.0, 1.0], "w": [0.0, 1.0]}, "p": [0.17396071214308678,'
+            ' 0.09426682856477923, 0.13659043457485753, 0.16376881040194208, 0.08960186879125615,'
+            ' 0.15528756527391907, 0.12779968010884016, 0.058724100142318957]}'
+        )
+        for rel in ("r1", "r2", "r3", "r4"):
+            assert main(["assoc-check", "--relation", rel, str(p)]) in (EXIT_OK, EXIT_DETECTED)
+            assert "reversal" in json.loads(capsys.readouterr().out)["verdict"]
 
     def test_input_error_is_structured(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -501,7 +530,7 @@ class TestExitCodes:
     def test_smoothing_on_a_probability_table_is_an_error(self, tmp_path, capsys, admission_table, verb):
         # only a counts table is smoothed; a probability table would ignore the flag
         p = tmp_path / "probs.json"
-        p.write_text(admission_table.normalize().to_json())
+        p.write_text(json.dumps(admission_table.normalize().to_json_dict()))
         assert main([*verb, "--smoothing", "0.5", str(p)]) == EXIT_ERROR
         error = json.loads(capsys.readouterr().out)["error"]
         assert error == {"kind": "SchemeError", "message": "--smoothing is read only with a counts table"}
@@ -789,10 +818,10 @@ class TestExitCodes:
         assert main(["dep-check", str(p2)]) == EXIT_DETECTED
 
     def test_assoc_check(self, tmp_path, capsys):
-        from test_assoc import covariance_flip_witness
+        from test_assoc import covariance_flip_witness, joint_payload
 
         p = tmp_path / "joint.json"
-        p.write_text(covariance_flip_witness().to_json())
+        p.write_text(joint_payload(covariance_flip_witness()))
         assert main(["assoc-check", "--relation", "r4", str(p)]) == EXIT_DETECTED
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"]["linkage"]["w_indep_x_given_y"] is True
@@ -868,7 +897,7 @@ class TestScanParadox:
     @staticmethod
     def table(tmp_path, admission_table, cells, *extra):
         """A counts table file on the admission variables and ``extra`` ones."""
-        payload = json.loads(admission_table.to_json())
+        payload = admission_table.to_json_dict()
         payload["variables"] += [{"name": name, "levels": ["u", "v"]} for name in extra]
         payload["cells"] = cells
         p = tmp_path / "table.json"
@@ -1060,6 +1089,8 @@ class TestMalformedPayload:
             ("scan-paradox", TABLE, ["--response", "A", "--exposure", "B=a"], "SchemeError", "expected VAR=LEVEL, got 'A'"),
             ("collapse-check", TABLE, ["--target", ",", "--margin", "A"], "SchemeError", "empty variable subset ','"),
             ("collapse-check", TABLE, ["--target", "7", "--margin", "A"], "SchemeError", "axis 7 out of range for 2 variables"),
+            # a superscript digit is no decimal digit: int() cannot read it as an axis
+            ("collapse-check", TABLE, ["--target", "²", "--margin", "A"], "SchemeError", "unknown variable '²'; have ('A', 'B')"),
             ("collapse-check", TABLE, ["--target", "A"], "SchemeError", "--margin is required without --strict"),
             ("collapse-check", TABLE, ["--strict", "--target", "A,B"], "SchemeError", "target and collapsed must be nonempty"),
             ("regress-audit", {"levels": []}, [], "DistributionError", "summary needs at least one stratum"),
@@ -1075,7 +1106,7 @@ class TestMalformedPayload:
             ("decompose", dict(TABLE, cells=[1, math.nan, 3, 4]), [], "TableError", "cells must be finite"),
         ],
         ids=[
-            "header-order", "event", "empty-subset", "axis-range", "no-margin", "strict-all",
+            "header-order", "event", "empty-subset", "axis-range", "superscript-digit", "no-margin", "strict-all",
             "no-stratum", "nan-coefficient", "ragged-knots", "no-variable", "nan-cell",
         ],
     )
@@ -1139,7 +1170,7 @@ class TestMalformedPayload:
 class TestPipedInput:
     @pytest.mark.parametrize("verb", ["decompose", "ingest"])
     def test_digest_is_of_the_bytes_read(self, admission_table, verb):
-        raw = (admission_table.to_json() if verb == "decompose" else "\n".join(EX1_ROWS)).encode()
+        raw = (json.dumps(admission_table.to_json_dict()) if verb == "decompose" else "\n".join(EX1_ROWS)).encode()
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "collapsekit.cli", verb, "/dev/stdin"],
@@ -1756,7 +1787,7 @@ class TestBrokenPipe:
         rng = np.random.default_rng(0)
         table = random_positive_table(rng, n=10, max_levels=2)
         p = tmp_path / "big.json"
-        p.write_text(table.to_json())
+        p.write_text(json.dumps(table.to_json_dict()))
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "collapsekit.cli", "decompose", str(p)],

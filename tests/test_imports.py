@@ -39,7 +39,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # every public name and the module that defines it
 PUBLIC_NAMES = {
     "AssocReversalReport": "assoc",
-    "BivariateJoint": "assoc",
     "FiniteJoint": "assoc",
     "LinkageProfile": "assoc",
     "covariance": "assoc",

@@ -1,3 +1,4 @@
+import json
 import itertools
 import math
 
@@ -101,7 +102,7 @@ class TestValidation:
     def test_json_roundtrip(self):
         rng = np.random.default_rng(0)
         summ = random_summary(rng)
-        back = StratifiedRegressionSummary.from_json(summ.to_json())
+        back = StratifiedRegressionSummary.from_json(json.dumps(summ.to_json_dict()))
         assert len(back.strata) == len(summ.strata)
         assert back.strata[0].alpha == summ.strata[0].alpha
 
