@@ -331,7 +331,7 @@ def model_from_json(text: str) -> DependenceModel:
 class HomogeneityVerdict:
     homogeneous: bool
     max_gap: float
-    worst: tuple[float, float, float, float] | None  # (y, x, w, w')
+    worst: tuple[float, float, float, float] | None  # (y, x, w of max dF/dx, w of min dF/dx)
     tol: float
 
 
@@ -350,15 +350,14 @@ def check_homogeneity(
     max_gap = -1.0
     for y, x in grid:
         vals = [model.dep(y, x, w) for w in w_probes]
-        # a NaN gap fails ``gap > max_gap`` and would be skipped silently
+        # a NaN range fails ``hi - lo > max_gap`` and would be skipped silently
         if not all(map(math.isfinite, vals)):
             raise ModelError(f"the dependence function at (y={y!r}, x={x!r}) is not finite")
-        for i in range(len(w_probes)):
-            for j in range(i + 1, len(w_probes)):
-                gap = abs(vals[i] - vals[j])
-                if gap > max_gap:
-                    max_gap = gap
-                    worst = (y, x, w_probes[i], w_probes[j])
+        # rounding is monotone, so the range is the widest pairwise gap
+        hi, lo = max(vals), min(vals)
+        if hi - lo > max_gap:
+            max_gap = hi - lo
+            worst = (y, x, w_probes[vals.index(hi)], w_probes[vals.index(lo)])
     return HomogeneityVerdict(
         homogeneous=max_gap <= tol, max_gap=max_gap, worst=worst, tol=tol
     )

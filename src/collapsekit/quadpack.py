@@ -55,8 +55,6 @@ def quad(
     otherwise: ``scipy.integrate.quad(f, lo, hi, epsabs=epsabs,
     epsrel=epsrel, limit=limit, points=...)`` with no message.
     """
-    if lo == hi:  # quad's shortcut: QUADPACK is never called
-        return 0.0, True
     inner = sorted({p for p in points if lo < p < hi})
     if inner:
         # QAGP takes npts + 2 slots for npts break points; quad pads with zeros

@@ -640,6 +640,22 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error == {"kind": "TableError", "message": f"ragged row at line {line}"}
 
+    @pytest.mark.parametrize(
+        "verb, text, message",
+        [
+            ("ingest", "a,b\n\n\n", "CSV has a header but no observation rows"),
+            ("regress-audit", "y,x,b\n1,0,g\n2,1,g\n", "records CSV must have header y,x,a"),
+        ],
+        ids=["header-and-blank-lines", "records-header"],
+    )
+    def test_csv_input_fault_is_structured(self, tmp_path, capsys, verb, text, message):
+        p = tmp_path / "input.csv"
+        p.write_text(text)
+        assert main([verb, str(p)]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["error"] == {"kind": "TableError", "message": message}
+
     def test_records_label_keeps_its_line_break(self, tmp_path, capsys):
         p = tmp_path / "records.csv"
         p.write_text('y,x,a\n1,0,"g\nh"\n2,1,"g\nh"\n0,0,k\n3,1,k\n1,1\n')
@@ -789,6 +805,12 @@ class TestExitCodes:
         assert main(["survival-check", "--numeric", str(p)]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"]["reversal_on_grid"] is False
+
+    def test_survival_check_on_a_k_spec(self, tmp_path, capsys):
+        p = tmp_path / "k.json"
+        p.write_text(json.dumps(dict(SPEC, k_transform={"t": [0.0, 1.0], "k": [0.0, 2.0]})))
+        assert main(["survival-check", str(p)]) == EXIT_DETECTED
+        assert json.loads(capsys.readouterr().out)["verdict"]["condition"] is True
 
     @pytest.mark.parametrize("key", ["t", "k"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1104,10 +1126,11 @@ class TestMalformedPayload:
             ),
             ("decompose", dict(TABLE, variables=[]), [], "SchemeError", "scheme needs at least one variable"),
             ("decompose", dict(TABLE, cells=[1, math.nan, 3, 4]), [], "TableError", "cells must be finite"),
+            ("dep-check", dict(MODEL, w_law={"type": "t"}), [], "ModelError", "unsupported w_law {'type': 't'}"),
         ],
         ids=[
             "header-order", "event", "empty-subset", "axis-range", "superscript-digit", "no-margin", "strict-all",
-            "no-stratum", "nan-coefficient", "ragged-knots", "no-variable", "nan-cell",
+            "no-stratum", "nan-coefficient", "ragged-knots", "no-variable", "nan-cell", "w-law-type",
         ],
     )
     def test_input_fault_is_structured(self, tmp_path, capsys, verb, payload, options, kind, message):

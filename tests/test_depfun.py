@@ -137,9 +137,14 @@ class TestHomogeneity:
         assert v.max_gap <= 1e-12
 
     def test_interaction_breaks_homogeneity(self):
-        v = check_homogeneity(GaussianLinearInteraction(1.0, 0.5, 0.8, 1.0))
+        m = GaussianLinearInteraction(1.0, 0.5, 0.8, 1.0)
+        v = check_homogeneity(m)
         assert not v.homogeneous
-        assert v.worst is not None
+        # worst names the probes at the ends of the widest range of dF/dx
+        y, x, w_hi, w_lo = v.worst
+        vals = [m.dep(y, x, w) for w in depfun.DEFAULT_W_PROBES]
+        assert (m.dep(y, x, w_hi), m.dep(y, x, w_lo)) == (max(vals), min(vals))
+        assert max(vals) - min(vals) == v.max_gap
 
     def test_additive_w_breaks_homogeneity(self):
         # w shifts the mean inside the density even without an interaction

@@ -98,6 +98,7 @@ class TestBitwise:
         assert got[1] is False
 
     def test_empty_interval(self):
+        # QAGS itself gives an empty interval the value 0.0, converged
         assert quadpack.quad(math.exp, 1.5, 1.5, 1e-10, 1e-10, 50) == (0.0, True)
 
 
