@@ -20,13 +20,14 @@ in the opposite direction.  "Down" reads the negated values of "up".
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DistributionError, loads, malformed, numbers
+from .errors import DistributionError, malformed, numbers
 from .tables import ci_deviation, probabilities
 
 RELATIONS = ("r1", "r2", "r3", "r4")
@@ -63,16 +64,13 @@ class FiniteJoint:
         object.__setattr__(self, "p", probabilities(self.p, DistributionError, "joint", shape))
 
     @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "FiniteJoint":
-        with malformed(DistributionError, "joint payload"):
+    def from_json(cls, text: str) -> "FiniteJoint":
+        with malformed(DistributionError, "joint payload", RecursionError):
+            payload = json.loads(text)
             lv = payload["levels"]
             y, x, w = (tuple(numbers(lv, key).tolist()) for key in "yxw")
             p = numbers(payload, "p").reshape(len(y), len(x), len(w))
             return cls(y, x, w, p)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteJoint":
-        return cls.from_json_dict(loads(text, DistributionError, "joint payload"))
 
 
 def _values(dist: FiniteJoint, p: np.ndarray, rel: str) -> np.ndarray:

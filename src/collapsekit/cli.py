@@ -38,10 +38,10 @@ from collections import Counter
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
-from .errors import CollapsekitError, SchemeError, TableError, loads, malformed
+from .errors import CollapsekitError, SchemeError, TableError, malformed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -244,35 +244,49 @@ def _read_bytes(path: str) -> bytes:
 _SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _csv_lines(path: str) -> tuple[list[str], bool]:
-    """The file's lines, split at LF, CR and CRLF only, and whether each line
-    is one record.
+def _csv_rows(path: str) -> tuple[list[str], Iterator[str | tuple[str, ...]], list[str]]:
+    """The header's fields, the non-blank body rows, taken lazily, and the
+    lines of a CSV file, split at LF, CR and CRLF only.
 
-    It is when the text holds no quote, so no field spans lines or hides a
-    comma, no NUL, which csv.reader rejects on Python 3.10, no line over
-    ``csv.field_size_limit()``, so no field is over it, and none of the
-    other characters ``str.splitlines`` ends a line at (a memchr scan each).
-    ``line.split(",")`` is then csv.reader's row, except that a blank line
-    gives ``[""]``, not ``[]``.  A text with one of those characters is split
-    at LF, CR and CRLF with the ends kept, and csv.reader reads it.  Lines
-    keep their ends when the text holds a quote, so csv.reader keeps a
-    quoted field's line breaks.
+    A body row is a line, one record, when the text holds no quote, so no
+    field spans lines or hides a comma, no NUL, which csv.reader rejects on
+    Python 3.10, no line over ``csv.field_size_limit()``, so no field is
+    over it, and none of the other characters ``str.splitlines`` ends a line
+    at (a memchr scan each); ``line.split(",")`` is then csv.reader's row.
+    Otherwise a body row is the tuple of csv.reader's fields.  Lines keep
+    their ends when the text holds a quote or one of those characters, so
+    csv.reader keeps a quoted field's line breaks.  A text with no non-blank
+    row has the header ``[]``.
     """
-    text = _read_bytes(path).decode("utf-8-sig")
+    text = _text(path)
     if any(c in text for c in _SPLITLINES_ONLY):
-        return io.StringIO(text, newline="").readlines(), False
-    quoted = '"' in text
-    lines = text.splitlines(keepends=quoted)
-    by_line = not quoted and "\0" not in text
-    return lines, by_line and max(map(len, lines), default=0) <= csv.field_size_limit()
+        lines, by_line = io.StringIO(text, newline="").readlines(), False
+    else:
+        quoted = '"' in text
+        lines = text.splitlines(keepends=quoted)
+        by_line = not (quoted or "\0" in text) and max(map(len, lines), default=0) <= csv.field_size_limit()
+    rows = filter(None, iter(lines) if by_line else map(tuple, csv.reader(lines)))  # blank lines
+    header = next(rows, "")
+    return header.split(",") if by_line and header else list(header), rows, lines
 
 
-def _ragged_line(lines: list[str], width: int) -> int:
-    """Physical line of the first non-blank row after the header whose field
-    count is not ``width``; a rescan, paid only on the error path."""
+def _row_fault(lines: list[str], width: int, skip: int = 0, numbers: int = 0) -> None:
+    """Raise the first fault in file order among the non-blank rows after
+    the header, from the ``skip``-th on: a row of other than ``width``
+    fields (``ragged row at line N``, N its physical line), or else the
+    first of its first ``numbers`` fields that is not ``_plain`` or that
+    ``float`` cannot read.  A rescan, paid only on the error path;
+    csv.reader passes over the rows before it to count physical lines."""
     reader = csv.reader(lines)
-    next(row for row in reader if row)
-    return next(reader.line_num for row in reader if row and len(row) != width)
+    body = filter(None, reader)  # blank lines
+    next(body)  # the header
+    for row in islice(body, skip, None):
+        if len(row) != width:
+            raise TableError(f"ragged row at line {reader.line_num}")
+        for field in row[:numbers]:
+            if not _plain(field):
+                raise ValueError(f"y and x must be ASCII numbers without '_', not {field!r}")
+            float(field)
 
 
 def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> ContingencyTable:
@@ -289,28 +303,21 @@ def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> Contingenc
     Identical raw rows are tallied once, so Python work grows with the
     number of distinct rows; rows that differ only in padding land in one
     cell and are summed there.  A text whose lines are its records (see
-    ``_csv_lines``) is tallied by line, so csv.reader never sees it.
+    ``_csv_rows``) is tallied by line, so csv.reader never sees it.
     """
     import numpy as np
 
     from . import loglinear, tables
 
-    lines, by_line = _csv_lines(path)
     # dict order is first appearance, so each level's first distinct row
     # comes in the order of the level's first observation
     with malformed(TableError, "CSV", csv.Error):
-        if by_line:
-            body = filter(None, lines)  # blank lines
-            first = next(body, None)
-            header = None if first is None else first.split(",")
-            # lines hash in C; distinct lines split to distinct rows
-            tally = {tuple(line.split(",")): n for line, n in Counter(body).items()}
-        else:
-            reader = csv.reader(lines)
-            header = next(filter(None, reader), None)
-            tally = Counter(map(tuple, reader))
-            tally.pop((), None)  # blank lines
-    if header is None:
+        header, body, lines = _csv_rows(path)
+        # lines hash in C; distinct lines split to distinct rows
+        tally = {
+            tuple(row.split(",")) if type(row) is str else row: n for row, n in Counter(body).items()
+        }
+    if not header:
         raise TableError("empty CSV file")
     header = [h.strip() for h in header]
     if len(header) > MAX_CSV_VARIABLES:
@@ -318,7 +325,7 @@ def ingest_csv(path: str, scheme: CategoricalScheme | None = None) -> Contingenc
     if not tally:
         raise TableError("CSV has a header but no observation rows")
     if any(len(row) != len(header) for row in tally):
-        raise TableError(f"ragged row at line {_ragged_line(lines, len(header))}")
+        _row_fault(lines, len(header))
     columns = list(zip(*([v.strip() for v in row] for row in tally)))
     if scheme is None:
         levels = [tuple(dict.fromkeys(col)) for col in columns]
@@ -361,7 +368,8 @@ def _load_scheme(path: str | None) -> CategoricalScheme | None:
 
     if path is None:
         return None
-    return tables.CategoricalScheme.from_json_dict(loads(_text(path), TableError, "variables payload"))
+    with malformed(TableError, "variables payload", RecursionError):
+        return tables.CategoricalScheme.from_json_dict(json.loads(_text(path)))
 
 
 def _load_table(path: str, variables: str | None = None) -> ContingencyTable:
@@ -413,32 +421,6 @@ def _plain(text: str) -> bool:
 _BLOCK = 8192
 
 
-def _blocks(rows):
-    """The non-blank rows of ``rows``, taken lazily, in lists of at most
-    ``_BLOCK``."""
-    while chunk := list(islice(rows, _BLOCK)):
-        if block := list(filter(None, chunk)):  # blank lines
-            yield block
-
-
-def _records_fault(lines: list[str], skip: int) -> None:
-    """Raise the first fault in file order among a records body's rows from
-    the ``skip``-th non-blank one on: a ragged row, or the row's first y or x
-    field that is not ``_plain`` or that ``float`` cannot read, y before x.
-    A rescan of the failing block, paid only on the error path; csv.reader
-    passes over the rows before it to count physical lines."""
-    reader = csv.reader(lines)
-    body = filter(None, reader)  # blank lines
-    next(body)  # the header
-    for row in islice(body, skip, None):
-        if len(row) != 3:
-            raise TableError(f"ragged row at line {reader.line_num}")
-        for field in row[:2]:
-            if not _plain(field):
-                raise ValueError(f"y and x must be ASCII numbers without '_', not {field!r}")
-            float(field)
-
-
 def read_records(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """The y and x columns of a records CSV with header y,x,a as float64
     arrays, and its stripped labels, one string object per distinct label.
@@ -446,16 +428,12 @@ def read_records(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     The body is parsed a block of ``_BLOCK`` rows at a time straight into
     the arrays, so no per-field string outlives its block.  y and x must be
     ``_plain`` numbers, the labels may hold any text.  A bad header is named
-    first, then the first faulty row in file order (see ``_records_fault``).
+    first, then the first faulty row in file order (see ``_row_fault``).
     """
     import numpy as np
 
-    lines, by_line = _csv_lines(path)
     with malformed(TableError, "records CSV", csv.Error):
-        rows = iter(lines) if by_line else csv.reader(lines)
-        header = next(filter(None, rows), "")  # blank lines
-        if by_line:
-            header = header.split(",")
+        header, body, lines = _csv_rows(path)
         if [h.strip().lower() for h in header] != ["y", "x", "a"]:
             raise TableError("records CSV must have header y,x,a")
         y, x = np.empty(len(lines)), np.empty(len(lines))
@@ -463,8 +441,8 @@ def read_records(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
         label: dict[str, str] = {}  # the one string object of each label
         n = 0  # body rows parsed into y and x
         try:
-            for block in _blocks(rows):
-                if by_line:
+            while block := list(islice(body, _BLOCK)):
+                if type(block[0]) is str:
                     ragged = set(map(str.count, block, repeat(","))) != {2}
                     # with two commas a line, line i's fields are 3i, 3i+1 and 3i+2
                     fields = ",".join(block).split(",")
@@ -482,7 +460,7 @@ def read_records(path: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
                 a.extend(map(label.setdefault, labels, labels))
                 n = k
         except (ValueError, csv.Error):
-            _records_fault(lines, n)
+            _row_fault(lines, 3, n, 2)
             raise
     return y[:n], x[:n], a
 

@@ -30,11 +30,12 @@ loads no scipy.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .errors import ModelError, loads, malformed, number, numbers
+from .errors import ModelError, malformed, number, numbers
 from .quadpack import quad
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -307,8 +308,9 @@ class UniformQuadratic(DependenceModel):
         return {"family": self.family}
 
 
-def model_from_json_dict(payload: Mapping) -> DependenceModel:
-    with malformed(ModelError, "model payload"):
+def model_from_json(text: str) -> DependenceModel:
+    with malformed(ModelError, "model payload", RecursionError):
+        payload = json.loads(text)
         family = payload["family"]
         if family == GaussianLinearInteraction.family:
             a1, a2, a3 = numbers(payload, "alpha").tolist()
@@ -321,10 +323,6 @@ def model_from_json_dict(payload: Mapping) -> DependenceModel:
         if family == UniformQuadratic.family:
             return UniformQuadratic()
         raise ModelError(f"unknown family {family!r}")
-
-
-def model_from_json(text: str) -> DependenceModel:
-    return model_from_json_dict(loads(text, ModelError, "model payload"))
 
 
 @dataclass(frozen=True)

@@ -46,22 +46,20 @@ def malformed(error: type[CollapsekitError], what: str, *also: type[Exception]):
     type or shape, or one of the types in ``also`` (``csv.Error``, say),
     leaves as ``error("malformed <what>: <exc>")``, while a
     ``CollapsekitError`` (a ``SchemeError``, say) keeps its kind, and so
-    does a ``JSONDecodeError``: text that is not JSON is not a payload."""
+    do a ``UnicodeDecodeError`` and a ``JSONDecodeError``: text that is not
+    UTF-8, or not JSON, is not a payload.
+
+    Each JSON reader parses its text inside this block with
+    ``RecursionError`` in ``also``, so an integer literal past Python's digit
+    limit (4,300 digits, see ``sys.set_int_max_str_digits``) and arrays or
+    objects nested past the decoder's recursion limit are ``malformed
+    <what>``."""
     try:
         yield
-    except (CollapsekitError, json.JSONDecodeError):
+    except (CollapsekitError, UnicodeDecodeError, json.JSONDecodeError):
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError, *also) as exc:
         raise error(f"malformed {what}: {exc}") from exc
-
-
-def loads(text: str, error: type[CollapsekitError], what: str):
-    """``json.loads(text)``.  Text that is not JSON raises ``JSONDecodeError``;
-    an integer literal past Python's digit limit (4,300 digits, see
-    ``sys.set_int_max_str_digits``) and arrays or objects nested past the
-    decoder's recursion limit are ``malformed <what>``."""
-    with malformed(error, what, RecursionError):
-        return json.loads(text)
 
 
 def array(payload, key: str):

@@ -17,13 +17,14 @@ are decided by one route; an equivalent second route must agree to rounding.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DistributionError, RouteDisagreementError, array, loads, malformed, number
+from .errors import DistributionError, RouteDisagreementError, array, malformed, number
 from .tables import probabilities
 
 DEFAULT_TOL = 1e-9
@@ -111,8 +112,9 @@ class StratifiedRegressionSummary:
         }
 
     @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "StratifiedRegressionSummary":
-        with malformed(DistributionError, "summary payload"):
+    def from_json(cls, text: str) -> "StratifiedRegressionSummary":
+        with malformed(DistributionError, "summary payload", RecursionError):
+            payload = json.loads(text)
             strata = tuple(
                 RegressionStratum(
                     pi=number(lv, "pi"),
@@ -126,10 +128,6 @@ class StratifiedRegressionSummary:
                 for lv in array(payload, "levels")
             )
             return cls(strata)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StratifiedRegressionSummary":
-        return cls.from_json_dict(loads(text, DistributionError, "summary payload"))
 
 
 def _wmean(pi: np.ndarray, v: np.ndarray) -> float:

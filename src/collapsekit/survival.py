@@ -26,11 +26,12 @@ a tabulated K loads neither numpy nor scipy.
 from __future__ import annotations
 
 import bisect
+import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import ModelError, loads, malformed, number, numbers
+from .errors import ModelError, malformed, number, numbers
 
 W_LAWS = ("std-normal", "gumbel", "logistic")
 
@@ -161,8 +162,9 @@ class SurvivalSpec:
         return self.eta_mu + self.eta_rho * x
 
     @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "SurvivalSpec":
-        with malformed(ModelError, "survival spec payload"):
+    def from_json(cls, text: str) -> "SurvivalSpec":
+        with malformed(ModelError, "survival spec payload", RecursionError):
+            payload = json.loads(text)
             eta = payload.get("eta", {})
             kt = payload.get("k_transform")
             knots = tuple(tuple(numbers(kt, key).tolist()) for key in "tk") if kt else None
@@ -175,10 +177,6 @@ class SurvivalSpec:
                 v_law=payload.get("v_law", "std-normal"),
                 k_transform=knots,
             )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SurvivalSpec":
-        return cls.from_json_dict(loads(text, ModelError, "survival spec payload"))
 
 
 # -- conditional quantities (closed form) -----------------------------------

@@ -9,13 +9,14 @@ operation returns a new table.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CollapsekitError, SchemeError, TableError, array, loads, malformed, numbers
+from .errors import CollapsekitError, SchemeError, TableError, array, malformed, numbers
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_CI_TOL = 1e-9
@@ -315,14 +316,11 @@ class ContingencyTable:
         }
 
     @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "ContingencyTable":
-        with malformed(TableError, "table payload"):
+    def from_json(cls, text: str) -> "ContingencyTable":
+        with malformed(TableError, "table payload", RecursionError):
+            payload = json.loads(text)
             scheme = CategoricalScheme.from_json_dict(payload)
             return build_table(scheme, numbers(payload, "cells"), payload["form"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "ContingencyTable":
-        return cls.from_json_dict(loads(text, TableError, "table payload"))
 
 
 def build_table(

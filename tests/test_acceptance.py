@@ -6,15 +6,12 @@ offending detail before the assertion fires.
 """
 
 import itertools
-import math
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from collapsekit.assoc import (
-    FiniteJoint,
     covariance,
     detect_assoc_reversal,
     double_linkage,

@@ -428,6 +428,19 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == kind
 
     @pytest.mark.parametrize(
+        "argv",
+        [["ingest", "bad.csv"], ["regress-audit", "bad.csv"], ["ingest", "good.csv", "--variables", "bad.json"]],
+        ids=["observations", "records", "variables"],
+    )
+    def test_undecodable_csv_or_variables_keeps_its_kind(self, tmp_path, capsys, argv):
+        """Text that is not UTF-8 is no CSV or variables payload either."""
+        (tmp_path / "good.csv").write_text("A,B\na,a\nb,b\n")
+        (tmp_path / "bad.csv").write_bytes(b"y,x,a\n1,0,\xff\n")
+        (tmp_path / "bad.json").write_bytes(b'{"variables": "\xff"}')
+        assert main([argv[0], *(str(tmp_path / a) if "." in a else a for a in argv[1:])]) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "UnicodeDecodeError"
+
+    @pytest.mark.parametrize(
         "levels, p",
         [
             # JSON allows the NaN literal; it used to pass every joint check
@@ -655,6 +668,22 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert err == ""
         assert json.loads(out)["error"] == {"kind": "TableError", "message": message}
+
+    @pytest.mark.parametrize("verb", ["ingest", "regress-audit"])
+    @pytest.mark.parametrize(
+        "text, line",
+        [('y,x,a\n1,0,"g\nh"\n2,1,g\n3,1\n', 5), ("y,x,a\n1,0,g\n2,1,g\n3,1\n", 4)],
+        ids=["quoted", "unquoted"],
+    )
+    def test_both_csv_verbs_name_the_same_ragged_line(self, tmp_path, capsys, verb, text, line):
+        """Observations and records go through one rescan, so on the same
+        body both name the same physical line, after a quoted line break
+        too."""
+        p = tmp_path / "input.csv"
+        p.write_text(text)
+        assert main([verb, str(p)]) == EXIT_ERROR
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "TableError", "message": f"ragged row at line {line}"}
 
     def test_records_label_keeps_its_line_break(self, tmp_path, capsys):
         p = tmp_path / "records.csv"
@@ -1234,7 +1263,7 @@ def _route_values(verdict) -> list[float]:
     tol scale (the zero set too for strict): the identity gap over Var(X)
     is recomputed from the reported summary, whose floats round-trip."""
     if "beta_gap" in verdict:
-        summary = StratifiedRegressionSummary.from_json_dict(verdict["summary"])
+        summary = StratifiedRegressionSummary.from_json(json.dumps(verdict["summary"]))
         return [verdict["identity_gap"] / _marginal_line(summary.arrays())[2], verdict["beta_gap"]]
     keys = ("max_residual", "direct_gap", "zero_set_max")
     return [verdict[k] for k in keys if verdict.get(k) is not None]

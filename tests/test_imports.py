@@ -326,6 +326,25 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert orphans == []
 
 
+def test_every_import_is_read():
+    """An import in src/, tools/ or tests/ binds only names its module reads
+    (``from __future__`` imports set compiler flags and are exempt).  No
+    linter is installed here, so this is the unused-import check."""
+    unread = []
+    for path in sorted(p for d in ("src", "tools", "tests") for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert unread == []
+
+
 def test_readme_quick_start():
     """The README's library quick start runs and gives its commented results."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from collapsekit.errors import SchemeError, TableError
 from collapsekit.loglinear import (
-    InteractionDecomposition,
     decompose,
     interaction,
     is_hierarchical,

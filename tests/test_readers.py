@@ -2,7 +2,8 @@
 
 Each JSON property starts from a valid payload and replaces one to three of
 its values, at any depth (the whole payload included), by any JSON value:
-strings, numbers, null, booleans, nested arrays and objects.  The CSV
+strings, numbers, null, booleans, nested arrays and objects.  The reader
+gets the payload as JSON text, as the CLI passes it.  The CSV
 properties read arbitrary text over the characters the CSV format gives a
 meaning to.  A reader may accept what it gets or raise a
 ``CollapsekitError``; anything else escaping would end a CLI call in a
@@ -10,6 +11,7 @@ traceback.
 """
 
 import copy
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from collapsekit.assoc import FiniteJoint
 from collapsekit.cli import ingest_csv, read_records
-from collapsekit.depfun import model_from_json_dict
+from collapsekit.depfun import model_from_json
 from collapsekit.errors import CollapsekitError
 from collapsekit.regress import StratifiedRegressionSummary, summary_from_records
 from collapsekit.survival import SurvivalSpec
@@ -42,20 +44,24 @@ VARIABLES = [{"name": "A", "levels": ["a", "b"]}, {"name": "B", "levels": ["a", 
 STRATUM = {"pi": 0.5, "alpha": 0.0, "beta": 0.5, "mu_x": 0.0, "s_xx": 1.0, "s_yy": 1.0}
 READERS = {
     "table": (
-        ContingencyTable.from_json_dict,
+        ContingencyTable.from_json,
         {"variables": VARIABLES, "form": "counts", "cells": [1, 2, 3, 4]},
     ),
-    "variables": (CategoricalScheme.from_json_dict, {"variables": VARIABLES}),
+    # a --variables file, as cli._load_scheme reads it
+    "variables": (
+        lambda text: CategoricalScheme.from_json_dict(json.loads(text)),
+        {"variables": VARIABLES},
+    ),
     "joint": (
-        FiniteJoint.from_json_dict,
+        FiniteJoint.from_json,
         {"levels": {"y": [0, 1], "x": [0, 1], "w": [0, 1]}, "p": [0.125] * 8},
     ),
     "summary": (
-        StratifiedRegressionSummary.from_json_dict,
+        StratifiedRegressionSummary.from_json,
         {"levels": [dict(STRATUM, label="u"), dict(STRATUM, mu_x=1.0, label="v")]},
     ),
     "model": (
-        model_from_json_dict,
+        model_from_json,
         {
             "family": "gaussian-linear-interaction",
             "alpha": [1.0, 0.5, 0.8],
@@ -64,7 +70,7 @@ READERS = {
         },
     ),
     "survival": (
-        SurvivalSpec.from_json_dict,
+        SurvivalSpec.from_json,
         {
             "beta_x": 1.0,
             "beta_y": -2.0,
@@ -103,11 +109,11 @@ def _swapped(payload, swaps):
 @given(data=st.data())
 def test_only_collapsekit_errors_escape(name, data):
     reader, valid = READERS[name]
-    reader(copy.deepcopy(valid))  # the starting point is read
+    reader(json.dumps(valid))  # the starting point is read
     swap = st.tuples(st.sampled_from(list(_paths(valid))), ANY)
     payload = _swapped(valid, data.draw(st.lists(swap, min_size=1, max_size=3), label="swaps"))
     try:
-        reader(payload)
+        reader(json.dumps(payload))
     except CollapsekitError:
         pass
 

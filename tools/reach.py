@@ -62,9 +62,15 @@ def lines(code):
             yield from lines(const)
 
 
+def first(node):
+    # a decorated def or class starts at its first decorator, whose line
+    # runs when the def does
+    return min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+
+
 def innermost(nodes, line):
-    return min((n for n in nodes if n.lineno <= line <= n.end_lineno),
-               key=lambda n: n.end_lineno - n.lineno, default=None)
+    return min((n for n in nodes if first(n) <= line <= n.end_lineno),
+               key=lambda n: n.end_lineno - first(n), default=None)
 
 
 def unreached(path):
